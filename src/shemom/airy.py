@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .combinatorics import enumerate_partitions
-from .quadrature import gauss_hermite, gauss_legendre_panels
+from .quadrature import gauss_hermite_cauchy, gauss_legendre_panels
 
 __all__ = [
     "AiryConfig",
@@ -221,24 +221,8 @@ _R_GH_ORDER = {1: 64, 2: 96, 3: 48, 4: 32}
 
 def _laplace_r_gh(c: np.ndarray, order: int) -> float:
     """Tensor Gauss-Hermite value of the Gaussian form of R(c_1..c_n)."""
-    n = len(c)
-    rule = gauss_hermite(order)
-    scale = np.sqrt(c)
-    axes_z = [rule.nodes / scale[i] for i in range(n)]
-    axes_w = [rule.weights / scale[i] for i in range(n)]
-    grids = np.meshgrid(*axes_z, indexing="ij")
-    zs = np.stack([g.ravel() for g in grids], axis=-1)
-    wg = np.meshgrid(*axes_w, indexing="ij")
-    wtot = np.ones_like(wg[0])
-    for g in wg:
-        wtot = wtot * g
-    # M_ij = 1/((-i z_i + c_i/2) + (i z_j + c_j/2))
-    m = 1.0 / (
-        1j * (zs[..., None, :] - zs[..., :, None]) + 0.5 * (c[:, None] + c[None, :])
-    )
-    dets = np.real(np.linalg.det(m)).reshape(wg[0].shape)
-    val = float(np.sum(wtot * dets))
-    return math.exp(float(np.sum(c**3) / 12.0)) / (2.0 * math.pi) ** n * val
+    val = gauss_hermite_cauchy(np.sqrt(c), c, order)
+    return math.exp(float(np.sum(c**3) / 12.0)) / (2.0 * math.pi) ** len(c) * val
 
 
 def laplace_R(c, order: int | None = None, with_err: bool = False):
@@ -359,20 +343,25 @@ def fredholm_multiplicative(u: float, cfg: AiryConfig, f: FredholmConfig | None 
     return float(math.exp(logdet))
 
 
-def moment_from_airy(k: int, cfg: AiryConfig, order: int | None = None) -> float:
+def moment_from_airy(k: int, cfg: AiryConfig, order: int | None = None, with_err: bool = False):
     """E[h_k(e^{C a_1}, e^{C a_2}, ...)] = sum over partitions of (1/prod m_i!) R(C lambda).
 
-    Equals e^{kT/24} E[Z(T,0)^k] / k!.
+    Equals e^{kT/24} E[Z(T,0)^k] / k!.  With with_err, also returns the
+    same weighted sum of the order-halving errors of each R.
     """
     if k > 4:
         raise ValueError("moment_from_airy supports k <= 4")
     total = 0.0
+    err = 0.0
     for lam in enumerate_partitions(k):
         inv_mult = 1.0
         for m in lam.multiplicities.values():
             inv_mult /= math.factorial(m)
-        total += inv_mult * laplace_R(cfg.C * np.asarray(lam.parts, dtype=float), order=order)
-    return total
+        r = laplace_R(cfg.C * np.asarray(lam.parts, dtype=float), order=order, with_err=with_err)
+        val, r_err = r if with_err else (r, 0.0)
+        total += inv_mult * val
+        err += inv_mult * r_err
+    return (total, err) if with_err else total
 
 
 def tracy_widom_cdf(s: float, order: int = 12, panel_width: float = 1.0, span: float = 17.0) -> float:

@@ -74,6 +74,8 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -155,9 +157,11 @@ def _shifted_gaussian_mc(req: she_moments.MomentRequest, samples: int, seed: int
 def _airy_route(req: she_moments.MomentRequest) -> she_moments.MomentEstimate:
     factor, origin = she_moments.reduce_to_origin(req)
     cfg = airy.AiryConfig.from_T(origin.T)
-    hk = airy.moment_from_airy(origin.k, cfg)
-    value = factor * math.factorial(origin.k) * math.exp(-origin.k * origin.T / 24.0) * hk
-    return she_moments.MomentEstimate(value, 1e-7 * abs(value), "airy", {"hk": hk})
+    hk, hk_err = airy.moment_from_airy(origin.k, cfg, with_err=True)
+    scale = factor * math.factorial(origin.k) * math.exp(-origin.k * origin.T / 24.0)
+    value = scale * hk
+    err = scale * hk_err + she_moments._ERR_FLOOR_REL * abs(value)
+    return she_moments.MomentEstimate(value, err, "airy", {"hk": hk})
 
 
 _MC_METHODS = {"gaussian_mc"}
@@ -197,7 +201,7 @@ def run_xcheck(args) -> tuple[CrossCheckReport, int]:
                 tol = 3.0 * math.sqrt(a.err**2 + b.err**2) / denom
             else:
                 tol = _quad_tol(req.k, args.tol)
-            ok = rel_gap <= tol
+            ok = bool(rel_gap <= tol)
             passed = passed and ok
             gaps.append(
                 {"a": a.method, "b": b.method, "rel_gap": rel_gap, "tol": tol, "pass": ok}

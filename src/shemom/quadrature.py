@@ -1,4 +1,4 @@
-"""Numerical integration on truncated vertical lines, Gauss rules, complex determinants."""
+"""Numerical integration on truncated vertical lines, Gauss rules, and the Cauchy-determinant kernel."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 
 class QuadratureError(RuntimeError):
@@ -45,24 +44,6 @@ def default_halfwidth(decay_rate: float, tol: float = 1e-12) -> float:
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")
     return math.sqrt(2.0 * math.log(1.0 / tol) / decay_rate) + 3.0
-
-
-@dataclass(frozen=True)
-class TensorGrid:
-    """Tensor product of line contours, dimension <= 4 in full tensor mode."""
-
-    axes: tuple[LineContour, ...]
-
-    def __post_init__(self):
-        if not 1 <= len(self.axes) <= 4:
-            raise ValueError("tensor grids support dimension 1..4")
-
-    @property
-    def total_nodes(self) -> int:
-        n = 1
-        for ax in self.axes:
-            n *= ax.node_count + 1
-        return n
 
 
 def trapezoid_line(f: Callable[[np.ndarray], np.ndarray], c: LineContour) -> tuple[complex, float]:
@@ -115,17 +96,30 @@ def gauss_legendre_panels(a: float, b: float, panel_width: float, order: int) ->
     return nodes, weights
 
 
-def complex_det(A: np.ndarray) -> complex:
-    """Determinant of a square complex matrix via LU with partial pivoting."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("complex_det expects a square matrix")
-    n = A.shape[0]
-    if n > 40:
-        raise ValueError("complex_det limited to dimension <= 40")
-    if n == 1:
-        return complex(A[0, 0])
-    lu, piv = lu_factor(A, check_finite=True)
-    det = complex(np.prod(np.diag(lu)))
-    sign = 1 - 2 * (np.sum(piv != np.arange(n)) % 2)
-    return sign * det
+def cauchy_pair_det(ys: Sequence[np.ndarray], parts) -> np.ndarray:
+    """det[1/(a_i - b_j)] for a_i = i y_i + p_i/2, b_j = i y_j - p_j/2, in closed form.
+
+    Cauchy's formula makes the determinant real and positive:
+    prod_i 1/p_i * prod_{i<j} (d^2 + ((p_i - p_j)/2)^2) / (d^2 + ((p_i + p_j)/2)^2)
+    with d = y_i - y_j.  The ys[i] broadcast against each other, so sparse
+    meshgrid axes build each pair factor on its own plane.
+    """
+    parts = np.asarray(parts, dtype=float)
+    shape = np.broadcast_shapes(*(np.shape(y) for y in ys))
+    out = np.full(shape, 1.0 / float(np.prod(parts)))
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            d2 = (ys[i] - ys[j]) ** 2
+            out *= (d2 + 0.25 * (parts[i] - parts[j]) ** 2) / (d2 + 0.25 * (parts[i] + parts[j]) ** 2)
+    return out
+
+
+def gauss_hermite_cauchy(scales, parts, order: int) -> float:
+    """int prod_j exp(-scales_j^2 y_j^2) cauchy_pair_det(y, parts) dy by tensor Gauss-Hermite."""
+    rule = gauss_hermite(order)
+    ys = np.meshgrid(*(rule.nodes / s for s in scales), indexing="ij", sparse=True)
+    weights = np.meshgrid(*(rule.weights / s for s in scales), indexing="ij", sparse=True)
+    integrand = cauchy_pair_det(ys, parts)
+    for w in weights:
+        integrand *= w
+    return float(np.sum(integrand))

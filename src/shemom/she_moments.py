@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .combinatorics import Partition, enumerate_partitions, multiplicity_factor
-from .quadrature import default_halfwidth, gauss_hermite
+from .quadrature import cauchy_pair_det, default_halfwidth, gauss_hermite_cauchy
 
 __all__ = [
     "MomentRequest",
@@ -47,6 +47,8 @@ class MomentRequest:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("moment order k must be >= 1")
+        if not (math.isfinite(self.T) and math.isfinite(self.X)):
+            raise ValueError("time T and position X must be finite")
         if self.T <= 0:
             raise ValueError("time T must be positive")
 
@@ -99,14 +101,6 @@ def _contour_tensor_value(k, T, X, anchors, n, Y) -> complex:
     w = np.full(n + 1, h)
     w[0] = w[-1] = h / 2
 
-    def plane_value(z_fixed: list[np.ndarray], axes: list[np.ndarray]) -> complex:
-        zs = z_fixed + axes
-        integ = _cross_factor(zs) if k > 1 else 1.0
-        expo = 0.0
-        for z in zs:
-            expo = expo + (T / 2.0) * z * z + X * z
-        return complex(np.sum(integ * np.exp(expo)))
-
     if k == 1:
         z1 = anchors[0] + 1j * y
         val = complex(np.sum(w * np.exp((T / 2.0) * z1 * z1 + X * z1)))
@@ -138,7 +132,6 @@ def _contour_mc_value(k, T, X, anchors, samples, seed) -> tuple[float, float]:
     pref = (2.0 * math.pi * T) ** (-k / 2.0) * math.exp(
         float(np.sum((T / 2.0) * alpha**2 + X * alpha))
     )
-    vals = np.empty(samples)
     chunk = 200_000
     done = 0
     acc = []
@@ -215,36 +208,18 @@ def _partition_exponent_parts(lam: Partition, T: float):
     return lam_arr, const, decay
 
 
-def _det_matrix(ys: np.ndarray, lam_arr: np.ndarray) -> np.ndarray:
-    """Batched matrices M_ij = 1/(w_i + lam_i - w_j) on the centered lines.
+def _partition_term_gh(lam: Partition, T: float, order: int) -> float:
+    """(2 pi)^-l integral of the lambda summand by tensor Gauss-Hermite.
 
-    With w_j = -(lam_j - 1)/2 + i y_j the entries are
-    1/(i(y_i - y_j) + (lam_i + lam_j)/2); the diagonal is 1/lam_i.
+    On the centered lines w_j = -(lam_j - 1)/2 + i y_j the determinant
+    det[1/(w_i + lam_i - w_j)] is cauchy_pair_det(y, lam).
     """
-    offset = 0.5 * (lam_arr[:, None] + lam_arr[None, :])
-    return 1.0 / (1j * (ys[..., :, None] - ys[..., None, :]) + offset)
-
-
-def _partition_term_gh(lam: Partition, T: float, order: int) -> complex:
-    """(2 pi)^-l integral of the lambda summand by tensor Gauss-Hermite."""
     lam_arr, const, decay = _partition_exponent_parts(lam, T)
-    ell = lam.length
-    rule = gauss_hermite(order)
-    scale = np.sqrt(decay)  # y = x / scale per axis
-    axes_y = [rule.nodes / scale[j] for j in range(ell)]
-    axes_w = [rule.weights / scale[j] for j in range(ell)]
-    grids = np.meshgrid(*axes_y, indexing="ij")
-    ys = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*axes_w, indexing="ij")
-    wtot = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        wtot = wtot * wg
-    dets = np.linalg.det(_det_matrix(ys, lam_arr)).reshape(wgrids[0].shape)
-    val = np.sum(wtot * dets)
-    return complex(val) * math.exp(float(np.sum(const))) / (2.0 * math.pi) ** ell
+    val = gauss_hermite_cauchy(np.sqrt(decay), lam_arr, order)
+    return val * math.exp(float(np.sum(const))) / (2.0 * math.pi) ** lam.length
 
 
-def _partition_term_mc(lam: Partition, T: float, samples: int, rng) -> tuple[complex, float]:
+def _partition_term_mc(lam: Partition, T: float, samples: int, rng) -> tuple[float, float]:
     """Monte Carlo fallback for long partitions: Gaussian sampling of the envelope."""
     lam_arr, const, decay = _partition_exponent_parts(lam, T)
     ell = lam.length
@@ -256,7 +231,7 @@ def _partition_term_mc(lam: Partition, T: float, samples: int, rng) -> tuple[com
     while done < samples:
         m = min(50_000, samples - done)
         ys = rng.normal(0.0, 1.0, size=(m, ell)) * sigma[None, :]
-        vals.append(np.real(np.linalg.det(_det_matrix(ys, lam_arr))))
+        vals.append(cauchy_pair_det(ys.T, lam_arr))
         done += m
     v = np.concatenate(vals)
     mean = float(np.mean(v))
@@ -351,20 +326,15 @@ def _laplace_r_mc(c: np.ndarray, samples: int, rng) -> tuple[float, float]:
     e^{c^3/12}/(2 sqrt(pi) c^{3/2}) and by direct n=2 quadrature.
     """
     n = len(c)
-    pref = math.exp(float(np.sum(c**3) / 12.0)) / float(
-        np.prod(2.0 * math.sqrt(math.pi) * c**1.5)
-    )
+    # the Cauchy determinant carries prod_i 1/c_i; pref holds the rest
+    pref = math.exp(float(np.sum(c**3) / 12.0)) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
     if n == 1:
-        return pref, 0.0
+        return pref / float(c[0]), 0.0
     sigma = 1.0 / np.sqrt(2.0 * c)
     zs = rng.normal(0.0, 1.0, size=(samples, n)) * sigma[None, :]
-    ratio = np.ones(samples)
-    for i in range(n):
-        for j in range(i + 1, n):
-            di = zs[:, i] - zs[:, j]
-            ratio *= (di * di + 0.25 * (c[i] - c[j]) ** 2) / (di * di + 0.25 * (c[i] + c[j]) ** 2)
-    mean = float(np.mean(ratio))
-    se = float(np.std(ratio, ddof=1) / math.sqrt(samples))
+    dets = cauchy_pair_det(zs.T, c)
+    mean = float(np.mean(dets))
+    se = float(np.std(dets, ddof=1) / math.sqrt(samples))
     return pref * mean, pref * se
 
 

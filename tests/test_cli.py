@@ -41,6 +41,11 @@ class TestExitCodes:
         # invalid parameter reaching the module precondition
         assert main(["moment", "contour", "--k", "0", "--t", "1"]) == 1
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_is_config_error(self, capsys, t):
+        assert main(["xcheck", "--k", "2", "--t", t]) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestXcheckReport:
     def test_schema(self, capsys):
@@ -64,6 +69,20 @@ class TestXcheckReport:
         for e in payload["estimates"]:
             if e["method"] in ("contour", "partition"):
                 assert abs(e["value"] - truth) < 1e-8 * truth
+
+    def test_k3_report(self, capsys):
+        code, payload = run_json(capsys, ["xcheck", "--k", "3", "--t", "1"])
+        assert code == 0
+        assert all(g["pass"] is True for g in payload["gaps"])
+        airy = next(e for e in payload["estimates"] if e["method"] == "airy")
+        assert 0.0 < airy["err"] < 1e-3 * airy["value"]
+
+    def test_airy_error_bar_covers_closed_form(self, capsys):
+        from shemom.she_moments import erfc_reduction_oracle
+
+        _, payload = run_json(capsys, ["xcheck", "--k", "2", "--t", "0.5"])
+        airy = next(e for e in payload["estimates"] if e["method"] == "airy")
+        assert abs(airy["value"] - erfc_reduction_oracle(0.5)) <= 3.0 * airy["err"]
 
     def test_pass_iff_all_gaps_pass(self, capsys):
         _, payload = run_json(capsys, ["xcheck", "--k", "2", "--t", "1"])

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from shemom.combinatorics import enumerate_partitions, multiplicity_factor
+from shemom.quadrature import gauss_hermite
 from shemom.she_moments import (
     MomentEstimate,
     MomentRequest,
@@ -26,6 +28,13 @@ class TestRequestValidation:
             MomentRequest(0, 1.0)
         with pytest.raises(ValueError):
             MomentRequest(1, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            MomentRequest(2, bad)
+        with pytest.raises(ValueError):
+            MomentRequest(2, 1.0, bad)
 
     def test_anchor_gap_enforced(self):
         with pytest.raises(ValueError):
@@ -102,10 +111,40 @@ class TestAnchorInvariance:
         assert abs(alt.value - base.value) <= 2.0 * max(base.err, alt.err)
 
 
+def _lu_matrix(ys: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    return 1.0 / (1j * (ys[..., :, None] - ys[..., None, :]) + 0.5 * (parts[:, None] + parts[None, :]))
+
+
 class TestPartitionInternals:
     def test_terms_recorded(self):
         est = moment_partition(3, 1.0)
         assert set(est.meta["terms"]) == {"(3,)", "(2, 1)", "(1, 1, 1)"}
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_matches_lu_determinants(self, k):
+        # the residue sum with every Cauchy determinant taken by LU of the
+        # explicit matrix, on the same nodes and the same random draws
+        T, order, samples, seed = 1.3, 10, 20_000, 4
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        rule = gauss_hermite(order)
+        total = 0.0
+        for lam in enumerate_partitions(k):
+            parts = np.asarray(lam.parts, dtype=float)
+            decay = T * parts / 2.0
+            norm = math.exp(float(np.sum((T / 2.0) * (parts**3 - parts) / 12.0))) / (2.0 * math.pi) ** lam.length
+            if lam.length <= 4:
+                grids = np.meshgrid(*(rule.nodes / np.sqrt(d) for d in decay), indexing="ij")
+                ys = np.stack([g.ravel() for g in grids], axis=-1)
+                wgrids = np.meshgrid(*(rule.weights / np.sqrt(d) for d in decay), indexing="ij")
+                w = np.prod([g.ravel() for g in wgrids], axis=0)
+                term = norm * float(np.sum(w * np.linalg.det(_lu_matrix(ys, parts)).real))
+            else:
+                ys = rng.normal(0.0, 1.0, size=(samples, lam.length)) / np.sqrt(2.0 * decay)
+                envelope = float(np.prod(np.sqrt(math.pi / decay)))
+                term = norm * envelope * float(np.mean(np.linalg.det(_lu_matrix(ys, parts)).real))
+            total += multiplicity_factor(lam) * term
+        est = moment_partition(k, T, gh_order=order, mc_samples=samples, seed=seed)
+        assert est.value == pytest.approx(total, rel=1e-12)
 
     def test_error_bounds_truth_k2(self):
         est = moment_partition(2, 1.0)
