@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import simpson
 
-from .combinatorics import enumerate_partitions
-from .quadrature import gauss_hermite_cauchy, gauss_legendre_panels
+from .combinatorics import Partition, enumerate_partitions, multiplicity_factor
+from .quadrature import cauchy_pair_det, gauss_hermite_cauchy, gauss_legendre_panels
 
 __all__ = [
     "AiryConfig",
@@ -28,7 +28,9 @@ __all__ = [
     "okounkov_transform",
     "okounkov_numeric",
     "laplace_R",
+    "laplace_R_mc",
     "laplace_R_direct",
+    "residue_sum",
     "fredholm_multiplicative",
     "moment_from_airy",
     "tracy_widom_cdf",
@@ -219,18 +221,13 @@ def okounkov_numeric(x: float, a: float, b: float, tail_exponent: float = 45.0) 
 _R_GH_ORDER = {1: 64, 2: 96, 3: 48, 4: 32}
 
 
-def _laplace_r_gh(c: np.ndarray, order: int) -> float:
-    """Tensor Gauss-Hermite value of the Gaussian form of R(c_1..c_n)."""
-    val = gauss_hermite_cauchy(np.sqrt(c), c, order)
-    return math.exp(float(np.sum(c**3) / 12.0)) / (2.0 * math.pi) ** len(c) * val
-
-
 def laplace_R(c, order: int | None = None, with_err: bool = False):
     """R(c_1, ..., c_n): the Laplace transform of the n-point Airy kernel determinant.
 
-    Evaluated through the Gaussian form derived from the Okounkov identity,
-    with the Cauchy-determinant constants pinned by the n=1 closed form
-    R(c) = e^{c^3/12} / (2 sqrt(pi) c^{3/2}).
+    Evaluated through the Gaussian form derived from the Okounkov identity by
+    tensor Gauss-Hermite, with the Cauchy-determinant constants pinned by the
+    n=1 closed form R(c) = e^{c^3/12} / (2 sqrt(pi) c^{3/2}).  The error is the
+    change from order halving.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim == 0:
@@ -245,11 +242,53 @@ def laplace_R(c, order: int | None = None, with_err: bool = False):
     if n == 1:
         val = math.exp(float(c[0]) ** 3 / 12.0) / (2.0 * math.sqrt(math.pi) * float(c[0]) ** 1.5)
         return (val, 0.0) if with_err else val
-    val = _laplace_r_gh(c, order)
+    pref = math.exp(float(np.sum(c**3) / 12.0)) / (2.0 * math.pi) ** n
+    val = pref * gauss_hermite_cauchy(np.sqrt(c), c, order)
     if not with_err:
         return val
-    half = _laplace_r_gh(c, max(8, order // 2))
-    return val, abs(val - half)
+    return val, abs(val - pref * gauss_hermite_cauchy(np.sqrt(c), c, max(8, order // 2)))
+
+
+def laplace_R_mc(c, samples: int, rng: np.random.Generator) -> tuple[float, float]:
+    """R(c_1..c_n) via the Gaussian-expectation form; returns (mean, stderr).
+
+    R(c) = e^{sum c^3/12} prod_i (2 sqrt(pi) c_i^{3/2})^{-1}
+           * E prod_{i<j} [(Z_i-Z_j)^2 + (c_i-c_j)^2/4] / [(Z_i-Z_j)^2 + (c_i+c_j)^2/4]
+    with Z_i independent N(0, 1/(2 c_i)), drawn in chunks of 50k rows.  The
+    constants are pinned by the n=1 closed form, which needs no draws.
+    """
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    # the Cauchy determinant carries prod_i 1/c_i; pref holds the rest
+    pref = math.exp(float(np.sum(c**3) / 12.0)) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
+    if n == 1:
+        return pref / float(c[0]), 0.0
+    sigma = 1.0 / np.sqrt(2.0 * c)
+    chunks = []
+    for start in range(0, samples, 50_000):
+        zs = rng.normal(0.0, 1.0, size=(min(50_000, samples - start), n)) * sigma[None, :]
+        chunks.append(cauchy_pair_det(zs.T, c))
+    dets = np.concatenate(chunks)
+    mean = float(np.mean(dets))
+    se = float(np.std(dets, ddof=1) / math.sqrt(samples))
+    return pref * mean, pref * se
+
+
+def residue_sum(k: int, C: float, R) -> tuple[float, dict[Partition, tuple[float, float]]]:
+    """sum_{lambda |- k} R(C lambda) / prod m_i!, the sum every moment route evaluates.
+
+    E[Z(T,0)^k] = k! e^{-kT/24} times this sum, with C = (T/2)^{1/3}.  R maps
+    the parts c = C lambda to (value, err).  Returns the total and, for each
+    partition, its weighted (value, err).
+    """
+    total = 0.0
+    terms = {}
+    for lam in enumerate_partitions(k):
+        w = multiplicity_factor(lam) / math.factorial(k)
+        val, err = R(C * np.asarray(lam.parts, dtype=float))
+        terms[lam] = (w * val, w * err)
+        total += w * val
+    return total, terms
 
 
 def laplace_R_direct(c, panel_width: float = 0.4, order: int = 10) -> float:
@@ -351,17 +390,13 @@ def moment_from_airy(k: int, cfg: AiryConfig, order: int | None = None, with_err
     """
     if k > 4:
         raise ValueError("moment_from_airy supports k <= 4")
-    total = 0.0
-    err = 0.0
-    for lam in enumerate_partitions(k):
-        inv_mult = 1.0
-        for m in lam.multiplicities.values():
-            inv_mult /= math.factorial(m)
-        r = laplace_R(cfg.C * np.asarray(lam.parts, dtype=float), order=order, with_err=with_err)
-        val, r_err = r if with_err else (r, 0.0)
-        total += inv_mult * val
-        err += inv_mult * r_err
-    return (total, err) if with_err else total
+
+    def R(c):
+        r = laplace_R(c, order=order, with_err=with_err)
+        return r if with_err else (r, 0.0)
+
+    total, terms = residue_sum(k, cfg.C, R)
+    return (total, sum(err for _, err in terms.values())) if with_err else total
 
 
 def tracy_widom_cdf(s: float, order: int = 12, panel_width: float = 1.0, span: float = 17.0) -> float:

@@ -1,9 +1,11 @@
 """Command-line front end: run each method, emit machine-readable estimates, cross-validate.
 
 Exit codes: 0 success (and cross-check pass), 2 cross-check tolerance failure,
-1 usage or configuration error.  JSON output is byte-stable for identical
-arguments and seed, except for the timestamp, which is isolated under
-``metadata`` and excluded from stability guarantees.
+1 usage or configuration error, or a numeric failure: an overflow, or an
+estimate whose value or error is not finite.  Nothing is written on exit 1,
+so every emitted report holds finite numbers only.  JSON output is
+byte-stable for identical arguments and seed, except for the timestamp, which
+is isolated under ``metadata`` and excluded from stability guarantees.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from . import airy, airy_sampler, polymer, she_moments
 
-__all__ = ["main", "build_parser", "CrossCheckReport", "emit_report"]
+__all__ = ["main", "build_parser", "emit_report"]
 
 
 class UsageError(Exception):
@@ -41,29 +42,6 @@ def subseed(seed: int, component: str) -> int:
     """Deterministic sub-seed from (seed, component name)."""
     h = hashlib.sha256(f"{seed}:{component}".encode()).digest()
     return int.from_bytes(h[:8], "big")
-
-
-@dataclass
-class CrossCheckReport:
-    request: dict
-    estimates: list
-    gaps: list
-    passed: bool
-    seed: int
-
-    def to_payload(self, timestamp: float) -> dict:
-        return {
-            "request": self.request,
-            "estimates": [
-                {"method": e.method, "value": e.value, "err": e.err, "meta": _plain(e.meta)}
-                for e in self.estimates
-            ],
-            "gaps": self.gaps,
-            "pass": self.passed,
-            "seed": self.seed,
-            "version": __version__,
-            "metadata": {"timestamp": timestamp},
-        }
 
 
 def _plain(obj):
@@ -88,7 +66,7 @@ def emit_report(payload: dict, fmt: str, out_path: str | None) -> None:
     if "estimates" in payload and not payload["estimates"]:
         raise UsageError("refusing to emit a report with no estimates")
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -120,48 +98,42 @@ def emit_report(payload: dict, fmt: str, out_path: str | None) -> None:
         fh.write(text)
 
 
-def _estimate_payload(est, request: dict, seed: int) -> dict:
+def _payload(request: dict, estimates: list, seed: int, gaps: list, passed: bool) -> dict:
+    """The report every command emits; refuses an estimate whose value or err is not finite."""
+    for e in estimates:
+        if not (math.isfinite(e.value) and math.isfinite(e.err)):
+            raise FloatingPointError(f"{e.method} estimate is not finite (value={e.value}, err={e.err})")
     return {
         "request": request,
         "estimates": [
-            {"method": est.method, "value": est.value, "err": est.err, "meta": _plain(est.meta)}
+            {"method": e.method, "value": e.value, "err": e.err, "meta": _plain(e.meta)} for e in estimates
         ],
-        "gaps": [],
-        "pass": True,
+        "gaps": gaps,
+        "pass": passed,
         "seed": seed,
         "version": __version__,
         "metadata": {"timestamp": time.time()},
     }
 
 
-def _shifted_partition(req: she_moments.MomentRequest, seed: int) -> she_moments.MomentEstimate:
+def _at_origin(req: she_moments.MomentRequest, method: str, args) -> she_moments.MomentEstimate:
+    """A residue-sum route run at X = 0, shifted to req.X by reduce_to_origin's factor."""
     factor, origin = she_moments.reduce_to_origin(req)
-    est = she_moments.moment_partition(origin.k, origin.T, seed=subseed(seed, "partition"))
+    k, T = origin.k, origin.T
+    if method == "partition":
+        est = she_moments.moment_partition(k, T, seed=subseed(args.seed, "partition"))
+    elif method == "gaussian_mc":
+        est = she_moments.moment_gaussian_mc(k, T, samples=args.samples, seed=subseed(args.seed, "gaussian_mc"))
+    else:
+        hk, hk_err = airy.moment_from_airy(k, airy.AiryConfig.from_T(T), with_err=True)
+        scale = math.factorial(k) * math.exp(-k * T / 24.0)
+        value = scale * hk
+        err = scale * hk_err + she_moments._ERR_FLOOR_REL * abs(value)
+        est = she_moments.MomentEstimate(value, err, "airy", {"hk": hk})
     est.value *= factor
     est.err *= factor
     est.meta["shift_factor"] = factor
     return est
-
-
-def _shifted_gaussian_mc(req: she_moments.MomentRequest, samples: int, seed: int):
-    factor, origin = she_moments.reduce_to_origin(req)
-    est = she_moments.moment_gaussian_mc(
-        origin.k, origin.T, samples=samples, seed=subseed(seed, "gaussian_mc")
-    )
-    est.value *= factor
-    est.err *= factor
-    est.meta["shift_factor"] = factor
-    return est
-
-
-def _airy_route(req: she_moments.MomentRequest) -> she_moments.MomentEstimate:
-    factor, origin = she_moments.reduce_to_origin(req)
-    cfg = airy.AiryConfig.from_T(origin.T)
-    hk, hk_err = airy.moment_from_airy(origin.k, cfg, with_err=True)
-    scale = factor * math.factorial(origin.k) * math.exp(-origin.k * origin.T / 24.0)
-    value = scale * hk
-    err = scale * hk_err + she_moments._ERR_FLOOR_REL * abs(value)
-    return she_moments.MomentEstimate(value, err, "airy", {"hk": hk})
 
 
 _MC_METHODS = {"gaussian_mc"}
@@ -173,7 +145,7 @@ def _quad_tol(k: int, override: float | None) -> float:
     return 1e-6 if k <= 2 else 1e-3
 
 
-def run_xcheck(args) -> tuple[CrossCheckReport, int]:
+def run_xcheck(args) -> tuple[dict, int]:
     req = she_moments.MomentRequest(args.k, args.t, args.x)
     estimates = []
     if req.k <= 3:
@@ -182,11 +154,11 @@ def run_xcheck(args) -> tuple[CrossCheckReport, int]:
         estimates.append(
             she_moments.moment_contour(req, samples=args.samples, seed=subseed(args.seed, "contour"))
         )
-    estimates.append(_shifted_partition(req, args.seed))
+    estimates.append(_at_origin(req, "partition", args))
     if req.k <= 6:
-        estimates.append(_shifted_gaussian_mc(req, args.samples, args.seed))
+        estimates.append(_at_origin(req, "gaussian_mc", args))
     if req.k <= 4:
-        estimates.append(_airy_route(req))
+        estimates.append(_at_origin(req, "airy", args))
     gaps = []
     passed = True
     for i in range(len(estimates)):
@@ -206,10 +178,8 @@ def run_xcheck(args) -> tuple[CrossCheckReport, int]:
             gaps.append(
                 {"a": a.method, "b": b.method, "rel_gap": rel_gap, "tol": tol, "pass": ok}
             )
-    report = CrossCheckReport(
-        {"k": req.k, "T": req.T, "X": req.X}, estimates, gaps, passed, args.seed
-    )
-    return report, 0 if passed else 2
+    request = {"k": req.k, "T": req.T, "X": req.X}
+    return _payload(request, estimates, args.seed, gaps, passed), 0 if passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,19 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> tuple[dict, int]:
     if args.command == "xcheck":
-        report, code = run_xcheck(args)
-        return report.to_payload(time.time()), code
+        return run_xcheck(args)
 
     if args.command == "moment":
         req = she_moments.MomentRequest(args.k, args.t, args.x)
         if args.method == "contour":
             est = she_moments.moment_contour(req, seed=subseed(args.seed, "contour"))
-        elif args.method == "partition":
-            est = _shifted_partition(req, args.seed)
         else:
-            est = _shifted_gaussian_mc(req, args.samples, args.seed)
+            est = _at_origin(req, args.method.replace("-", "_"), args)
         request = {"k": req.k, "T": req.T, "X": req.X}
-        return _estimate_payload(est, request, args.seed), 0
+        return _payload(request, [est], args.seed, [], True), 0
 
     if args.command == "airy":
         if args.method == "fredholm":
@@ -321,7 +288,7 @@ def _dispatch(args) -> tuple[dict, int]:
             val = airy.airy_kernel(args.x, args.y, form=args.form)
             est = she_moments.MomentEstimate(val, 0.0, f"kernel_{args.form}", {})
             request = {"x": args.x, "y": args.y}
-        return _estimate_payload(est, request, 0), 0
+        return _payload(request, [est], 0, [], True), 0
 
     if args.command == "sample":
         cfg = airy_sampler.EnsembleConfig(
@@ -359,7 +326,7 @@ def _dispatch(args) -> tuple[dict, int]:
             mc = airy_sampler.hk_mc(args.k, args.t, sam)
             est = she_moments.MomentEstimate(mc.value, mc.stderr, "hk_mc", {"replicas": mc.replicas})
             request = {"k": args.k, "T": args.t}
-        return _estimate_payload(est, request, args.seed), 0
+        return _payload(request, [est], args.seed, [], True), 0
 
     if args.command == "polymer":
         if args.method == "simulate":
@@ -367,29 +334,19 @@ def _dispatch(args) -> tuple[dict, int]:
                 args.levels, args.time, args.steps, args.replicas, subseed(args.seed, "polymer")
             )
             sim = polymer.simulate_polymer(cfg, max_moment=args.max_moment)
-            payload = {
-                "request": {"levels": args.levels, "t": args.time, "steps": args.steps},
-                "estimates": [
-                    {
-                        "method": f"polymer_mc_k{i+1}",
-                        "value": float(sim.values[i]),
-                        "err": float(sim.stderrs[i]),
-                        "meta": {"replicas": args.replicas},
-                    }
-                    for i in range(args.max_moment)
-                ],
-                "gaps": [],
-                "pass": True,
-                "seed": args.seed,
-                "version": __version__,
-                "metadata": {"timestamp": time.time()},
-            }
-            return payload, 0
+            estimates = [
+                she_moments.MomentEstimate(
+                    float(sim.values[i]), float(sim.stderrs[i]), f"polymer_mc_k{i+1}", {"replicas": args.replicas}
+                )
+                for i in range(args.max_moment)
+            ]
+            request = {"levels": args.levels, "t": args.time, "steps": args.steps}
+            return _payload(request, estimates, args.seed, [], True), 0
         if args.method == "contour":
             val = polymer.polymer_moment_contour(args.k, args.levels, args.time)
             est = she_moments.MomentEstimate(val, 0.0, "polymer_contour", {"levels": args.levels})
             request = {"k": args.k, "levels": args.levels, "t": args.time}
-            return _estimate_payload(est, request, 0), 0
+            return _payload(request, [est], 0, [], True), 0
         lim = polymer.intermediate_disorder_limit(args.k, args.t, args.x, tuple(args.levels))
         est = she_moments.MomentEstimate(
             lim.extrapolated,
@@ -398,7 +355,7 @@ def _dispatch(args) -> tuple[dict, int]:
             {"levels": list(lim.levels), "raw": list(lim.raw)},
         )
         request = {"k": args.k, "T": args.t, "X": args.x}
-        return _estimate_payload(est, request, 0), 0
+        return _payload(request, [est], 0, [], True), 0
 
     raise UsageError(f"unknown command {args.command}")
 
@@ -415,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -3,8 +3,10 @@
 Three routes are implemented: the nested contour integral over ordered vertical
 lines, the partition/determinant residue expansion on a common imaginary axis,
 and a Gaussian-expectation Monte Carlo form of the Airy-kernel Laplace
-transforms.  All three target the same quantity and are cross-checked against
-each other and against closed-form oracles in the test suite.
+transforms.  The last two are the same sum over partitions, airy.residue_sum,
+and differ only in how each Laplace transform R is evaluated.  All routes
+target the same quantity and are cross-checked against each other and against
+closed-form oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .combinatorics import Partition, enumerate_partitions, multiplicity_factor
-from .quadrature import cauchy_pair_det, default_halfwidth, gauss_hermite_cauchy
+from .airy import laplace_R, laplace_R_mc, residue_sum
+from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for callers of this module
+from .quadrature import default_halfwidth
 
 __all__ = [
     "MomentRequest",
@@ -195,51 +198,6 @@ def reduce_to_origin(req: MomentRequest) -> tuple[float, MomentRequest]:
     return factor, MomentRequest(req.k, req.T, 0.0)
 
 
-def _partition_exponent_parts(lam: Partition, T: float):
-    """Per-axis pieces of (T/2) sum_r (w + r)^2 on the centered lines w_j = -(lam_j-1)/2 + i y.
-
-    Centering kills the oscillatory linear term: the exponent becomes
-    (T/2)[-lam_j y^2 + (lam_j^3 - lam_j)/12], which float arithmetic handles
-    without catastrophic cancellation even for large T * lam^3.
-    """
-    lam_arr = np.asarray(lam.parts, dtype=float)
-    const = (T / 2.0) * (lam_arr**3 - lam_arr) / 12.0
-    decay = T * lam_arr / 2.0  # Gaussian envelope exp(-decay * y^2)
-    return lam_arr, const, decay
-
-
-def _partition_term_gh(lam: Partition, T: float, order: int) -> float:
-    """(2 pi)^-l integral of the lambda summand by tensor Gauss-Hermite.
-
-    On the centered lines w_j = -(lam_j - 1)/2 + i y_j the determinant
-    det[1/(w_i + lam_i - w_j)] is cauchy_pair_det(y, lam).
-    """
-    lam_arr, const, decay = _partition_exponent_parts(lam, T)
-    val = gauss_hermite_cauchy(np.sqrt(decay), lam_arr, order)
-    return val * math.exp(float(np.sum(const))) / (2.0 * math.pi) ** lam.length
-
-
-def _partition_term_mc(lam: Partition, T: float, samples: int, rng) -> tuple[float, float]:
-    """Monte Carlo fallback for long partitions: Gaussian sampling of the envelope."""
-    lam_arr, const, decay = _partition_exponent_parts(lam, T)
-    ell = lam.length
-    sigma = 1.0 / np.sqrt(2.0 * decay)
-    # envelope normalization: int exp(-decay y^2) dy = sqrt(pi / decay)
-    norm = math.exp(float(np.sum(const))) * float(np.prod(np.sqrt(math.pi / decay)))
-    vals = []
-    done = 0
-    while done < samples:
-        m = min(50_000, samples - done)
-        ys = rng.normal(0.0, 1.0, size=(m, ell)) * sigma[None, :]
-        vals.append(cauchy_pair_det(ys.T, lam_arr))
-        done += m
-    v = np.concatenate(vals)
-    mean = float(np.mean(v))
-    se = float(np.std(v, ddof=1) / math.sqrt(len(v)))
-    c = norm / (2.0 * math.pi) ** ell
-    return c * mean, c * se
-
-
 _GH_ORDER_BY_LENGTH = {1: 160, 2: 96, 3: 48, 4: 28}
 
 
@@ -252,39 +210,33 @@ def moment_partition(
 ) -> MomentEstimate:
     """E[Z(T,0)^k] by the partition/determinant residue expansion.
 
-    Partitions of length <= 4 are integrated on tensor Gauss-Hermite grids
-    (the integrand carries an exact Gaussian envelope on the imaginary axis);
-    longer partitions fall back to Gaussian Monte Carlo.
+    The residue of partition lambda is k! e^{-kT/24} R(C lambda) / prod m_i!
+    (see airy.residue_sum).  R is integrated on tensor Gauss-Hermite grids for
+    lengths <= 4 (the integrand carries an exact Gaussian envelope on the
+    imaginary axis); longer partitions fall back to Gaussian Monte Carlo.
     """
     if k > 8:
         raise ValueError("moment_partition supports k <= 8")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    total = 0.0
-    err = 0.0
-    imag = 0.0
-    terms = {}
-    for lam in enumerate_partitions(k):
-        coeff = multiplicity_factor(lam)
-        if lam.length <= 4:
-            order = gh_order if gh_order is not None else _GH_ORDER_BY_LENGTH[lam.length]
-            v = _partition_term_gh(lam, T, order)
-            v_half = _partition_term_gh(lam, T, max(6, order // 2))
-            term_err = coeff * abs(v - v_half)
-            term = coeff * v.real
-            imag += coeff * abs(v.imag)
-        else:
-            v_mean, v_se = _partition_term_mc(lam, T, mc_samples, rng)
-            term = coeff * v_mean
-            term_err = coeff * v_se
-        total += term
-        err += term_err
-        terms[str(lam.parts)] = term
-    err += _ERR_FLOOR_REL * abs(total)
-    err = max(err, imag)
-    if imag > 10.0 * err:
-        raise InconsistencyError(f"imaginary residue {imag} exceeds 10x error {err}")
-    meta = {"gh_order": gh_order, "mc_samples": mc_samples, "seed": seed, "terms": terms}
-    return MomentEstimate(total, float(err), "partition", meta)
+
+    def R(c):
+        ell = len(c)
+        if ell > 4:
+            return laplace_R_mc(c, mc_samples, rng)
+        order = gh_order if gh_order is not None else _GH_ORDER_BY_LENGTH[ell]
+        return laplace_R(c, order=order, with_err=True)
+
+    total, terms = residue_sum(k, (T / 2.0) ** (1.0 / 3.0), R)
+    scale = math.factorial(k) * math.exp(-k * T / 24.0)
+    value = scale * total
+    err = scale * sum(e for _, e in terms.values()) + _ERR_FLOOR_REL * abs(value)
+    meta = {
+        "gh_order": gh_order,
+        "mc_samples": mc_samples,
+        "seed": seed,
+        "terms": {str(lam.parts): scale * v for lam, (v, _) in terms.items()},
+    }
+    return MomentEstimate(value, float(err), "partition", meta)
 
 
 def dominant_term_log(k: int, T: float) -> float:
@@ -315,29 +267,6 @@ def erfc_reduction_oracle(T: float) -> float:
     return lam2 + lam11
 
 
-def _laplace_r_mc(c: np.ndarray, samples: int, rng) -> tuple[float, float]:
-    """R(c_1..c_n) via the Gaussian-expectation form; returns (mean, stderr).
-
-    R(c) = e^{sum c^3/12} prod_i (2 sqrt(pi) c_i^{3/2})^{-1}
-           * E prod_{i<j} [(Z_i-Z_j)^2 + (c_i-c_j)^2/4] / [(Z_i-Z_j)^2 + (c_i+c_j)^2/4]
-    with Z_i independent N(0, 1/(2 c_i)).  Both factors of each pair ratio
-    depend on the difference Z_i - Z_j; the constants and the ratio are
-    re-derived from the Cauchy determinant and pinned by the n=1 closed form
-    e^{c^3/12}/(2 sqrt(pi) c^{3/2}) and by direct n=2 quadrature.
-    """
-    n = len(c)
-    # the Cauchy determinant carries prod_i 1/c_i; pref holds the rest
-    pref = math.exp(float(np.sum(c**3) / 12.0)) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
-    if n == 1:
-        return pref / float(c[0]), 0.0
-    sigma = 1.0 / np.sqrt(2.0 * c)
-    zs = rng.normal(0.0, 1.0, size=(samples, n)) * sigma[None, :]
-    dets = cauchy_pair_det(zs.T, c)
-    mean = float(np.mean(dets))
-    se = float(np.std(dets, ddof=1) / math.sqrt(samples))
-    return pref * mean, pref * se
-
-
 def moment_gaussian_mc(k: int, T: float, samples: int = 100_000, seed: int = 0) -> MomentEstimate:
     """E[Z(T,0)^k] via the Gaussian-expectation Monte Carlo form of the Airy Laplace transforms.
 
@@ -350,18 +279,9 @@ def moment_gaussian_mc(k: int, T: float, samples: int = 100_000, seed: int = 0) 
         raise ValueError("need at least 1000 samples")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     C = (T / 2.0) ** (1.0 / 3.0)
+    total, terms = residue_sum(k, C, lambda c: laplace_R_mc(c, samples, rng))
     scale = math.factorial(k) * math.exp(-k * T / 24.0)
-    total = 0.0
-    var = 0.0
-    for lam in enumerate_partitions(k):
-        inv_mult = 1.0
-        for m in lam.multiplicities.values():
-            inv_mult /= math.factorial(m)
-        c = C * np.asarray(lam.parts, dtype=float)
-        r_mean, r_se = _laplace_r_mc(c, samples, rng)
-        total += inv_mult * r_mean
-        var += (inv_mult * r_se) ** 2
     value = scale * total
-    err = scale * math.sqrt(var)
+    err = scale * math.sqrt(sum(e**2 for _, e in terms.values()))
     meta = {"samples": samples, "seed": seed, "C": C}
     return MomentEstimate(value, err, "gaussian_mc", meta)

@@ -1,8 +1,13 @@
 """CLI contract: exit codes, JSON schema, determinism, CSV flattening."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shemom import __version__
 from shemom.cli import UsageError, emit_report, main, subseed
@@ -12,6 +17,26 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_quiet(argv):
+    """main(argv) with stdout and stderr captured; usable inside hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text: str) -> dict:
+    """json.loads that refuses NaN and Infinity, which strict JSON does not have."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+REPORT_KEYS = {"request", "estimates", "gaps", "pass", "seed", "version", "metadata"}
 
 
 def strip_timestamp(text: str) -> str:
@@ -219,3 +244,61 @@ class TestSubcommands:
         )
         methods = [e["method"] for e in payload["estimates"]]
         assert methods == ["polymer_mc_k1", "polymer_mc_k2"]
+
+
+class TestReportContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moment", "contour", "--k", "1", "--t", "1"],
+            ["moment", "partition", "--k", "2", "--t", "1", "--x", "0.5"],
+            ["moment", "gaussian-mc", "--k", "2", "--t", "1", "--samples", "2000"],
+            ["airy", "fredholm", "--u", "1.0", "--t", "2.0"],
+            ["airy", "laplace-r", "--c", "1.0", "0.8"],
+            ["airy", "kernel", "--x", "0", "--y", "0"],
+            ["sample", "airy", "--matrix-size", "60", "--top-points", "4", "--replicas", "20"],
+            ["polymer", "simulate", "--levels", "2", "--time", "1", "--steps", "50", "--replicas", "100"],
+            ["polymer", "contour", "--k", "1", "--levels", "3", "--time", "2.0"],
+            ["polymer", "limit", "--k", "1", "--t", "1"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_every_subcommand_emits_one_report_shape(self, argv):
+        code, out, _ = run_quiet(argv)
+        assert code == 0
+        payload = strict_json(out)
+        assert set(payload) == REPORT_KEYS
+        assert payload["estimates"]
+        for e in payload["estimates"]:
+            assert set(e) == {"method", "value", "err", "meta"}
+            assert math.isfinite(e["value"]) and math.isfinite(e["err"])
+
+    def test_contour_overflow_refused(self):
+        # the anchors' prefactor overflows at T = 700 although the moment fits
+        code, out, err = run_quiet(["moment", "contour", "--k", "2", "--t", "700"])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "contour" in err
+
+    def test_partition_overflow_refused(self):
+        code, out, err = run_quiet(["xcheck", "--k", "2", "--t", "1e4"])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        method=st.sampled_from(["partition", "contour"]),
+        k=st.integers(1, 3),
+        t=st.floats(1e-3, 1e4),
+        x=st.floats(-50.0, 50.0),
+    )
+    def test_any_request_exits_cleanly(self, method, k, t, x):
+        code, out, err = run_quiet(["moment", method, "--k", str(k), "--t", repr(t), "--x", repr(x)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            for e in strict_json(out)["estimates"]:
+                assert math.isfinite(e["value"]) and math.isfinite(e["err"])
+        else:
+            assert out == "" and "error:" in err

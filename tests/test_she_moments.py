@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from shemom.airy import AiryConfig, moment_from_airy
 from shemom.combinatorics import enumerate_partitions, multiplicity_factor
 from shemom.quadrature import gauss_hermite
 from shemom.she_moments import (
@@ -145,6 +146,14 @@ class TestPartitionInternals:
             total += multiplicity_factor(lam) * term
         est = moment_partition(k, T, gh_order=order, mc_samples=samples, seed=seed)
         assert est.value == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("T", [0.5, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_scaled_airy_route(self, k, T):
+        # both routes are airy.residue_sum over the same Gauss-Hermite R
+        airy_value = moment_from_airy(k, AiryConfig.from_T(T))
+        scaled = math.factorial(k) * math.exp(-k * T / 24.0) * airy_value
+        assert moment_partition(k, T).value == pytest.approx(scaled, rel=1e-13, abs=0.0)
 
     def test_error_bounds_truth_k2(self):
         est = moment_partition(2, 1.0)
