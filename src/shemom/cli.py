@@ -1,8 +1,9 @@
 """Command-line front end: run each method, emit machine-readable estimates, cross-validate.
 
 Exit codes: 0 success (and cross-check pass), 2 cross-check tolerance failure,
-1 usage or configuration error, or a numeric failure: an overflow, or an
-estimate whose value or error is not finite.  Nothing is written on exit 1,
+1 usage or configuration error, or a numeric failure: an overflow, an
+estimate whose value or error is not finite, or a failed internal consistency
+or accuracy check (any RuntimeError).  Nothing is written on exit 1,
 so every emitted report holds finite numbers only.  JSON output is
 byte-stable for identical arguments and seed, except for the timestamp, which
 is isolated under ``metadata`` and excluded from stability guarantees.
@@ -373,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 1
 

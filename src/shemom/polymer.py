@@ -22,6 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .quadrature import check_nested, nested_contour_sum
+
 __all__ = [
     "PolymerConfig",
     "PolymerMoments",
@@ -130,33 +132,12 @@ def polymer_moment_contour(
         raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
     if radii is None:
         radii = _default_radii(k, levels, t)
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) != k or np.any(np.diff(radii) >= 0):
-        raise ValueError("need k strictly decreasing radii")
-    if np.any(-np.diff(radii) <= 1.0):
-        raise ValueError("consecutive radii must differ by more than 1")
+    radii = check_nested(radii, k, "radii")
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     rings = [r * np.exp(1j * theta) for r in radii]
     # dz/(2 pi i) = z dtheta/(2 pi) on a circle, absorbed into per-axis weights
     wts = [np.exp(t * z) * z ** (1 - levels) / nodes for z in rings]
-
-    def cross(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-        d = za[:, None] - zb[None, :]
-        return d / (d - 1.0)
-
-    if k == 1:
-        val = complex(np.sum(wts[0]))
-    elif k == 2:
-        val = complex(wts[0] @ cross(rings[0], rings[1]) @ wts[1])
-    else:
-        c23 = cross(rings[1], rings[2])
-        c12 = cross(rings[0], rings[1])
-        c13 = cross(rings[0], rings[2])
-        acc = 0.0 + 0.0j
-        for i in range(nodes):
-            inner = (c12[i] * wts[1]) @ c23 @ (c13[i] * wts[2])
-            acc += wts[0][i] * inner
-        val = complex(acc)
+    val = nested_contour_sum(rings, wts)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise RuntimeError(f"contour moment has spurious imaginary part {val.imag:.3e}")
     return float(val.real)

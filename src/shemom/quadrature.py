@@ -1,4 +1,4 @@
-"""Numerical integration on truncated vertical lines, Gauss rules, and the Cauchy-determinant kernel."""
+"""Numerical integration on truncated vertical lines, Gauss rules, the nested-contour sum and the Cauchy-determinant kernel."""
 
 from __future__ import annotations
 
@@ -94,6 +94,43 @@ def gauss_legendre_panels(a: float, b: float, panel_width: float, order: int) ->
     nodes = (mids[:, None] + half[:, None] * x0[None, :]).ravel()
     weights = (half[:, None] * w0[None, :]).ravel()
     return nodes, weights
+
+
+def check_nested(positions, k: int, name: str) -> np.ndarray:
+    """Check for k contour positions, each exceeding the next by more than 1; return them as floats.
+
+    On such contours the pair factor of the nested-contour integrand has no pole.
+    """
+    p = np.asarray(positions, dtype=float)
+    if p.shape != (k,) or not np.all(p[:-1] - p[1:] > 1.0):
+        raise ValueError(f"need {k} {name} decreasing by more than 1, got {np.atleast_1d(p).tolist()}")
+    return p
+
+
+def contour_cross(za, zb):
+    """(z_a - z_b) / (z_a - z_b - 1), the pair factor of the nested-contour integrand; broadcasts."""
+    d = za - zb
+    return d / (d - 1.0)
+
+
+def nested_contour_sum(zs: Sequence[np.ndarray], ws: Sequence[np.ndarray]) -> complex:
+    """sum over the tensor grid of prod_a ws[a] prod_{a<b} contour_cross(zs[a], zs[b]), for k = len(zs) <= 3.
+
+    zs[a] are the nodes of axis a and ws[a] their weights, each already holding
+    the quadrature weight times the route's exponential.  The grid is summed
+    by matrix products; no k-dimensional array is built.
+    """
+    k = len(zs)
+    if not 1 <= k <= 3 or len(ws) != k:
+        raise ValueError("nested_contour_sum needs 1 to 3 axes, one weight vector per node vector")
+    if k == 1:
+        return complex(np.sum(ws[0]))
+    c01 = contour_cross(zs[0][:, None], zs[1][None, :])
+    if k == 2:
+        return complex(ws[0] @ c01 @ ws[1])
+    c02 = contour_cross(zs[0][:, None], zs[2][None, :])
+    c12 = contour_cross(zs[1][:, None], zs[2][None, :])
+    return complex(np.sum(ws[0][:, None] * c02 * ((c01 * ws[1]) @ (c12 * ws[2]))))
 
 
 def cauchy_pair_det(ys: Sequence[np.ndarray], parts) -> np.ndarray:

@@ -11,6 +11,7 @@ closed-form oracles in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,7 +21,7 @@ from scipy.special import erfc
 
 from .airy import laplace_R, laplace_R_mc, residue_sum
 from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for callers of this module
-from .quadrature import default_halfwidth
+from .quadrature import check_nested, contour_cross, default_halfwidth, nested_contour_sum
 
 __all__ = [
     "MomentRequest",
@@ -74,58 +75,18 @@ def default_anchors(k: int, gap: float = 1.5) -> tuple[float, ...]:
     return tuple(gap * (k - j) for j in range(1, k + 1))
 
 
-def _check_anchors(anchors: Sequence[float]) -> None:
-    for a in range(len(anchors)):
-        for b in range(a + 1, len(anchors)):
-            if anchors[a] - anchors[b] <= 1.0:
-                raise ValueError(
-                    f"anchors must satisfy alpha_A - alpha_B > 1 for A < B, "
-                    f"got {anchors[a]} - {anchors[b]}"
-                )
-
-
 _ERR_FLOOR_REL = 1e-11  # roundoff floor on reported quadrature errors
 
 
-def _cross_factor(zs: list[np.ndarray]) -> np.ndarray:
-    out = 1.0
-    k = len(zs)
-    for a in range(k):
-        for b in range(a + 1, k):
-            d = zs[a] - zs[b]
-            out = out * (d / (d - 1.0))
-    return out
-
-
-def _contour_tensor_value(k, T, X, anchors, n, Y) -> complex:
+def _contour_tensor_value(T, X, anchors, n, Y) -> complex:
     """(2 pi)^-k tensor trapezoid of the nested-contour integrand, n+1 nodes per axis."""
     y = np.linspace(-Y, Y, n + 1)
     h = y[1] - y[0]
     w = np.full(n + 1, h)
     w[0] = w[-1] = h / 2
-
-    if k == 1:
-        z1 = anchors[0] + 1j * y
-        val = complex(np.sum(w * np.exp((T / 2.0) * z1 * z1 + X * z1)))
-    elif k == 2:
-        z1 = (anchors[0] + 1j * y)[:, None]
-        z2 = (anchors[1] + 1j * y)[None, :]
-        ww = w[:, None] * w[None, :]
-        d = z1 - z2
-        val = complex(np.sum(ww * (d / (d - 1.0)) * np.exp((T / 2.0) * (z1 * z1 + z2 * z2) + X * (z1 + z2))))
-    else:  # k == 3, chunk over the first axis
-        z2 = (anchors[1] + 1j * y)[:, None]
-        z3 = (anchors[2] + 1j * y)[None, :]
-        ww23 = w[:, None] * w[None, :]
-        base23 = (T / 2.0) * (z2 * z2 + z3 * z3) + X * (z2 + z3)
-        d23 = (z2 - z3) / (z2 - z3 - 1.0)
-        val = 0.0 + 0.0j
-        for i, y1 in enumerate(y):
-            z1 = anchors[0] + 1j * y1
-            cross = ((z1 - z2) / (z1 - z2 - 1.0)) * ((z1 - z3) / (z1 - z3 - 1.0)) * d23
-            integ = cross * np.exp(base23 + (T / 2.0) * z1 * z1 + X * z1)
-            val += w[i] * complex(np.sum(ww23 * integ))
-    return val / (2.0 * math.pi) ** k
+    zs = [a + 1j * y for a in anchors]
+    ws = [w * np.exp((T / 2.0) * z * z + X * z) for z in zs]
+    return nested_contour_sum(zs, ws) / (2.0 * math.pi) ** len(zs)
 
 
 def _contour_mc_value(k, T, X, anchors, samples, seed) -> tuple[float, float]:
@@ -142,7 +103,9 @@ def _contour_mc_value(k, T, X, anchors, samples, seed) -> tuple[float, float]:
         m = min(chunk, samples - done)
         ys = rng.normal(0.0, 1.0 / math.sqrt(T), size=(m, k))
         zs = [alpha[j] + 1j * ys[:, j] for j in range(k)]
-        integ = _cross_factor(zs)
+        integ = 1.0
+        for a, b in itertools.combinations(range(k), 2):
+            integ = integ * contour_cross(zs[a], zs[b])
         phase = np.zeros(m, dtype=complex)
         for j in range(k):
             phase += 1j * (T * alpha[j] + X) * ys[:, j]
@@ -172,19 +135,19 @@ def moment_contour(
         raise ValueError("moment_contour supports k <= 5")
     if anchors is None:
         anchors = default_anchors(k)
-    _check_anchors(anchors)
+    check_nested(anchors, k, "anchors")
 
     if k <= 3:
         if nodes is None:
             nodes = {1: 800, 2: 512, 3: 256}[k]
         Y = halfwidth if halfwidth is not None else default_halfwidth(T, tol=1e-13)
-        v_full = _contour_tensor_value(k, T, X, anchors, nodes, Y)
-        v_half = _contour_tensor_value(k, T, X, anchors, nodes // 2, Y)
+        v_full = _contour_tensor_value(T, X, anchors, nodes, Y)
+        v_half = _contour_tensor_value(T, X, anchors, nodes // 2, Y)
         err = abs(v_full - v_half) + _ERR_FLOOR_REL * abs(v_full)
         value, imag = v_full.real, abs(v_full.imag)
-        err = max(err, imag)
         if imag > 10.0 * err:
             raise InconsistencyError(f"imaginary residue {imag} exceeds 10x error {err}")
+        err = max(err, imag)
         meta = {"nodes": nodes, "halfwidth": Y, "anchors": list(anchors), "imag": imag}
     else:
         value, err = _contour_mc_value(k, T, X, anchors, samples, seed)

@@ -280,6 +280,19 @@ class TestReportContract:
         assert out == ""
         assert "error:" in err and "contour" in err
 
+    def test_runtime_error_refused(self):
+        # the k = 3 circle contours cancel to an imaginary part far above the value
+        code, out, err = run_quiet(["polymer", "limit", "--k", "3", "--t", "50"])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    def test_contour_inconsistency_refused(self, imaginary_residue):
+        code, out, err = run_quiet(["moment", "contour", "--k", "2", "--t", "1"])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "imaginary residue" in err
+
     def test_partition_overflow_refused(self):
         code, out, err = run_quiet(["xcheck", "--k", "2", "--t", "1e4"])
         assert code == 1

@@ -55,6 +55,8 @@ class TestContourMoments:
         with pytest.raises(ValueError):
             polymer_moment_contour(2, 2, 1.0, radii=np.array([2.0, 1.5]))
         with pytest.raises(ValueError):
+            polymer_moment_contour(2, 2, 1.0, radii=np.array([4.0, 2.5, 1.0]))
+        with pytest.raises(ValueError):
             polymer_moment_contour(4, 2, 1.0)
 
 

@@ -17,6 +17,7 @@ from shemom.quadrature import (
     gauss_hermite,
     gauss_hermite_cauchy,
     gauss_legendre_panels,
+    nested_contour_sum,
     trapezoid_line,
 )
 
@@ -117,6 +118,31 @@ class TestGaussLegendrePanels:
 def cauchy_matrix(ys: np.ndarray, parts: np.ndarray) -> np.ndarray:
     """The explicit matrices 1/(i(y_i - y_j) + (p_i + p_j)/2), batched over the rows of ys."""
     return 1.0 / (1j * (ys[..., :, None] - ys[..., None, :]) + 0.5 * (parts[:, None] + parts[None, :]))
+
+
+class TestNestedContourSum:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(5, 20), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_grid(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        k = len(sizes)
+        # nodes on vertical lines whose real parts differ by more than 1, as the routes use
+        zs = [1.5 * (k - a) + rng.uniform(-0.2, 0.2, n) + 1j * rng.normal(0.0, 2.0, n) for a, n in enumerate(sizes)]
+        ws = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in sizes]
+        grid = np.meshgrid(*zs, indexing="ij")
+        dense = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0)
+        for a in range(k):
+            for b in range(a + 1, k):
+                dense = dense * (grid[a] - grid[b]) / (grid[a] - grid[b] - 1.0)
+        expected = complex(np.sum(dense))
+        assert abs(nested_contour_sum(zs, ws) - expected) <= 1e-12 * abs(expected)
+
+    def test_axis_count_guard(self):
+        z = np.zeros(5, dtype=complex)
+        with pytest.raises(ValueError):
+            nested_contour_sum([z] * 4, [z] * 4)
+        with pytest.raises(ValueError):
+            nested_contour_sum([z, z], [z])
 
 
 PARTITIONS = [lam.parts for k in range(1, 9) for lam in enumerate_partitions(k)]

@@ -9,6 +9,7 @@ from shemom.airy import AiryConfig, moment_from_airy
 from shemom.combinatorics import enumerate_partitions, multiplicity_factor
 from shemom.quadrature import gauss_hermite
 from shemom.she_moments import (
+    InconsistencyError,
     MomentEstimate,
     MomentRequest,
     default_anchors,
@@ -40,6 +41,8 @@ class TestRequestValidation:
     def test_anchor_gap_enforced(self):
         with pytest.raises(ValueError):
             moment_contour(MomentRequest(2, 1.0), anchors=(1.0, 0.5))
+        with pytest.raises(ValueError):
+            moment_contour(MomentRequest(2, 1.0), anchors=(3.0, 1.5, 0.0))
 
     def test_order_caps(self):
         with pytest.raises(ValueError):
@@ -110,6 +113,12 @@ class TestAnchorInvariance:
         base = moment_contour(req)
         alt = moment_contour(req, anchors=default_anchors(2, gap=gap))
         assert abs(alt.value - base.value) <= 2.0 * max(base.err, alt.err)
+
+
+class TestContourGuard:
+    def test_imaginary_residue_raises(self, imaginary_residue):
+        with pytest.raises(InconsistencyError):
+            moment_contour(MomentRequest(2, 1.0))
 
 
 def _lu_matrix(ys: np.ndarray, parts: np.ndarray) -> np.ndarray:
