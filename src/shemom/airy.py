@@ -1,19 +1,17 @@
 """Airy function, Airy kernel, Laplace transforms R(c), and Fredholm determinants.
 
-The Airy function is evaluated from scratch (Maclaurin series inside a switch
-radius, Poincare asymptotics outside) so the numerical provenance of every
-kernel value is auditable.  The guaranteed accuracy window quoted in the docs
-is [-15, 30] at 1e-11 absolute; the implementation remains accurate far beyond
-it on the negative axis, which the oscillatory quadratures rely on.
+Ai and Ai' come from scipy.special.airy, restricted to the window
+[-600, 200]; the tests check it there against 30-digit mpmath, to 1e-11 in the
+scale of the oscillation amplitude (|x|^{-1/4} for Ai, |x|^{1/4} for Ai').
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy import special
 from scipy.integrate import simpson
 
 from .combinatorics import Partition, enumerate_partitions, multiplicity_factor
@@ -37,112 +35,18 @@ __all__ = [
     "tracy_widom_mean_var",
 ]
 
-# accuracy window enforced on callers; asymptotics keep full accuracy on the
-# far negative axis, which the Laplace-transform quadratures need
+# accuracy window enforced on callers; scipy.special.airy is checked against
+# 30-digit mpmath over all of it (tests/test_airy.py), and the Laplace-transform
+# quadratures reach its far negative end
 _X_MIN = -600.0
 _X_MAX = 200.0
-_SWITCH_POS = 5.0  # series/asymptotic crossover, right tail
-_SWITCH_NEG = -7.5  # crossover on the oscillatory side
-
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-
-_N_SERIES = 60
-_N_ASYMP = 40
-
-
-@lru_cache(maxsize=1)
-def _asymp_coeffs() -> tuple[np.ndarray, np.ndarray]:
-    """u_k and v_k of the Airy Poincare expansions (DLMF 9.7)."""
-    u = np.empty(_N_ASYMP)
-    v = np.empty(_N_ASYMP)
-    u[0] = v[0] = 1.0
-    for k in range(_N_ASYMP - 1):
-        u[k + 1] = u[k] * (3 * k + 2.5) * (3 * k + 1.5) * (3 * k + 0.5) / (54.0 * (k + 1) * (k + 0.5))
-        v[k + 1] = u[k + 1] * (6 * (k + 1) + 1) / (1 - 6 * (k + 1))
-    return u, v
-
-
-def _series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maclaurin Ai and Ai' via the f/g solution pair."""
-    x = np.asarray(x, dtype=float)
-    x3 = x**3
-    f = np.ones_like(x)
-    g = x.copy()
-    fp = np.zeros_like(x)
-    gp = np.ones_like(x)
-    tf = np.ones_like(x)  # current f term: x^{3k} coefficient included
-    tg = x.copy()
-    for k in range(_N_SERIES):
-        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        f += tf
-        g += tg
-        # termwise derivatives: d/dx x^{3k+3} and x^{3k+4}
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fp += np.where(x != 0.0, tf * (3 * k + 3) / x, 0.0)
-            gp += np.where(x != 0.0, tg * (3 * k + 4) / x, 0.0)
-    ai = _AI0 * f + _AIP0 * g
-    aip = _AI0 * fp + _AIP0 * gp
-    return ai, aip
-
-
-def _truncated_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum an asymptotic series along axis 0, stopping (per column) at the smallest term."""
-    mags = np.abs(terms)
-    growing = mags[1:] >= mags[:-1]
-    stop = np.where(growing.any(axis=0), growing.argmax(axis=0) + 1, terms.shape[0])
-    idx = np.arange(terms.shape[0])[:, None]
-    return np.where(idx < stop[None, :], terms, 0.0).sum(axis=0)
-
-
-def _asymp_pos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, v = _asymp_coeffs()
-    zeta = (2.0 / 3.0) * x**1.5
-    powers = (-1.0 / zeta)[None, :] ** np.arange(_N_ASYMP)[:, None]
-    su = _truncated_sum(u[:, None] * powers)
-    sv = _truncated_sum(v[:, None] * powers)
-    pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    ai = pref * su / x**0.25
-    aip = -pref * sv * x**0.25
-    return ai, aip
-
-
-def _asymp_neg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, v = _asymp_coeffs()
-    t = -x
-    zeta = (2.0 / 3.0) * t**1.5
-    ne = (_N_ASYMP + 1) // 2
-    sign = (-1.0) ** np.arange(ne)
-    pow_even = (1.0 / zeta**2)[None, :] ** np.arange(ne)[:, None]
-    pow_odd = pow_even[: _N_ASYMP // 2] / zeta[None, :]
-    pu = _truncated_sum((sign * u[0::2])[:, None] * pow_even)
-    qu = _truncated_sum((sign[: _N_ASYMP // 2] * u[1::2])[:, None] * pow_odd)
-    pv = _truncated_sum((sign * v[0::2])[:, None] * pow_even)
-    qv = _truncated_sum((sign[: _N_ASYMP // 2] * v[1::2])[:, None] * pow_odd)
-    c = np.cos(zeta - math.pi / 4.0)
-    s = np.sin(zeta - math.pi / 4.0)
-    ai = (c * pu + s * qu) / (math.sqrt(math.pi) * t**0.25)
-    aip = (t**0.25 / math.sqrt(math.pi)) * (s * pv - c * qv)
-    return ai, aip
 
 
 def _ai_both(x) -> tuple[np.ndarray, np.ndarray]:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < _X_MIN) or np.any(x > _X_MAX):
         raise ValueError(f"Airy argument outside supported window [{_X_MIN}, {_X_MAX}]")
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-    mid = (x >= _SWITCH_NEG) & (x <= _SWITCH_POS)
-    neg = x < _SWITCH_NEG
-    pos = x > _SWITCH_POS
-    if mid.any():
-        ai[mid], aip[mid] = _series(x[mid])
-    if neg.any():
-        ai[neg], aip[neg] = _asymp_neg(x[neg])
-    if pos.any():
-        ai[pos], aip[pos] = _asymp_pos(x[pos])
-    return ai, aip
+    return special.airy(x)[:2]
 
 
 def airy_ai(x):
@@ -164,16 +68,11 @@ def _kernel_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     dx = x[:, None] - y[None, :]
     num = aix[:, None] * aipy[None, :] - aipx[:, None] * aiy[None, :]
     near = np.abs(dx) < 1e-7
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k = np.where(near, 0.0, num / np.where(near, 1.0, dx))
+    k = num / np.where(near, 1.0, dx)
     if near.any():
-        m = 0.5 * (x[:, None] + y[None, :])
-        mm = np.unique(m[near])
-        aim, aipm = _ai_both(mm)
-        diag = {v: aipm[i] ** 2 - mm[i] * aim[i] ** 2 for i, v in enumerate(mm)}
-        ii, jj = np.nonzero(near)
-        for i, j in zip(ii, jj):
-            k[i, j] = diag[m[i, j]]
+        m = (0.5 * (x[:, None] + y[None, :]))[near]
+        aim, aipm = _ai_both(m)
+        k[near] = aipm**2 - m * aim**2
     return k
 
 

@@ -79,14 +79,21 @@ _ERR_FLOOR_REL = 1e-11  # roundoff floor on reported quadrature errors
 
 
 def _contour_tensor_value(T, X, anchors, n, Y) -> complex:
-    """(2 pi)^-k tensor trapezoid of the nested-contour integrand, n+1 nodes per axis."""
+    """(2 pi)^-k tensor trapezoid of the nested-contour integrand, n+1 nodes per axis.
+
+    Raises FloatingPointError when the weights overflow (large T on far anchors).
+    """
     y = np.linspace(-Y, Y, n + 1)
     h = y[1] - y[0]
     w = np.full(n + 1, h)
     w[0] = w[-1] = h / 2
     zs = [a + 1j * y for a in anchors]
-    ws = [w * np.exp((T / 2.0) * z * z + X * z) for z in zs]
-    return nested_contour_sum(zs, ws) / (2.0 * math.pi) ** len(zs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws = [w * np.exp((T / 2.0) * z * z + X * z) for z in zs]
+        value = nested_contour_sum(zs, ws) / (2.0 * math.pi) ** len(zs)
+    if not np.isfinite(value):
+        raise FloatingPointError(f"contour route overflowed at T={T} with anchors {tuple(anchors)}")
+    return value
 
 
 def _contour_mc_value(k, T, X, anchors, samples, seed) -> tuple[float, float]:

@@ -57,6 +57,14 @@ class TestExitCodes:
         assert payload["pass"] is False
         assert payload["estimates"]  # report still produced
 
+    def test_xcheck_single_route_not_passed(self, capsys):
+        # at k = 7 only the partition route applies: nothing is cross-validated
+        code, payload = run_json(capsys, ["xcheck", "--k", "7", "--t", "1"])
+        assert code == 2
+        assert payload["pass"] is False
+        assert [e["method"] for e in payload["estimates"]] == ["partition"]
+        assert payload["gaps"] == []
+
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main(["moment", "contour"]) == 1  # missing required flags

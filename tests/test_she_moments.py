@@ -120,6 +120,12 @@ class TestContourGuard:
         with pytest.raises(InconsistencyError):
             moment_contour(MomentRequest(2, 1.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_raises_quietly(self):
+        # e^{(T/2) z^2} on the anchors overflows at T = 700: a refusal, not a NaN
+        with pytest.raises(FloatingPointError, match="contour.*T=700"):
+            moment_contour(MomentRequest(2, 700.0))
+
 
 def _lu_matrix(ys: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return 1.0 / (1j * (ys[..., :, None] - ys[..., None, :]) + 0.5 * (parts[:, None] + parts[None, :]))
