@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import simpson
 
 from .combinatorics import Partition, enumerate_partitions, multiplicity_factor
 from .quadrature import cauchy_pair_det, gauss_hermite_cauchy, gauss_legendre_panels
 
 __all__ = [
     "AiryConfig",
-    "FredholmConfig",
     "airy_ai",
     "airy_ai_prime",
     "airy_kernel",
@@ -105,11 +103,11 @@ def okounkov_transform(x: float, a: float, b: float) -> float:
     )
 
 
-def okounkov_numeric(x: float, a: float, b: float, tail_exponent: float = 45.0) -> float:
-    """Quadrature of the same integral; left tail truncated where e^{xz} < e^{-tail_exponent}."""
+def okounkov_numeric(x: float, a: float, b: float) -> float:
+    """Quadrature of the same integral; left tail truncated where e^{xz} < e^{-45}."""
     if x <= 0:
         raise ValueError("okounkov_numeric requires x > 0")
-    z_left = -(tail_exponent / x + max(abs(a), abs(b)) + 5.0)
+    z_left = -(45.0 / x + max(abs(a), abs(b)) + 5.0)
     z_right = 14.0 - min(a, b)
     z, w = gauss_legendre_panels(z_left, z_right, 0.4, 12)
     aia, _ = _ai_both(z + a)
@@ -190,7 +188,7 @@ def residue_sum(k: int, C: float, R) -> tuple[float, dict[Partition, tuple[float
     return total, terms
 
 
-def laplace_R_direct(c, panel_width: float = 0.4, order: int = 10) -> float:
+def laplace_R_direct(c) -> float:
     """R by direct quadrature of its definition (kernel determinant against e^{c.x}), n <= 2."""
     c = np.asarray(c, dtype=float)
     if c.ndim == 0:
@@ -201,7 +199,7 @@ def laplace_R_direct(c, panel_width: float = 0.4, order: int = 10) -> float:
         raise ValueError("direct form implemented for n <= 2 only")
     lo = -50.0 / float(np.min(c))
     hi = 10.0
-    x, w = gauss_legendre_panels(lo, hi, panel_width, order)
+    x, w = gauss_legendre_panels(lo, hi, 0.4, 10)
     if len(c) == 1:
         kdiag = np.diag(_kernel_grid(x, x)).copy()
         return float(np.sum(w * np.exp(c[0] * x) * kdiag))
@@ -231,57 +229,31 @@ class AiryConfig:
         return cls(T, (T / 2.0) ** (1.0 / 3.0))
 
 
-@dataclass(frozen=True)
-class FredholmConfig:
-    """Nystrom discretization: composite Gauss-Legendre panels on [s_lower, s_upper]."""
-
-    order: int = 16  # per panel
-    panel_width: float = 1.0
-    s_upper: float = 14.0
-    s_lower: float | None = None  # None: scaled with log(1/u)
-
-    def __post_init__(self):
-        if self.order < 4:
-            raise ValueError("panel order must be >= 4")
-
-
-def _phi(x: np.ndarray, u: float, C: float) -> np.ndarray:
-    """phi(x) = u e^{Cx} / (1 + u e^{Cx}), evaluated stably as a sigmoid."""
-    t = C * x + math.log(u)
-    out = np.empty_like(x)
-    posm = t >= 0
-    out[posm] = 1.0 / (1.0 + np.exp(-t[posm]))
-    ex = np.exp(t[~posm])
-    out[~posm] = ex / (1.0 + ex)
-    return out
-
-
-def fredholm_multiplicative(u: float, cfg: AiryConfig, f: FredholmConfig | None = None) -> float:
-    """E prod_p (1 + u e^{C a_p})^{-1} over the Airy points, as det(I - sqrt(phi) K sqrt(phi)).
-
-    Nystrom discretization with the symmetrized kernel; the lower cutoff
-    scales with log(1/u) so the left tail of phi is below tolerance.
-    """
-    if u <= 0:
-        raise ValueError("u must be positive")
-    if f is None:
-        f = FredholmConfig()
-    C = cfg.C
-    s_lower = f.s_lower
-    if s_lower is None:
-        s_lower = -10.0 - 2.0 * max(0.0, math.log(1.0 / u)) / C
-    x, w = gauss_legendre_panels(s_lower, f.s_upper, f.panel_width, f.order)
-    if len(x) < 20:
-        raise ValueError("Nystrom discretization needs at least 20 nodes")
-    sq = np.sqrt(_phi(x, u, C) * w)
+def _fredholm_det(x: np.ndarray, w: np.ndarray, g) -> float:
+    """det(I - sqrt(g w) K_Ai sqrt(g w)) on Nystrom nodes x with weights w (Bornemann, Math. Comp. 2010)."""
+    sq = np.sqrt(g * w)
     mat = np.eye(len(x)) - sq[:, None] * _kernel_grid(x, x) * sq[None, :]
     sign, logdet = np.linalg.slogdet(mat)
     if sign <= 0:
-        raise RuntimeError("Fredholm determinant lost positivity; refine the discretization")
+        raise RuntimeError("Fredholm determinant lost positivity")
     return float(math.exp(logdet))
 
 
-def moment_from_airy(k: int, cfg: AiryConfig, order: int | None = None, with_err: bool = False):
+def fredholm_multiplicative(u: float, cfg: AiryConfig) -> float:
+    """E prod_p (1 + u e^{C a_p})^{-1} over the Airy points, as det(I - sqrt(phi) K sqrt(phi)).
+
+    phi(x) = u e^{Cx} / (1 + u e^{Cx}), on order-16 Gauss-Legendre panels of
+    width 1 over [lo, 14]; lo = -10 - 2 log(1/u) / C for u < 1, so the left
+    tail of phi is below tolerance.
+    """
+    if u <= 0:
+        raise ValueError("u must be positive")
+    C = cfg.C
+    x, w = gauss_legendre_panels(-10.0 - 2.0 * max(0.0, math.log(1.0 / u)) / C, 14.0, 1.0, 16)
+    return _fredholm_det(x, w, special.expit(C * x + math.log(u)))
+
+
+def moment_from_airy(k: int, cfg: AiryConfig, *, with_err: bool = False):
     """E[h_k(e^{C a_1}, e^{C a_2}, ...)] = sum over partitions of (1/prod m_i!) R(C lambda).
 
     Equals e^{kT/24} E[Z(T,0)^k] / k!.  With with_err, also returns the
@@ -291,30 +263,25 @@ def moment_from_airy(k: int, cfg: AiryConfig, order: int | None = None, with_err
         raise ValueError("moment_from_airy supports k <= 4")
 
     def R(c):
-        r = laplace_R(c, order=order, with_err=with_err)
+        r = laplace_R(c, with_err=with_err)
         return r if with_err else (r, 0.0)
 
     total, terms = residue_sum(k, cfg.C, R)
     return (total, sum(err for _, err in terms.values())) if with_err else total
 
 
-def tracy_widom_cdf(s: float, order: int = 12, panel_width: float = 1.0, span: float = 17.0) -> float:
-    """GUE Tracy-Widom F(s) = det(I - K_Ai restricted to [s, infinity)), by Nystrom."""
-    x, w = gauss_legendre_panels(s, s + span, panel_width, order)
-    sw = np.sqrt(w)
-    mat = np.eye(len(x)) - sw[:, None] * _kernel_grid(x, x) * sw[None, :]
-    sign, logdet = np.linalg.slogdet(mat)
-    if sign <= 0:
-        raise RuntimeError("Tracy-Widom determinant lost positivity")
-    return float(math.exp(logdet))
+def tracy_widom_cdf(s: float) -> float:
+    """GUE Tracy-Widom F(s) = det(I - K_Ai restricted to [s, s + 17]), order-12 panels of width 1."""
+    x, w = gauss_legendre_panels(s, s + 17.0, 1.0, 12)
+    return _fredholm_det(x, w, 1.0)
 
 
-def tracy_widom_mean_var(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.05) -> tuple[float, float]:
-    """Mean and variance of the top Airy point, integrated from the Fredholm CDF."""
-    s = np.arange(s_min, s_max + step / 2, step)
+def tracy_widom_mean_var() -> tuple[float, float]:
+    """Mean and variance of the top Airy point, integrated from the Fredholm CDF on 64 points."""
+    s, w = gauss_legendre_panels(-10.0, 6.0, 4.0, 16)
     F = np.array([tracy_widom_cdf(v) for v in s])
-    # integration by parts: E[X] = s_max - int F, E[X^2] = s_max^2 - int 2 s F,
-    # valid because F vanishes at s_min and reaches 1 at s_max to tolerance
-    mean = float(s[-1] - simpson(F, x=s))
-    second = float(s[-1] ** 2 - simpson(2.0 * s * F, x=s))
+    # integration by parts: E[X] = 6 - int F, E[X^2] = 36 - int 2 s F over
+    # [-10, 6], valid because F vanishes at -10 and reaches 1 at 6 to tolerance
+    mean = 6.0 - float(w @ F)
+    second = 36.0 - float(w @ (2.0 * s * F))
     return mean, second - mean**2

@@ -3,8 +3,9 @@
 Exit codes: 0 success (and cross-check pass), 2 cross-check tolerance failure
 or an xcheck that is not cross-validated (one route only, k >= 7), 1 usage or
 configuration error, or a numeric failure: an overflow, an estimate whose
-value or error is not finite, or a failed internal consistency or accuracy
-check (any RuntimeError).  Nothing is written on exit 1,
+value or error is not finite, a k <= 3 contour estimate that is not positive
+beyond its error bar, or a failed internal consistency or accuracy check (any
+RuntimeError).  Nothing is written on exit 1,
 so every emitted report holds finite numbers only.  JSON output is
 byte-stable for identical arguments and seed, except for the timestamp, which
 is isolated under ``metadata`` and excluded from stability guarantees.

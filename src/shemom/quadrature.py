@@ -1,42 +1,16 @@
-"""Numerical integration on truncated vertical lines, Gauss rules, the nested-contour sum and the Cauchy-determinant kernel."""
+"""Truncation of vertical lines, Gauss rules, the nested-contour sum and the Cauchy-determinant kernel."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
 class QuadratureError(RuntimeError):
-    """Non-finite integrand value or failed accuracy check."""
-
-
-@dataclass(frozen=True)
-class LineContour:
-    """A truncated integration line z = anchor + i*y (vertical) or z = anchor + y (real axis)."""
-
-    anchor: float = 0.0
-    halfwidth: float = 8.0
-    node_count: int = 400
-    vertical: bool = True
-
-    def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
-        if self.node_count < 8 or self.node_count % 2:
-            raise ValueError("node_count must be even and >= 8")
-
-    def nodes(self) -> tuple[np.ndarray, float]:
-        """Uniform nodes (complex) and spacing; symmetric about y = 0."""
-        y = np.linspace(-self.halfwidth, self.halfwidth, self.node_count + 1)
-        z = self.anchor + 1j * y if self.vertical else self.anchor + y
-        return z, y[1] - y[0]
-
-    @property
-    def direction(self) -> complex:
-        return 1j if self.vertical else 1.0
+    """A quadrature rule failed its own check."""
 
 
 def default_halfwidth(decay_rate: float, tol: float = 1e-12) -> float:
@@ -44,24 +18,6 @@ def default_halfwidth(decay_rate: float, tol: float = 1e-12) -> float:
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")
     return math.sqrt(2.0 * math.log(1.0 / tol) / decay_rate) + 3.0
-
-
-def trapezoid_line(f: Callable[[np.ndarray], np.ndarray], c: LineContour) -> tuple[complex, float]:
-    """Trapezoid value of int f(z) dz along the contour, plus a Richardson-style error estimate.
-
-    The error estimate is |value(n) - value(n/2)|; truncation of the tails is
-    the caller's responsibility via the halfwidth.
-    """
-    z, h = c.nodes()
-    fz = np.asarray(f(z), dtype=complex)
-    if not np.all(np.isfinite(fz)):
-        bad = z[~np.isfinite(fz)][0]
-        raise QuadratureError(f"non-finite integrand value at z = {bad}")
-    w = np.full(z.shape, h)
-    w[0] = w[-1] = h / 2
-    value = c.direction * np.sum(w * fz)
-    coarse = c.direction * (2 * h) * (np.sum(fz[0::2]) - 0.5 * (fz[0] + fz[-1]))
-    return complex(value), float(abs(value - coarse))
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,9 @@ def moment_contour(
     """E[Z(T,X)^k] by the nested contour formula over ordered vertical lines.
 
     Full tensor quadrature for k <= 3; Gaussian importance-sampling Monte
-    Carlo for k in {4, 5}.
+    Carlo for k in {4, 5}.  At k <= 3 an estimate that is not positive beyond
+    its error bar has no correct digit (the moment is positive) and raises
+    FloatingPointError.
     """
     k, T, X = req.k, req.T, req.X
     if k > 5:
@@ -155,6 +157,8 @@ def moment_contour(
         if imag > 10.0 * err:
             raise InconsistencyError(f"imaginary residue {imag} exceeds 10x error {err}")
         err = max(err, imag)
+        if value <= err:
+            raise FloatingPointError(f"contour route gave {value:.3g} +- {err:.3g} at T={T}, X={X}; a moment is positive")
         meta = {"nodes": nodes, "halfwidth": Y, "anchors": list(anchors), "imag": imag}
     else:
         value, err = _contour_mc_value(k, T, X, anchors, samples, seed)

@@ -288,6 +288,13 @@ class TestReportContract:
         assert out == ""
         assert "error:" in err and "contour" in err
 
+    @pytest.mark.parametrize("argv", [["--k", "2", "--t", "1", "--x", "30"], ["--k", "3", "--t", "40"]])
+    def test_contour_without_correct_digit_refused(self, argv):
+        code, out, err = run_quiet(["moment", "contour", *argv])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "contour" in err
+
     def test_runtime_error_refused(self):
         # the k = 3 circle contours cancel to an imaginary part far above the value
         code, out, err = run_quiet(["polymer", "limit", "--k", "3", "--t", "50"])

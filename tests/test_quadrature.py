@@ -10,60 +10,13 @@ from hypothesis import strategies as st
 from shemom.combinatorics import enumerate_partitions
 from shemom.quadrature import (
     GaussHermiteRule,
-    LineContour,
-    QuadratureError,
     cauchy_pair_det,
     default_halfwidth,
     gauss_hermite,
     gauss_hermite_cauchy,
     gauss_legendre_panels,
     nested_contour_sum,
-    trapezoid_line,
 )
-
-
-class TestLineContour:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            LineContour(halfwidth=-1.0)
-        with pytest.raises(ValueError):
-            LineContour(node_count=7)
-        with pytest.raises(ValueError):
-            LineContour(node_count=9)
-
-    def test_nodes_symmetric(self):
-        c = LineContour(anchor=2.0, halfwidth=5.0, node_count=10)
-        z, h = c.nodes()
-        assert len(z) == 11
-        assert z[5] == pytest.approx(2.0)
-        np.testing.assert_allclose(z.real, 2.0)
-        assert h == pytest.approx(1.0)
-
-    def test_direction(self):
-        assert LineContour().direction == 1j
-        assert LineContour(vertical=False).direction == 1.0
-
-
-class TestTrapezoidLine:
-    def test_gaussian_integral(self):
-        # int exp(T/2 z^2) dz over the imaginary axis = i sqrt(2 pi / T)
-        T = 1.0
-        c = LineContour(anchor=0.0, halfwidth=default_halfwidth(T), node_count=400)
-        val, err = trapezoid_line(lambda z: np.exp((T / 2.0) * z * z), c)
-        expected = 1j * math.sqrt(2.0 * math.pi / T)
-        assert abs(val - expected) < 1e-12
-        assert err < 1e-10
-
-    def test_error_estimate_tracks_truth(self):
-        c = LineContour(anchor=0.0, halfwidth=8.0, node_count=16)
-        val, err = trapezoid_line(lambda z: np.exp(0.5 * z * z), c)
-        expected = 1j * math.sqrt(2.0 * math.pi)
-        assert abs(val - expected) <= 10.0 * max(err, 1e-14)
-
-    def test_non_finite_raises(self):
-        c = LineContour(anchor=0.0, halfwidth=2.0, node_count=8)
-        with pytest.raises(QuadratureError), np.errstate(divide="ignore", invalid="ignore"):
-            trapezoid_line(lambda z: 1.0 / (z - 1j), c)
 
 
 class TestDefaultHalfwidth:

@@ -126,6 +126,12 @@ class TestContourGuard:
         with pytest.raises(FloatingPointError, match="contour.*T=700"):
             moment_contour(MomentRequest(2, 700.0))
 
+    @pytest.mark.parametrize("k,T,X", [(2, 1.0, 30.0), (3, 40.0, 0.0), (1, 0.01, 1.0)])
+    def test_no_correct_digit_raises(self, k, T, X):
+        # each estimate is no larger than its own error bar, while every moment is positive
+        with pytest.raises(FloatingPointError, match=f"contour.*T={T}, X={X}"):
+            moment_contour(MomentRequest(k, T, X))
+
 
 def _lu_matrix(ys: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return 1.0 / (1j * (ys[..., :, None] - ys[..., None, :]) + 0.5 * (parts[:, None] + parts[None, :]))
