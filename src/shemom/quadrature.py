@@ -70,15 +70,23 @@ def contour_cross(za, zb):
 
 
 def nested_contour_sum(zs: Sequence[np.ndarray], ws: Sequence[np.ndarray]) -> complex:
-    """sum over the tensor grid of prod_a ws[a] prod_{a<b} contour_cross(zs[a], zs[b]), for k = len(zs) <= 3.
+    """sum over the tensor grid of prod_a ws[a] prod_{a<b} contour_cross(zs[a], zs[b]), for k = len(zs) <= 4.
 
     zs[a] are the nodes of axis a and ws[a] their weights, each already holding
     the quadrature weight times the route's exponential.  The grid is summed
-    by matrix products; no k-dimensional array is built.
+    by matrix products; no k-dimensional array is built.  At k = 4 each node
+    of axis 0 folds its pair factors into the weights of a k = 3 sum, so the
+    work is N^4 and the memory N^2.
     """
     k = len(zs)
-    if not 1 <= k <= 3 or len(ws) != k:
-        raise ValueError("nested_contour_sum needs 1 to 3 axes, one weight vector per node vector")
+    if not 1 <= k <= 4 or len(ws) != k:
+        raise ValueError("nested_contour_sum needs 1 to 4 axes, one weight vector per node vector")
+    if k == 4:
+        c12, c13, c23 = (contour_cross(zs[a][:, None], zs[b][None, :]) for a, b in ((1, 2), (1, 3), (2, 3)))
+        u1, u2, u3 = (ws[a] * contour_cross(zs[0][:, None], zs[a][None, :]) for a in (1, 2, 3))
+        return complex(
+            sum(w0 * np.sum(u1[i][:, None] * c13 * ((c12 * u2[i]) @ (c23 * u3[i]))) for i, w0 in enumerate(ws[0]))
+        )
     if k == 1:
         return complex(np.sum(ws[0]))
     c01 = contour_cross(zs[0][:, None], zs[1][None, :])

@@ -3,15 +3,17 @@
 Three routes are implemented: the nested contour integral over ordered vertical
 lines, the partition/determinant residue expansion on a common imaginary axis,
 and a Gaussian-expectation Monte Carlo form of the Airy-kernel Laplace
-transforms.  The last two are the same sum over partitions, airy.residue_sum,
-and differ only in how each Laplace transform R is evaluated.  All routes
-target the same quantity and are cross-checked against each other and against
+transforms.  The contour route is one tensor trapezoid sum for k <= 4 on
+centred anchors; it refuses (FloatingPointError) a step that aliases the
+phase of the integrand, an overflow, and an estimate with no correct digit.
+The last two routes are the same sum over partitions, airy.residue_sum, and
+differ only in how each Laplace transform R is evaluated.  All routes target
+the same quantity and are cross-checked against each other and against
 closed-form oracles in the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -21,7 +23,7 @@ from scipy.special import erfc
 
 from .airy import laplace_R, laplace_R_mc, residue_sum
 from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for callers of this module
-from .quadrature import check_nested, contour_cross, default_halfwidth, nested_contour_sum
+from .quadrature import check_nested, default_halfwidth, nested_contour_sum
 
 __all__ = [
     "MomentRequest",
@@ -71,8 +73,12 @@ def heat_kernel(T: float, X: float = 0.0) -> float:
 
 
 def default_anchors(k: int, gap: float = 1.5) -> tuple[float, ...]:
-    """Anchor schedule alpha_j = (k - j) * gap; any pairwise gap > 1 avoids the poles."""
-    return tuple(gap * (k - j) for j in range(1, k + 1))
+    """Centred anchors alpha_j = gap * ((k - 1)/2 - j), j = 0..k-1; any pairwise gap > 1 avoids the poles.
+
+    Centring keeps max_j |T alpha_j| and the prefactor exp(T alpha_j^2 / 2) as
+    small as the gaps allow.
+    """
+    return tuple(gap * ((k - 1) / 2.0 - j) for j in range(k))
 
 
 _ERR_FLOOR_REL = 1e-11  # roundoff floor on reported quadrature errors
@@ -81,10 +87,16 @@ _ERR_FLOOR_REL = 1e-11  # roundoff floor on reported quadrature errors
 def _contour_tensor_value(T, X, anchors, n, Y) -> complex:
     """(2 pi)^-k tensor trapezoid of the nested-contour integrand, n+1 nodes per axis.
 
-    Raises FloatingPointError when the weights overflow (large T on far anchors).
+    On the line Re z = alpha the integrand turns with phase e^{i (T alpha + X) y};
+    a step h with h * max |T alpha + X| >= pi aliases it, and the sum has no
+    correct digit.  Raises FloatingPointError then, and when the weights
+    overflow (large T on far anchors).
     """
     y = np.linspace(-Y, Y, n + 1)
     h = y[1] - y[0]
+    turn = h * max(abs(T * a + X) for a in anchors)
+    if turn >= math.pi:
+        raise FloatingPointError(f"contour route aliases its phase ({turn:.3g} rad per step) at T={T}, X={X}")
     w = np.full(n + 1, h)
     w[0] = w[-1] = h / 2
     zs = [a + 1j * y for a in anchors]
@@ -96,73 +108,40 @@ def _contour_tensor_value(T, X, anchors, n, Y) -> complex:
     return value
 
 
-def _contour_mc_value(k, T, X, anchors, samples, seed) -> tuple[float, float]:
-    """Importance-sampled contour value for k in {4, 5}; Gaussian proposals per axis."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    alpha = np.asarray(anchors)
-    pref = (2.0 * math.pi * T) ** (-k / 2.0) * math.exp(
-        float(np.sum((T / 2.0) * alpha**2 + X * alpha))
-    )
-    chunk = 200_000
-    done = 0
-    acc = []
-    while done < samples:
-        m = min(chunk, samples - done)
-        ys = rng.normal(0.0, 1.0 / math.sqrt(T), size=(m, k))
-        zs = [alpha[j] + 1j * ys[:, j] for j in range(k)]
-        integ = 1.0
-        for a, b in itertools.combinations(range(k), 2):
-            integ = integ * contour_cross(zs[a], zs[b])
-        phase = np.zeros(m, dtype=complex)
-        for j in range(k):
-            phase += 1j * (T * alpha[j] + X) * ys[:, j]
-        acc.append(np.real(integ * np.exp(phase)))
-        done += m
-    vals = np.concatenate(acc)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return pref * mean, pref * se
-
-
 def moment_contour(
     req: MomentRequest,
     anchors: Sequence[float] | None = None,
     nodes: int | None = None,
     halfwidth: float | None = None,
-    samples: int = 2_000_000,
-    seed: int = 0,
 ) -> MomentEstimate:
-    """E[Z(T,X)^k] by the nested contour formula over ordered vertical lines.
+    """E[Z(T,X)^k] for k <= 4 by the nested contour formula over ordered vertical lines.
 
-    Full tensor quadrature for k <= 3; Gaussian importance-sampling Monte
-    Carlo for k in {4, 5}.  At k <= 3 an estimate that is not positive beyond
-    its error bar has no correct digit (the moment is positive) and raises
-    FloatingPointError.
+    A tensor trapezoid sum on every line (quadrature.nested_contour_sum), with
+    centred default anchors; the error is the change from halving the nodes.
+    Raises FloatingPointError, with no estimate, when the trapezoid step
+    aliases the phase of the integrand, when the weights overflow, or when the
+    estimate is not positive beyond its error bar (the moment is positive, so
+    it has no correct digit).
     """
     k, T, X = req.k, req.T, req.X
-    if k > 5:
-        raise ValueError("moment_contour supports k <= 5")
+    if k > 4:
+        raise ValueError("moment_contour supports k <= 4")
     if anchors is None:
         anchors = default_anchors(k)
     check_nested(anchors, k, "anchors")
-
-    if k <= 3:
-        if nodes is None:
-            nodes = {1: 800, 2: 512, 3: 256}[k]
-        Y = halfwidth if halfwidth is not None else default_halfwidth(T, tol=1e-13)
-        v_full = _contour_tensor_value(T, X, anchors, nodes, Y)
-        v_half = _contour_tensor_value(T, X, anchors, nodes // 2, Y)
-        err = abs(v_full - v_half) + _ERR_FLOOR_REL * abs(v_full)
-        value, imag = v_full.real, abs(v_full.imag)
-        if imag > 10.0 * err:
-            raise InconsistencyError(f"imaginary residue {imag} exceeds 10x error {err}")
-        err = max(err, imag)
-        if value <= err:
-            raise FloatingPointError(f"contour route gave {value:.3g} +- {err:.3g} at T={T}, X={X}; a moment is positive")
-        meta = {"nodes": nodes, "halfwidth": Y, "anchors": list(anchors), "imag": imag}
-    else:
-        value, err = _contour_mc_value(k, T, X, anchors, samples, seed)
-        meta = {"samples": samples, "seed": seed, "anchors": list(anchors)}
+    if nodes is None:
+        nodes = {1: 800, 2: 512, 3: 256, 4: 96}[k]
+    Y = halfwidth if halfwidth is not None else default_halfwidth(T, tol=1e-13)
+    v_full = _contour_tensor_value(T, X, anchors, nodes, Y)
+    v_half = _contour_tensor_value(T, X, anchors, nodes // 2, Y)
+    err = abs(v_full - v_half) + _ERR_FLOOR_REL * abs(v_full)
+    value, imag = v_full.real, abs(v_full.imag)
+    if imag > 10.0 * err:
+        raise InconsistencyError(f"imaginary residue {imag} exceeds 10x error {err}")
+    err = max(err, imag)
+    if value <= err:
+        raise FloatingPointError(f"contour route gave {value:.3g} +- {err:.3g} at T={T}, X={X}; a moment is positive")
+    meta = {"nodes": nodes, "halfwidth": Y, "anchors": list(anchors), "imag": imag}
     return MomentEstimate(value, float(err), "contour", meta)
 
 

@@ -68,11 +68,15 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main(["moment", "contour"]) == 1  # missing required flags
+        # --samples belongs to the gaussian-mc route only
+        assert main(["moment", "contour", "--k", "2", "--t", "1", "--samples", "5"]) == 1
+        assert main(["moment", "partition", "--k", "2", "--t", "1", "--samples", "5"]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_config_error(self, capsys):
         # invalid parameter reaching the module precondition
         assert main(["moment", "contour", "--k", "0", "--t", "1"]) == 1
+        assert main(["moment", "contour", "--k", "5", "--t", "1"]) == 1  # no contour evaluator at k >= 5
 
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time_is_config_error(self, capsys, t):
@@ -116,6 +120,15 @@ class TestXcheckReport:
         _, payload = run_json(capsys, ["xcheck", "--k", "2", "--t", "0.5"])
         airy = next(e for e in payload["estimates"] if e["method"] == "airy")
         assert abs(airy["value"] - erfc_reduction_oracle(0.5)) <= 3.0 * airy["err"]
+
+    @pytest.mark.parametrize("t,x", [("0.5", "0"), ("2", "1")])
+    def test_k4_contour_is_a_quadrature_pair(self, capsys, t, x):
+        code, payload = run_json(capsys, ["xcheck", "--k", "4", "--t", t, "--x", x])
+        assert code == 0
+        contour = next(e for e in payload["estimates"] if e["method"] == "contour")
+        assert contour["err"] <= 0.2 * contour["value"]
+        gap = next(g for g in payload["gaps"] if {g["a"], g["b"]} == {"contour", "partition"})
+        assert gap["tol"] == 1e-3 and gap["pass"] is True
 
     def test_pass_iff_all_gaps_pass(self, capsys):
         _, payload = run_json(capsys, ["xcheck", "--k", "2", "--t", "1"])
@@ -288,7 +301,10 @@ class TestReportContract:
         assert out == ""
         assert "error:" in err and "contour" in err
 
-    @pytest.mark.parametrize("argv", [["--k", "2", "--t", "1", "--x", "30"], ["--k", "3", "--t", "40"]])
+    # --t 316: the trapezoid step aliases the phase, and the sum once reported 3.6e151
+    @pytest.mark.parametrize(
+        "argv", [["--k", "2", "--t", "1", "--x", "30"], ["--k", "3", "--t", "40"], ["--k", "2", "--t", "316"]]
+    )
     def test_contour_without_correct_digit_refused(self, argv):
         code, out, err = run_quiet(["moment", "contour", *argv])
         assert code == 1
@@ -316,13 +332,14 @@ class TestReportContract:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        method=st.sampled_from(["partition", "contour"]),
-        k=st.integers(1, 3),
+        method=st.sampled_from(["partition", "contour", "gaussian-mc"]),
+        k=st.integers(1, 5),
         t=st.floats(1e-3, 1e4),
         x=st.floats(-50.0, 50.0),
     )
     def test_any_request_exits_cleanly(self, method, k, t, x):
-        code, out, err = run_quiet(["moment", method, "--k", str(k), "--t", repr(t), "--x", repr(x)])
+        samples = ["--samples", "2000"] if method == "gaussian-mc" else []
+        code, out, err = run_quiet(["moment", method, "--k", str(k), "--t", repr(t), "--x", repr(x), *samples])
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         if code == 0:

@@ -48,6 +48,8 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             moment_contour(MomentRequest(6, 1.0))
         with pytest.raises(ValueError):
+            moment_contour(MomentRequest(5, 1.0))
+        with pytest.raises(ValueError):
             moment_partition(9, 1.0)
         with pytest.raises(ValueError):
             moment_gaussian_mc(7, 1.0)
@@ -96,6 +98,39 @@ class TestK3Agreement:
         assert c.value == pytest.approx(p.value, rel=1e-4)
 
 
+class TestK4Agreement:
+    @pytest.mark.parametrize("T,X", [(0.5, 0.0), (2.0, 1.0)])
+    def test_contour_vs_partition(self, T, X):
+        c = moment_contour(MomentRequest(4, T, X))
+        factor, _ = reduce_to_origin(MomentRequest(4, T, X))
+        p = moment_partition(4, T)
+        assert c.err <= 0.2 * c.value
+        assert abs(c.value - factor * p.value) <= 5.0 * math.hypot(c.err, factor * p.err)
+
+
+class TestContourScan:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_unrefused_estimates_agree_with_partition(self, k):
+        # the contour route either refuses or agrees with the partition route
+        # shifted to X; at k = 2, T = 316 an aliased sum once reported 3.6e151
+        # against 3.2e32
+        returned = 0
+        for T in (0.01, 0.5, 5.0, 50.0, 316.0):
+            try:
+                p = moment_partition(k, T)
+            except ArithmeticError:
+                continue
+            for X in (0.0, 3.0, 10.0):
+                try:
+                    c = moment_contour(MomentRequest(k, T, X))
+                except FloatingPointError:
+                    continue
+                factor, _ = reduce_to_origin(MomentRequest(k, T, X))
+                assert abs(c.value - factor * p.value) <= 5.0 * math.hypot(c.err, factor * p.err), (T, X)
+                returned += 1
+        assert returned >= 3  # every k returns T = 0.01, 0.5 and 5 at X = 0
+
+
 class TestReduceToOrigin:
     def test_matches_direct_contour(self):
         req = MomentRequest(2, 1.5, 0.8)
@@ -122,13 +157,19 @@ class TestContourGuard:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_raises_quietly(self):
-        # e^{(T/2) z^2} on the anchors overflows at T = 700: a refusal, not a NaN
+        # large T is a refusal, not a NaN: at T = 700 the trapezoid step aliases
+        # the phase before e^{(T/2) z^2} overflows, and e^800 on the line
+        # Re z = 40 reaches the overflow check
         with pytest.raises(FloatingPointError, match="contour.*T=700"):
             moment_contour(MomentRequest(2, 700.0))
+        with pytest.raises(FloatingPointError, match="contour route overflowed"):
+            moment_contour(MomentRequest(2, 1.0), anchors=(40.0, 38.0))
 
-    @pytest.mark.parametrize("k,T,X", [(2, 1.0, 30.0), (3, 40.0, 0.0), (1, 0.01, 1.0)])
+    @pytest.mark.parametrize("k,T,X", [(2, 1.0, 30.0), (3, 40.0, 0.0), (1, 0.01, 1.0), (2, 316.0, 0.0)])
     def test_no_correct_digit_raises(self, k, T, X):
-        # each estimate is no larger than its own error bar, while every moment is positive
+        # each estimate is no larger than its own error bar, while every moment is
+        # positive; at k = 2, T = 316 each trapezoid step turns the phase
+        # e^{i T alpha y} by more than pi, and the aliased sum once gave 3.6e151
         with pytest.raises(FloatingPointError, match=f"contour.*T={T}, X={X}"):
             moment_contour(MomentRequest(k, T, X))
 
