@@ -115,7 +115,9 @@ def okounkov_numeric(x: float, a: float, b: float) -> float:
     return float(np.sum(w * np.exp(x * z) * aia * aib))
 
 
-_R_GH_ORDER = {1: 64, 2: 96, 3: 48, 4: 32}
+# the one default Gauss-Hermite order per length n; n = 1 has a closed form and
+# never reads its entry, which is kept so the table covers every length 1..4
+_R_GH_ORDER = {1: 160, 2: 96, 3: 48, 4: 28}
 
 
 def laplace_R(c, order: int | None = None, with_err: bool = False):
@@ -253,21 +255,15 @@ def fredholm_multiplicative(u: float, cfg: AiryConfig) -> float:
     return _fredholm_det(x, w, special.expit(C * x + math.log(u)))
 
 
-def moment_from_airy(k: int, cfg: AiryConfig, *, with_err: bool = False):
+def moment_from_airy(k: int, cfg: AiryConfig) -> float:
     """E[h_k(e^{C a_1}, e^{C a_2}, ...)] = sum over partitions of (1/prod m_i!) R(C lambda).
 
-    Equals e^{kT/24} E[Z(T,0)^k] / k!.  With with_err, also returns the
-    same weighted sum of the order-halving errors of each R.
+    Equals e^{kT/24} E[Z(T,0)^k] / k!: the residue sum that
+    she_moments.moment_partition scales, on the same default orders.
     """
     if k > 4:
         raise ValueError("moment_from_airy supports k <= 4")
-
-    def R(c):
-        r = laplace_R(c, with_err=with_err)
-        return r if with_err else (r, 0.0)
-
-    total, terms = residue_sum(k, cfg.C, R)
-    return (total, sum(err for _, err in terms.values())) if with_err else total
+    return residue_sum(k, cfg.C, lambda c: (laplace_R(c), 0.0))[0]
 
 
 def tracy_widom_cdf(s: float) -> float:

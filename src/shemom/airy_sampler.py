@@ -139,7 +139,7 @@ def hk_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
         raise ValueError("hk_mc supports k <= 3")
     C = (T / 2.0) ** (1.0 / 3.0)
     ex = _weights_exp(sample, C, k)
-    vals = np.array([h_complete(k, row) for row in ex])
+    vals = h_complete(k, ex.T)  # one h_k per replica, elementwise over the columns
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))
 
 

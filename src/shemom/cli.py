@@ -1,5 +1,9 @@
 """Command-line front end: run each method, emit machine-readable estimates, cross-validate.
 
+``xcheck`` compares the contour route (k <= 4) with the residue sum over
+partitions evaluated two ways: by Gauss-Hermite quadrature (partition,
+k <= 8) and by Monte Carlo (gaussian_mc, k <= 6).
+
 Exit codes: 0 success (and cross-check pass), 2 cross-check tolerance failure
 or an xcheck that is not cross-validated (one route only, k >= 7), 1 usage or
 configuration error (including ``moment contour`` at k >= 5, which has no
@@ -130,14 +134,8 @@ def _at_origin(req: she_moments.MomentRequest, method: str, args) -> she_moments
     k, T = origin.k, origin.T
     if method == "partition":
         est = she_moments.moment_partition(k, T, seed=subseed(args.seed, "partition"))
-    elif method == "gaussian_mc":
-        est = she_moments.moment_gaussian_mc(k, T, samples=args.samples, seed=subseed(args.seed, "gaussian_mc"))
     else:
-        hk, hk_err = airy.moment_from_airy(k, airy.AiryConfig.from_T(T), with_err=True)
-        scale = math.factorial(k) * math.exp(-k * T / 24.0)
-        value = scale * hk
-        err = scale * hk_err + she_moments._ERR_FLOOR_REL * abs(value)
-        est = she_moments.MomentEstimate(value, err, "airy", {"hk": hk})
+        est = she_moments.moment_gaussian_mc(k, T, samples=args.samples, seed=subseed(args.seed, "gaussian_mc"))
     est.value *= factor
     est.err *= factor
     est.meta["shift_factor"] = factor
@@ -161,8 +159,6 @@ def run_xcheck(args) -> tuple[dict, int]:
     estimates.append(_at_origin(req, "partition", args))
     if req.k <= 6:
         estimates.append(_at_origin(req, "gaussian_mc", args))
-    if req.k <= 4:
-        estimates.append(_at_origin(req, "airy", args))
     gaps = []
     # a single route (k >= 7) is reported but cannot pass: nothing was compared
     passed = len(estimates) > 1

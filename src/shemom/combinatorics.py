@@ -106,7 +106,7 @@ _MAX_H_DEGREE = 64
 
 
 def h_complete(n: int, x: Sequence) -> float | Fraction:
-    """Complete homogeneous symmetric function h_n(x_1, ..., x_Q)."""
+    """Complete homogeneous symmetric function h_n(x_1, ..., x_Q); elementwise if the x_i are arrays."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > _MAX_H_DEGREE:

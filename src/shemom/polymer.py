@@ -195,7 +195,7 @@ class DisorderLimit:
 
 
 def intermediate_disorder_limit(
-    k: int, T: float, X: float = 0.0, levels: tuple[int, ...] = (8, 16), nodes: int = 256
+    k: int, T: float, X: float = 0.0, levels: tuple[int, ...] = (8, 16)
 ) -> DisorderLimit:
     """Normalized polymer moments e^{kt/2} E[Zt^k] / C^k at t = sqrt(NT) + X.
 
@@ -210,7 +210,7 @@ def intermediate_disorder_limit(
     raw = []
     for n in levels:
         t = math.sqrt(n * T) + X
-        mom = polymer_moment_contour(k, n, t, nodes=nodes)
+        mom = polymer_moment_contour(k, n, t)
         log_ratio = math.log(mom) + k * t / 2.0 - k * scaling_constant(n, T, X)
         raw.append(math.exp(log_ratio))
     n1, n2 = levels[-2], levels[-1]

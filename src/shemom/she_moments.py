@@ -7,9 +7,11 @@ transforms.  The contour route is one tensor trapezoid sum for k <= 4 on
 centred anchors; it refuses (FloatingPointError) a step that aliases the
 phase of the integrand, an overflow, and an estimate with no correct digit.
 The last two routes are the same sum over partitions, airy.residue_sum, and
-differ only in how each Laplace transform R is evaluated.  All routes target
-the same quantity and are cross-checked against each other and against
-closed-form oracles in the test suite.
+differ only in how each Laplace transform R is evaluated (airy.moment_from_airy
+is the same sum unscaled, on the same Gauss-Hermite orders as the partition
+route, so it is not a third estimate).  All routes target the same quantity
+and are cross-checked against each other and against closed-form oracles in
+the test suite.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .airy import laplace_R, laplace_R_mc, residue_sum
+from .airy import _R_GH_ORDER, laplace_R, laplace_R_mc, residue_sum
 from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for callers of this module
 from .quadrature import check_nested, default_halfwidth, nested_contour_sum
 
@@ -84,13 +86,15 @@ def default_anchors(k: int, gap: float = 1.5) -> tuple[float, ...]:
 _ERR_FLOOR_REL = 1e-11  # roundoff floor on reported quadrature errors
 
 
-def _contour_tensor_value(T, X, anchors, n, Y) -> complex:
+def _contour_tensor_value(T, X, anchors, n, Y) -> tuple[complex, float]:
     """(2 pi)^-k tensor trapezoid of the nested-contour integrand, n+1 nodes per axis.
 
-    On the line Re z = alpha the integrand turns with phase e^{i (T alpha + X) y};
-    a step h with h * max |T alpha + X| >= pi aliases it, and the sum has no
-    correct digit.  Raises FloatingPointError then, and when the weights
-    overflow (large T on far anchors).
+    Also returns prod_a sum_j |ws[a][j]| / (2 pi)^k, the scale of the summed
+    terms, which bounds the round-off of the sum.  On the line Re z = alpha
+    the integrand turns with phase e^{i (T alpha + X) y}; a step h with
+    h * max |T alpha + X| >= pi aliases it, and the sum has no correct digit.
+    Raises FloatingPointError then, and when the weights overflow (large T on
+    far anchors).
     """
     y = np.linspace(-Y, Y, n + 1)
     h = y[1] - y[0]
@@ -103,21 +107,20 @@ def _contour_tensor_value(T, X, anchors, n, Y) -> complex:
     with np.errstate(over="ignore", invalid="ignore"):
         ws = [w * np.exp((T / 2.0) * z * z + X * z) for z in zs]
         value = nested_contour_sum(zs, ws) / (2.0 * math.pi) ** len(zs)
-    if not np.isfinite(value):
+        scale = math.prod(float(np.sum(np.abs(wa))) for wa in ws) / (2.0 * math.pi) ** len(zs)
+    if not (np.isfinite(value) and math.isfinite(scale)):
         raise FloatingPointError(f"contour route overflowed at T={T} with anchors {tuple(anchors)}")
-    return value
+    return value, scale
 
 
 def moment_contour(
-    req: MomentRequest,
-    anchors: Sequence[float] | None = None,
-    nodes: int | None = None,
-    halfwidth: float | None = None,
+    req: MomentRequest, anchors: Sequence[float] | None = None, nodes: int | None = None
 ) -> MomentEstimate:
     """E[Z(T,X)^k] for k <= 4 by the nested contour formula over ordered vertical lines.
 
     A tensor trapezoid sum on every line (quadrature.nested_contour_sum), with
-    centred default anchors; the error is the change from halving the nodes.
+    centred default anchors; the error is the change from halving the nodes
+    plus machine epsilon times the sum of |terms| (the round-off of the sum).
     Raises FloatingPointError, with no estimate, when the trapezoid step
     aliases the phase of the integrand, when the weights overflow, or when the
     estimate is not positive beyond its error bar (the moment is positive, so
@@ -131,10 +134,10 @@ def moment_contour(
     check_nested(anchors, k, "anchors")
     if nodes is None:
         nodes = {1: 800, 2: 512, 3: 256, 4: 96}[k]
-    Y = halfwidth if halfwidth is not None else default_halfwidth(T, tol=1e-13)
-    v_full = _contour_tensor_value(T, X, anchors, nodes, Y)
-    v_half = _contour_tensor_value(T, X, anchors, nodes // 2, Y)
-    err = abs(v_full - v_half) + _ERR_FLOOR_REL * abs(v_full)
+    Y = default_halfwidth(T, tol=1e-13)
+    v_full, scale = _contour_tensor_value(T, X, anchors, nodes, Y)
+    v_half, _ = _contour_tensor_value(T, X, anchors, nodes // 2, Y)
+    err = abs(v_full - v_half) + _ERR_FLOOR_REL * abs(v_full) + np.finfo(float).eps * scale
     value, imag = v_full.real, abs(v_full.imag)
     if imag > 10.0 * err:
         raise InconsistencyError(f"imaginary residue {imag} exceeds 10x error {err}")
@@ -151,7 +154,8 @@ def reduce_to_origin(req: MomentRequest) -> tuple[float, MomentRequest]:
     return factor, MomentRequest(req.k, req.T, 0.0)
 
 
-_GH_ORDER_BY_LENGTH = {1: 160, 2: 96, 3: 48, 4: 28}
+# airy.laplace_R's default orders, re-exported: perfbench/tracing.py reads them here
+_GH_ORDER_BY_LENGTH = _R_GH_ORDER
 
 
 def moment_partition(
@@ -173,11 +177,9 @@ def moment_partition(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
 
     def R(c):
-        ell = len(c)
-        if ell > 4:
+        if len(c) > 4:
             return laplace_R_mc(c, mc_samples, rng)
-        order = gh_order if gh_order is not None else _GH_ORDER_BY_LENGTH[ell]
-        return laplace_R(c, order=order, with_err=True)
+        return laplace_R(c, order=gh_order, with_err=True)
 
     total, terms = residue_sum(k, (T / 2.0) ** (1.0 / 3.0), R)
     scale = math.factorial(k) * math.exp(-k * T / 24.0)

@@ -93,7 +93,7 @@ class TestXcheckReport:
         assert payload["request"] == {"k": 1, "T": 1.0, "X": 0.0}
         assert payload["version"] == __version__
         methods = {e["method"] for e in payload["estimates"]}
-        assert {"contour", "partition", "gaussian_mc", "airy"} <= methods
+        assert {"contour", "partition", "gaussian_mc"} <= methods
         for gap in payload["gaps"]:
             assert set(gap) == {"a", "b", "rel_gap", "tol", "pass"}
             assert gap["pass"] == (gap["rel_gap"] <= gap["tol"])
@@ -111,15 +111,31 @@ class TestXcheckReport:
         code, payload = run_json(capsys, ["xcheck", "--k", "3", "--t", "1"])
         assert code == 0
         assert all(g["pass"] is True for g in payload["gaps"])
-        airy = next(e for e in payload["estimates"] if e["method"] == "airy")
-        assert 0.0 < airy["err"] < 1e-3 * airy["value"]
+        partition = next(e for e in payload["estimates"] if e["method"] == "partition")
+        assert 0.0 < partition["err"] < 1e-3 * partition["value"]
 
-    def test_airy_error_bar_covers_closed_form(self, capsys):
+    def test_partition_error_bar_covers_closed_form(self, capsys):
         from shemom.she_moments import erfc_reduction_oracle
 
         _, payload = run_json(capsys, ["xcheck", "--k", "2", "--t", "0.5"])
-        airy = next(e for e in payload["estimates"] if e["method"] == "airy")
-        assert abs(airy["value"] - erfc_reduction_oracle(0.5)) <= 3.0 * airy["err"]
+        partition = next(e for e in payload["estimates"] if e["method"] == "partition")
+        assert abs(partition["value"] - erfc_reduction_oracle(0.5)) <= 3.0 * partition["err"]
+
+    @pytest.mark.parametrize(
+        "k,methods",
+        [
+            (1, {"contour", "partition", "gaussian_mc"}),
+            (4, {"contour", "partition", "gaussian_mc"}),
+            (5, {"partition", "gaussian_mc"}),
+            (7, {"partition"}),
+        ],
+    )
+    def test_route_set(self, capsys, k, methods):
+        # the contour route and the residue sum by quadrature and by Monte Carlo;
+        # each method is reported once
+        _, payload = run_json(capsys, ["xcheck", "--k", str(k), "--t", "1"])
+        reported = [e["method"] for e in payload["estimates"]]
+        assert sorted(reported) == sorted(methods)
 
     @pytest.mark.parametrize("t,x", [("0.5", "0"), ("2", "1")])
     def test_k4_contour_is_a_quadrature_pair(self, capsys, t, x):

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,12 @@ class TestSymmetricFunctions:
                 for c in itertools.combinations_with_replacement(x, n)
             )
             assert h_complete(n, x) == brute
+
+    def test_h_complete_elementwise_over_arrays(self):
+        # airy_sampler.hk_mc passes the columns of a (replicas, points) array
+        rows = np.random.default_rng(5).exponential(size=(7, 4))
+        for n in range(4):
+            assert np.array_equal(h_complete(n, rows.T), [h_complete(n, row) for row in rows])
 
     def test_h_truncated_equals_complete_below_cap(self):
         x = [Fraction(3, 7), Fraction(1, 4), Fraction(5, 6), Fraction(2, 3)]

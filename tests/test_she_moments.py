@@ -165,11 +165,17 @@ class TestContourGuard:
         with pytest.raises(FloatingPointError, match="contour route overflowed"):
             moment_contour(MomentRequest(2, 1.0), anchors=(40.0, 38.0))
 
-    @pytest.mark.parametrize("k,T,X", [(2, 1.0, 30.0), (3, 40.0, 0.0), (1, 0.01, 1.0), (2, 316.0, 0.0)])
+    @pytest.mark.parametrize(
+        "k,T,X",
+        [(2, 1.0, 30.0), (3, 40.0, 0.0), (1, 0.01, 1.0), (2, 316.0, 0.0), (3, 1 / 6, 3.0), (1, 8.0, 50.0)],
+    )
     def test_no_correct_digit_raises(self, k, T, X):
         # each estimate is no larger than its own error bar, while every moment is
         # positive; at k = 2, T = 316 each trapezoid step turns the phase
-        # e^{i T alpha y} by more than pi, and the aliased sum once gave 3.6e151
+        # e^{i T alpha y} by more than pi, and the aliased sum once gave 3.6e151.
+        # The last two cancel to round-off (1.7e-17 and 3.2e-17 where the moments
+        # are 2e-35 and 2e-69); only the eps * sum |terms| part of the error bar
+        # covers them
         with pytest.raises(FloatingPointError, match=f"contour.*T={T}, X={X}"):
             moment_contour(MomentRequest(k, T, X))
 
@@ -210,9 +216,10 @@ class TestPartitionInternals:
         assert est.value == pytest.approx(total, rel=1e-12)
 
     @pytest.mark.parametrize("T", [0.5, 2.0])
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_equals_scaled_airy_route(self, k, T):
-        # both routes are airy.residue_sum over the same Gauss-Hermite R
+        # both routes are airy.residue_sum over the same Gauss-Hermite R, on
+        # laplace_R's one default order table
         airy_value = moment_from_airy(k, AiryConfig.from_T(T))
         scaled = math.factorial(k) * math.exp(-k * T / 24.0) * airy_value
         assert moment_partition(k, T).value == pytest.approx(scaled, rel=1e-13, abs=0.0)
