@@ -3,7 +3,17 @@
 The top eigenvalues of an N x N GUE matrix, centered at 2 sqrt(N) and scaled by
 N^(1/6), converge to the Airy point process.  Sampling uses the symmetric
 tridiagonal beta=2 ensemble (diagonal N(0,1), off-diagonal chi with decreasing
-degrees of freedom), whose top eigenvalues are cheap to extract.
+degrees of freedom; Dumitriu & Edelman, J. Math. Phys. 2002).
+
+Its top eigenvectors live in the leading rows, so each replica takes its top m
+eigenvalues from the leading n_eff x n_eff block, n_eff = N^(1/3)(|a_m| + 10)
+with a_m the m-th Airy zero, and then proves them on the full matrix: a Sturm
+count at lambda_j -/+ delta must find exactly j and j - 1 eigenvalues above, for
+every j.  That places the full matrix's j-th eigenvalue within delta = 1e-11 of
+lambda_j (unscaled) and leaves no eigenvalue the block missed.  A replica that
+fails the count is redone on the full matrix, bit-identical to sampling without
+the window; so is every replica when n_eff >= N.  The count runs over a fixed
+chunk of replicas at once, so the result does not depend on the replica count.
 
 Functionals estimated here:
   * series_moment_mc  -- moments of S = sum_p E_p e^{C a_p} with i.i.d. Exp(1)
@@ -21,7 +31,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy import special
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .combinatorics import h_complete
 
@@ -57,10 +68,17 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class AirySampleSet:
-    """Scaled edge samples: points[r, j] is the (j+1)-th highest point of replica r."""
+    """Scaled edge samples: points[r, j] is the (j+1)-th highest point of replica r.
+
+    ``window`` is the leading block's row count n_eff (None when the points were
+    not drawn by sample_airy_points) and ``full_matrix_fallbacks`` the number of
+    replicas whose block failed the certificate and were redone on the full matrix.
+    """
 
     config: EnsembleConfig
     points: np.ndarray = field(repr=False)
+    window: int | None = None
+    full_matrix_fallbacks: int = 0
 
     def __post_init__(self):
         r, m = self.points.shape
@@ -81,21 +99,83 @@ def _replica_rng(seed: int, replica: int, component: int = 0) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, replica, component)))
 
 
+_WINDOW_MARGIN = 10.0  # rows beyond the m-th Airy zero, in units of n^(1/3)
+_CERT_TOL = 1e-11  # delta: absolute, on the unscaled eigenvalues
+_CHUNK = 128  # replicas per Sturm count; bounds its memory
+
+
+def _window(n: int, m: int) -> int:
+    """Rows n_eff of the leading block that holds the top m eigenvalues."""
+    a_m = special.ai_zeros(m)[0][-1]
+    return min(n, math.ceil(n ** (1.0 / 3.0) * (abs(a_m) + _WINDOW_MARGIN)))
+
+
+def _sturm_above(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues above each shift: counts[r, s] for the tridiagonal (diag[r], sqrt(off2[r])).
+
+    One pass of the LDL^T pivot recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1}
+    over the rows, for all replicas and shifts at once; the negative pivots
+    count the eigenvalues below x.  A zero pivot makes the next one -inf, which
+    counts as LAPACK's -pivmin substitution does.
+    """
+    n = diag.shape[1]
+    q = diag[:, :1] - shifts
+    below = (q < 0).astype(np.intp)
+    with np.errstate(divide="ignore"):
+        for i in range(1, n):
+            q = diag[:, i, None] - shifts - off2[:, i - 1, None] / q
+            below += q < 0
+    return n - below
+
+
+def _certified_top(diag: np.ndarray, off: np.ndarray, window: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top m eigenvalues (decreasing) of each leading block, and whether the full matrix confirms them."""
+    top = np.empty((len(diag), m))
+    ok = np.empty(len(diag), dtype=bool)
+    for i in range(len(diag)):
+        vals, info = lapack.dsterf(diag[i, :window], off[i, : window - 1])
+        top[i] = vals[window - m :][::-1]
+        ok[i] = info == 0
+    above = _sturm_above(diag, off * off, np.hstack([top - _CERT_TOL, top + _CERT_TOL]))
+    rank = np.arange(1, m + 1)
+    ok &= np.all(above[:, :m] == rank, axis=1) & np.all(above[:, m:] == rank - 1, axis=1)
+    return top, ok
+
+
 def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     """Draw scaled GUE edge samples; replica r is reproducible from (seed, r) alone."""
     n = config.matrix_size
     m = config.top_points
     scale = n ** (1.0 / 6.0)
     center = 2.0 * math.sqrt(n)
+    window = _window(n, m)
     out = np.empty((config.replicas, m))
+    fallbacks = 0
     dof = np.arange(n - 1, 0, -1).astype(float)
-    for r in range(config.replicas):
-        rng = _replica_rng(config.seed, r)
-        diag = rng.normal(size=n)
-        off = np.sqrt(rng.gamma(shape=dof))
-        top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - m, n - 1))
-        out[r] = scale * (top[::-1] - center)
-    return AirySampleSet(config, out)
+    for start in range(0, config.replicas, _CHUNK):
+        replicas = range(start, min(start + _CHUNK, config.replicas))
+        diag = np.empty((len(replicas), n))
+        off = np.empty((len(replicas), n - 1))
+        for i, r in enumerate(replicas):
+            rng = _replica_rng(config.seed, r)
+            diag[i] = rng.normal(size=n)
+            off[i] = np.sqrt(rng.gamma(shape=dof))
+        if window < n:
+            top, ok = _certified_top(diag, off, window, m)
+            fallbacks += int(np.count_nonzero(~ok))
+        else:
+            top, ok = np.empty((len(replicas), m)), np.zeros(len(replicas), dtype=bool)
+        for i in np.flatnonzero(~ok):
+            top[i] = eigvalsh_tridiagonal(diag[i], off[i], select="i", select_range=(n - m, n - 1))[::-1]
+        out[start : replicas.stop] = scale * (top - center)
+    return AirySampleSet(config, out, window, fallbacks)
+
+
+def _edge_C(T: float) -> float:
+    """C = (T/2)^(1/3), the Airy-point scale of the SHE at time T."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be positive and finite")
+    return (T / 2.0) ** (1.0 / 3.0)
 
 
 def _weights_exp(sample: AirySampleSet, C: float, k: int) -> np.ndarray:
@@ -123,7 +203,7 @@ def series_moment_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
     """
     if not 1 <= k <= 2:
         raise ValueError("series_moment_mc supports k in {1, 2}; variance explodes beyond")
-    C = (T / 2.0) ** (1.0 / 3.0)
+    C = _edge_C(T)
     ex = _weights_exp(sample, C, k)
     nrep, m = ex.shape
     vals = np.empty(nrep)
@@ -137,7 +217,7 @@ def hk_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
     """E[h_k(e^{C a_1}, e^{C a_2}, ...)], the partition-summed Laplace functional."""
     if not 1 <= k <= 3:
         raise ValueError("hk_mc supports k <= 3")
-    C = (T / 2.0) ** (1.0 / 3.0)
+    C = _edge_C(T)
     ex = _weights_exp(sample, C, k)
     vals = h_complete(k, ex.T)  # one h_k per replica, elementwise over the columns
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))
@@ -147,7 +227,7 @@ def conditional_laplace_mc(u: float, T: float, sample: AirySampleSet) -> MCEstim
     """E prod_p (1 + u e^{C a_p})^{-1}; the sampling counterpart of the Fredholm determinant."""
     if u <= 0:
         raise ValueError("u must be positive")
-    C = (T / 2.0) ** (1.0 / 3.0)
+    C = _edge_C(T)
     logs = np.log1p(u * np.exp(C * sample.points)).sum(axis=1)
     vals = np.exp(-logs)
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))

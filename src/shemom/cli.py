@@ -290,10 +290,13 @@ def _dispatch(args) -> tuple[dict, int]:
         return _payload(request, [est], 0, [], True), 0
 
     if args.command == "sample":
+        if args.replicas < 2:
+            raise ValueError("sample needs at least 2 replicas for an error bar")
         cfg = airy_sampler.EnsembleConfig(
             args.matrix_size, args.top_points, args.replicas, subseed(args.seed, "sample")
         )
         sam = airy_sampler.sample_airy_points(cfg)
+        provenance = {"window": sam.window, "full_matrix_fallbacks": sam.full_matrix_fallbacks}
         if args.method == "airy":
             top = sam.points[:, 0]
             est = she_moments.MomentEstimate(
@@ -325,6 +328,7 @@ def _dispatch(args) -> tuple[dict, int]:
             mc = airy_sampler.hk_mc(args.k, args.t, sam)
             est = she_moments.MomentEstimate(mc.value, mc.stderr, "hk_mc", {"replicas": mc.replicas})
             request = {"k": args.k, "T": args.t}
+        est.meta.update(provenance)
         return _payload(request, [est], args.seed, [], True), 0
 
     if args.command == "polymer":

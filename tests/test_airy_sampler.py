@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
+from shemom import airy_sampler
 from shemom.airy import AiryConfig, fredholm_multiplicative, laplace_R
 from shemom.airy_sampler import (
     AirySampleSet,
@@ -16,6 +18,20 @@ from shemom.airy_sampler import (
     series_moment_mc,
     write_samples_csv,
 )
+
+
+def full_matrix_points(cfg):
+    """Reference: every replica's top points from the full n x n tridiagonal, one LAPACK call each."""
+    n, m = cfg.matrix_size, cfg.top_points
+    dof = np.arange(n - 1, 0, -1).astype(float)
+    out = np.empty((cfg.replicas, m))
+    for r in range(cfg.replicas):
+        rng = airy_sampler._replica_rng(cfg.seed, r)
+        diag = rng.normal(size=n)
+        off = np.sqrt(rng.gamma(shape=dof))
+        top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - m, n - 1))
+        out[r] = n ** (1.0 / 6.0) * (top[::-1] - 2.0 * math.sqrt(n))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -52,16 +68,62 @@ class TestSampling:
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_replica_extension_consistent(self):
-        # replica r depends only on (seed, r), not on the total count
+        # replica r depends only on (seed, r), not on the total count or the chunk it falls in
         small = sample_airy_points(EnsembleConfig(100, 4, 5, seed=3))
-        large = sample_airy_points(EnsembleConfig(100, 4, 9, seed=3))
-        np.testing.assert_array_equal(small.points, large.points[:5])
+        for large in (9, airy_sampler._CHUNK + 2):
+            big = sample_airy_points(EnsembleConfig(100, 4, large, seed=3))
+            np.testing.assert_array_equal(small.points, big.points[:5])
+
+    def test_chunk_split_invariant(self, monkeypatch):
+        cfg = EnsembleConfig(100, 4, 11, seed=3)
+        whole = sample_airy_points(cfg)
+        monkeypatch.setattr(airy_sampler, "_CHUNK", 3)
+        np.testing.assert_array_equal(sample_airy_points(cfg).points, whole.points)
 
     def test_top_point_tracy_widom(self, sample):
         top = sample.points[:, 0]
         se = top.std(ddof=1) / math.sqrt(len(top))
         # recomputed Tracy-Widom mean; generous finite-size allowance
         assert abs(top.mean() - (-1.7711)) < 4.0 * se + 0.02
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "n,m,seed,replicas",
+        [(100, 4, 3, 40), (300, 16, 1, 40), (400, 24, 2, 30), (800, 24, 5, 20), (800, 1, 6, 20), (100, 24, 4, 10)],
+    )
+    def test_matches_full_matrix(self, n, m, seed, replicas):
+        cfg = EnsembleConfig(n, m, replicas, seed)
+        sam = sample_airy_points(cfg)
+        ref = full_matrix_points(cfg)
+        assert sam.window == airy_sampler._window(n, m)
+        assert sam.full_matrix_fallbacks == 0
+        if sam.window >= n:
+            np.testing.assert_array_equal(sam.points, ref)  # no block: the full-matrix call itself
+        else:
+            assert np.abs(sam.points - ref).max() <= airy_sampler._CERT_TOL * n ** (1.0 / 6.0)
+
+    def test_window_sizes(self):
+        assert airy_sampler._window(400, 24) == 245
+        assert airy_sampler._window(800, 24) == 309
+
+    def test_too_small_window_falls_back(self, monkeypatch):
+        # a block of m + 4 rows misses the top eigenvalues by far more than delta
+        monkeypatch.setattr(airy_sampler, "_window", lambda n, m: m + 4)
+        cfg = EnsembleConfig(300, 8, 30, seed=9)
+        sam = sample_airy_points(cfg)
+        assert sam.window == 12
+        assert sam.full_matrix_fallbacks == cfg.replicas
+        np.testing.assert_array_equal(sam.points, full_matrix_points(cfg))
+
+    def test_sturm_count(self):
+        rng = np.random.default_rng(0)
+        diag = rng.normal(size=(3, 40))
+        off = rng.uniform(0.5, 2.0, size=(3, 39))
+        eigs = [eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)]
+        shifts = rng.uniform(-4.0, 4.0, size=(3, 7))
+        expected = [[np.count_nonzero(ev > x) for x in row] for ev, row in zip(eigs, shifts)]
+        np.testing.assert_array_equal(airy_sampler._sturm_above(diag, off**2, shifts), expected)
 
 
 class TestFunctionals:
@@ -112,6 +174,13 @@ class TestFunctionals:
             conditional_laplace_mc(-1.0, 1.0, sample)
         with pytest.raises(ValueError):
             hk_mc(4, 1.0, sample)
+
+    @pytest.mark.parametrize("T", [-1.0, 0.0, math.inf, math.nan])
+    def test_time_must_be_positive(self, sample, T):
+        # C = (T/2)^(1/3) is complex for T < 0
+        for fn, arg in ((series_moment_mc, 1), (hk_mc, 1), (conditional_laplace_mc, 1.0)):
+            with pytest.raises(ValueError, match="T must be positive"):
+                fn(arg, T, sample)
 
 
 class TestTruncationWarning:

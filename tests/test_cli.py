@@ -4,12 +4,13 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shemom import __version__
+from shemom import __version__, airy_sampler
 from shemom.cli import UsageError, emit_report, main, subseed
 
 
@@ -158,6 +159,7 @@ class TestDeterminism:
             ["xcheck", "--k", "1", "--t", "1", "--seed", "5"],
             ["moment", "gaussian-mc", "--k", "2", "--t", "1", "--samples", "5000", "--seed", "3"],
             ["airy", "laplace-r", "--c", "1.0", "0.8"],
+            ["sample", "hk", "--k", "2", "--t", "1", "--matrix-size", "200", "--top-points", "8", "--replicas", "30"],
         ],
     )
     def test_byte_identical_modulo_timestamp(self, capsys, argv):
@@ -261,6 +263,9 @@ class TestSubcommands:
         meta = payload["estimates"][0]["meta"]
         assert meta["weight_convention"] == "exponential(1)"
         assert meta["printed_weight_mean"] == 2.0
+        # the leading block's rows, and the replicas redone on the full matrix
+        assert meta["window"] == airy_sampler._window(100, 8) < 100
+        assert meta["full_matrix_fallbacks"] == 0
 
     def test_polymer_contour(self, capsys):
         import math
@@ -326,6 +331,30 @@ class TestReportContract:
         assert code == 1
         assert out == ""
         assert "error:" in err and "contour" in err
+
+    @pytest.mark.parametrize("method", ["series", "hk"])
+    @pytest.mark.parametrize("t", ["-1", "0", "inf", "nan"])
+    def test_sample_time_must_be_positive(self, method, t):
+        argv = ["sample", method, "--k", "1", "--t", t, "--matrix-size", "60", "--top-points", "4", "--replicas", "20"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_quiet(argv)
+        assert code == 1
+        assert out == ""
+        assert "T must be positive" in err
+        assert caught == []
+
+    @pytest.mark.parametrize("method", [["airy"], ["series", "--k", "1", "--t", "1"], ["hk", "--k", "1", "--t", "1"]])
+    def test_sample_single_replica_refused(self, method):
+        # one replica has no error bar (std with ddof = 1); refused before sampling, without a warning
+        argv = ["sample", *method, "--matrix-size", "60", "--top-points", "4", "--replicas", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_quiet(argv)
+        assert code == 1
+        assert out == ""
+        assert "at least 2 replicas" in err
+        assert caught == []
 
     def test_runtime_error_refused(self):
         # the k = 3 circle contours cancel to an imaginary part far above the value
