@@ -221,8 +221,8 @@ class AiryConfig:
     C: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError("T must be positive and finite")
         if abs(self.C**3 - self.T / 2.0) > 1e-14 * max(1.0, self.T):
             raise ValueError("C must equal (T/2)^(1/3)")
 

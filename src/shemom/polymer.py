@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 MAX_LEVELS = 64
+_BUFFER_DOUBLES = 200_000  # normals per draw buffer; also sets the replica chunk
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class PolymerConfig:
     def __post_init__(self):
         if not 1 <= self.levels <= MAX_LEVELS:
             raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
-        if self.time <= 0:
-            raise ValueError("time must be positive")
+        if not (math.isfinite(self.time) and self.time > 0):
+            raise ValueError("time must be positive and finite")
         if self.steps < 10:
             raise ValueError("steps must be >= 10")
         if self.replicas < 2:
@@ -73,30 +75,59 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
 
     The multiplicative noise is applied as exp(dB - dt/2) per step, which keeps
     the state positive and makes the top level exact in distribution for N = 1.
-    ``coarsen`` > 1 reuses the same Brownian increments aggregated over groups
-    of steps, enabling common-path time-step refinement studies.
+
+    Replicas run in chunks, each with its own generator seeded by (seed, first
+    replica).  A chunk's state is one flat array of replicas x levels.  The
+    generator fills a buffer of at most ``_BUFFER_DOUBLES`` normals (at least
+    one step's worth) for a block of steps at a time, in (step, replica, level)
+    order, so a fine run draws exactly the normals, in the same order, that one
+    (replicas, levels) draw per step would.  Each step is then four in-place
+    passes over the flat state.
+
+    ``coarsen`` > 1 runs steps/coarsen steps on the same paths: each coarse
+    increment is the sum of the coarsen fine increments of its replica and
+    level, so the coarse-minus-fine gap is the time-step bias alone (at N = 1,
+    where the update is exact, the two runs agree to round-off).
     """
     if max_moment < 1:
         raise ValueError("max_moment must be >= 1")
-    if config.steps % coarsen:
-        raise ValueError("coarsen must divide steps")
+    if not (isinstance(coarsen, numbers.Integral) and coarsen >= 1) or config.steps % coarsen:
+        raise ValueError("coarsen must be a positive integer that divides steps")
     n, t = config.levels, config.time
     fine = config.steps
+    coarse_steps = fine // coarsen
     dt = t / fine * coarsen
+    scale = math.sqrt(t / fine)
     vals = np.zeros((config.replicas, max_moment))
-    chunk = max(1, min(config.replicas, 200_000 // max(1, fine // 50) // n + 1))
+    chunk = max(1, min(config.replicas, _BUFFER_DOUBLES // max(1, fine // 50) // n + 1))
     done = 0
     while done < config.replicas:
         m = min(chunk, config.replicas - done)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, done)))
-        z = np.zeros((m, n))
-        z[:, 0] = 1.0
-        for s in range(fine // coarsen):
-            db = rng.normal(scale=math.sqrt(t / fine), size=(m, n, coarsen)).sum(axis=2)
-            growth = np.exp(db - dt / 2.0)
-            z[:, 1:] = z[:, 1:] * growth[:, 1:] + z[:, :-1] * dt
-            z[:, 0] *= growth[:, 0]
-        top = z[:, -1]
+        width = m * n
+        block = min(coarse_steps, max(1, _BUFFER_DOUBLES // (coarsen * width)))
+        draws = np.empty((block, coarsen, width))
+        z = np.zeros(width)
+        z[::n] = 1.0
+        carry = np.empty(width - 1)
+        left = coarse_steps
+        while left:
+            b = min(left, block)
+            rng.standard_normal(out=draws[:b])
+            g = draws[:b, 0]
+            for j in range(1, coarsen):
+                g += draws[:b, j]
+            g *= scale
+            g -= dt / 2.0
+            np.exp(g, out=g)
+            for row in g:
+                # z_l <- z_l g_l + z_{l-1} dt within each replica; level N feeds no one
+                np.multiply(z[:-1], dt, out=carry)
+                carry[n - 1 :: n] = 0.0
+                z *= row
+                z[1:] += carry
+            left -= b
+        top = z[n - 1 :: n]
         for k in range(1, max_moment + 1):
             vals[done : done + m, k - 1] = top**k
         done += m
@@ -130,6 +161,8 @@ def polymer_moment_contour(
         raise ValueError("contour moments support k <= 3")
     if not 1 <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     if radii is None:
         radii = _default_radii(k, levels, t)
     radii = check_nested(radii, k, "radii")
@@ -180,8 +213,8 @@ def scaling_constant(levels: int, T: float, X: float = 0.0) -> float:
     n = levels
     if n < 1:
         raise ValueError("levels must be >= 1")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be positive and finite")
     t = math.sqrt(n * T) + X
     return n + t / 2.0 + X * math.sqrt(n / T) + 0.5 * n * math.log(T / n)
 
@@ -209,9 +242,10 @@ def intermediate_disorder_limit(
         raise ValueError("levels must be strictly increasing with at least two entries")
     raw = []
     for n in levels:
+        log_c = scaling_constant(n, T, X)  # refuses a bad T by name, before t = sqrt(NT) + X
         t = math.sqrt(n * T) + X
         mom = polymer_moment_contour(k, n, t)
-        log_ratio = math.log(mom) + k * t / 2.0 - k * scaling_constant(n, T, X)
+        log_ratio = math.log(mom) + k * t / 2.0 - k * log_c
         raw.append(math.exp(log_ratio))
     n1, n2 = levels[-2], levels[-1]
     v1, v2 = raw[-2], raw[-1]

@@ -163,6 +163,9 @@ class TestAiryConfig:
             AiryConfig(1.0, 1.0)
         with pytest.raises(ValueError):
             AiryConfig.from_T(-1.0)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="T must be positive and finite"):
+                AiryConfig.from_T(T)
 
 
 class TestFredholm:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,15 @@ class TestFunctionals:
         for fn, arg in ((series_moment_mc, 1), (hk_mc, 1), (conditional_laplace_mc, 1.0)):
             with pytest.raises(ValueError, match="T must be positive"):
                 fn(arg, T, sample)
+
+    def test_single_replica_refused(self):
+        # the ddof = 1 standard error of one replica is nan, with a numpy warning
+        single = sample_airy_points(EnsembleConfig(100, 4, 1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, arg in ((series_moment_mc, 1), (hk_mc, 1), (conditional_laplace_mc, 1.0)):
+                with pytest.raises(ValueError, match="at least 2 replicas for an error bar"):
+                    fn(arg, 1.0, single)
 
 
 class TestTruncationWarning:

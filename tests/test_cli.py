@@ -356,6 +356,29 @@ class TestReportContract:
         assert "at least 2 replicas" in err
         assert caught == []
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["polymer", "simulate", "--levels", "2", "--time", "inf"], "time"),
+            (["polymer", "simulate", "--levels", "2", "--time", "nan"], "time"),
+            (["polymer", "contour", "--k", "2", "--levels", "3", "--time", "inf"], "t"),
+            (["polymer", "limit", "--k", "2", "--t", "inf"], "T"),
+            (["polymer", "limit", "--k", "2", "--t", "nan"], "T"),
+            (["airy", "fredholm", "--u", "1", "--t", "nan"], "T"),
+            (["airy", "fredholm", "--u", "1", "--t", "inf"], "T"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_non_finite_time_refused(self, argv, name):
+        # refused up front: no simulation run, no numpy warning, nothing on stdout
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_quiet(argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: {name} must be positive and finite" in err
+        assert caught == []
+
     def test_runtime_error_refused(self):
         # the k = 3 circle contours cancel to an imaginary part far above the value
         code, out, err = run_quiet(["polymer", "limit", "--k", "3", "--t", "50"])

@@ -29,6 +29,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PolymerConfig(levels=1, time=1.0, steps=5)
 
+    @pytest.mark.parametrize("time", [math.inf, math.nan])
+    def test_time_must_be_finite(self, time):
+        with pytest.raises(ValueError, match="time must be positive and finite"):
+            PolymerConfig(levels=1, time=time)
+
 
 class TestContourMoments:
     @pytest.mark.parametrize("levels,t", [(1, 1.0), (3, 2.0), (10, 3.5), (30, 6.0)])
@@ -59,6 +64,11 @@ class TestContourMoments:
         with pytest.raises(ValueError):
             polymer_moment_contour(4, 2, 1.0)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_time_guard(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            polymer_moment_contour(2, 3, t)
+
 
 class TestSimulation:
     def test_mean_exact_n1(self):
@@ -82,16 +92,58 @@ class TestSimulation:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_coarsen_shares_increments(self):
-        # coarsened run must stay close to the fine run (same Brownian paths)
-        cfg = PolymerConfig(levels=2, time=1.0, steps=400, replicas=2_000, seed=9)
-        fine = simulate_polymer(cfg, max_moment=1)
-        coarse = simulate_polymer(cfg, max_moment=1, coarsen=4)
-        assert abs(fine.values[0] - coarse.values[0]) < 4.0 * fine.stderrs[0]
+        # at N = 1 the update is exact, so a coarse run on the fine run's own
+        # increments equals it to round-off; an independent coarse path would not
+        cfg = PolymerConfig(levels=1, time=1.0, steps=100, replicas=2_000, seed=9)
+        fine = simulate_polymer(cfg)
+        for coarsen in (2, 4, 5):
+            coarse = simulate_polymer(cfg, coarsen=coarsen)
+            np.testing.assert_allclose(coarse.values, fine.values, rtol=1e-12, atol=0)
 
     def test_coarsen_must_divide(self):
-        cfg = PolymerConfig(levels=1, time=1.0, steps=100, replicas=10, seed=0)
-        with pytest.raises(ValueError):
-            simulate_polymer(cfg, coarsen=3)
+        # a non-positive coarsen once returned [1, 1] +- [0, 0] (or raised ZeroDivisionError)
+        cfg = PolymerConfig(levels=3, time=1.0, steps=100, replicas=10, seed=0)
+        for coarsen in (3, 0, -1, -100, 2.0):
+            with pytest.raises(ValueError, match="coarsen"):
+                simulate_polymer(cfg, coarsen=coarsen)
+
+    @pytest.mark.parametrize(
+        "levels,steps,replicas",
+        [
+            (1, 11, 7),  # fewer steps than one draw block, odd step count
+            (1, 501, 20_050),  # two chunks (20_001 + 49)
+            (3, 641, 5_600),  # two chunks (5_556 + 44), a partial last block
+            (8, 64, 300),  # many levels in one block
+        ],
+    )
+    def test_bit_identical_to_per_step_loop(self, levels, steps, replicas):
+        cfg = PolymerConfig(levels, 1.3, steps, replicas, seed=11)
+        sim = simulate_polymer(cfg, max_moment=3)
+        values, stderrs = _per_step_reference(cfg, max_moment=3)
+        assert np.array_equal(sim.values, values)
+        assert np.array_equal(sim.stderrs, stderrs)
+
+
+def _per_step_reference(config: PolymerConfig, max_moment: int):
+    """The simulation one step at a time: a normal(scale, (m, N)) draw per step, same chunks."""
+    n, t, fine = config.levels, config.time, config.steps
+    dt = t / fine
+    vals = np.zeros((config.replicas, max_moment))
+    chunk = max(1, min(config.replicas, 200_000 // max(1, fine // 50) // n + 1))
+    done = 0
+    while done < config.replicas:
+        m = min(chunk, config.replicas - done)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, done)))
+        z = np.zeros((m, n))
+        z[:, 0] = 1.0
+        for _ in range(fine):
+            growth = np.exp(rng.normal(scale=math.sqrt(t / fine), size=(m, n)) - dt / 2.0)
+            z[:, 1:] = z[:, 1:] * growth[:, 1:] + z[:, :-1] * dt
+            z[:, 0] *= growth[:, 0]
+        for k in range(1, max_moment + 1):
+            vals[done : done + m, k - 1] = z[:, -1] ** k
+        done += m
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(config.replicas)
 
 
 class TestScalingConstant:
@@ -111,6 +163,9 @@ class TestScalingConstant:
             scaling_constant(0, 1.0)
         with pytest.raises(ValueError):
             scaling_constant(1, -1.0)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="T must be positive and finite"):
+                scaling_constant(1, T)
 
 
 class TestDisorderLimit:
