@@ -6,10 +6,16 @@ version Zt(t, N) = Z(t, N) e^{-t/2}, which satisfies the Ito hierarchy
 
     dZt_1 = Zt_1 dB_1,        dZt_k = Zt_{k-1} dt + Zt_k dB_k,
 
-with Zt_k(0) = 1{k=1}, so E[Zt(t, N)] = t^{N-1}/(N-1)! exactly.  Integer
-moments admit nested contour integrals over circles around the origin with
-radii separated by more than one; under the scaling t = sqrt(NT) + X and the
-constant C(N, T, X), the normalized moments converge (at rate 1/N) to the
+with Zt_k(0) = 1{k=1}, so E[Zt(t, N)] = t^{N-1}/(N-1)! exactly.
+``simulate_polymer`` integrates it by a split step (Strang 1968) that
+alternates the exact noise multiply with the exact flow of the drift, so its
+mean is exact at any step count, on antithetic pairs of paths (+dB, -dB)
+that share one column of normals; ``coarsen`` reruns the same paths at a
+longer step to measure the time-step error.
+
+Integer moments admit nested contour integrals over circles around the origin
+with radii separated by more than one; under the scaling t = sqrt(NT) + X and
+the constant C(N, T, X), the normalized moments converge (at rate 1/N) to the
 moments of the stochastic heat equation with delta initial data.
 """
 
@@ -71,45 +77,61 @@ class PolymerMoments:
 
 
 def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 1) -> PolymerMoments:
-    """Exponential-Euler simulation of the compensated hierarchy.
+    """Antithetic split-step simulation of the compensated hierarchy.
 
-    The multiplicative noise is applied as exp(dB - dt/2) per step, which keeps
-    the state positive and makes the top level exact in distribution for N = 1.
+    The split step (Strang) alternates the exact flows of the two parts of
+    the hierarchy: half a drift step, then per step of length h the noise
+    multiply and a full drift step, except that the last drift step is a
+    half step.  The noise multiplies level l by exp(dB_l - h/2), which keeps
+    the state positive; the drift flow exp(hD) is the lower-triangular
+    Toeplitz matrix of h^j/j!, so E[Zt] = t^{N-1}/(N-1)! for any step count.
+    At N = 1 there is no drift and the top level is exact in distribution.
 
-    Replicas run in chunks, each with its own generator seeded by (seed, first
-    replica).  A chunk's state is one flat array of replicas x levels.  The
-    generator fills a buffer of at most ``_BUFFER_DOUBLES`` normals (at least
-    one step's worth) for a block of steps at a time, in (step, replica, level)
-    order, so a fine run draws exactly the normals, in the same order, that one
-    (replicas, levels) draw per step would.  Each step is then four in-place
-    passes over the flat state.
+    Each column of normals drives an antithetic pair of paths, one with
+    increments +dB and one with -dB.  The top level is nondecreasing in every
+    increment, so the two paths of a pair are negatively correlated and a
+    path costs half a draw.  The mean is over paths; the standard error is
+    over the independent units, the pairs (an odd count's last path, whose
+    mirror is discarded, is a unit of its own; a single pair falls back to the
+    spread of its two paths, which overstates the error).
+
+    Pairs run in chunks, each with its own generator seeded by (seed, first
+    path).  A chunk's state is one (levels, paths) array, the + paths before
+    the - paths.  The generator fills a buffer for a block of steps at a time
+    in (step, level, pair) order, so a fine run draws exactly the normals, in
+    the same order, that one (levels, pairs) draw per step would; the draws
+    and the +- multipliers together take at most ``_BUFFER_DOUBLES`` doubles
+    (at least one step's worth).
 
     ``coarsen`` > 1 runs steps/coarsen steps on the same paths: each coarse
-    increment is the sum of the coarsen fine increments of its replica and
-    level, so the coarse-minus-fine gap is the time-step bias alone (at N = 1,
-    where the update is exact, the two runs agree to round-off).
+    increment is the sum of the coarsen fine increments of its pair and
+    level, so the coarse-minus-fine gap is the time-step error alone (at
+    N = 1, where the scheme is exact, the two runs agree to round-off).
     """
     if max_moment < 1:
         raise ValueError("max_moment must be >= 1")
     if not (isinstance(coarsen, numbers.Integral) and coarsen >= 1) or config.steps % coarsen:
         raise ValueError("coarsen must be a positive integer that divides steps")
-    n, t = config.levels, config.time
+    n, t, paths = config.levels, config.time, config.replicas
     fine = config.steps
     coarse_steps = fine // coarsen
-    dt = t / fine * coarsen
+    h = t / fine * coarsen
     scale = math.sqrt(t / fine)
-    vals = np.zeros((config.replicas, max_moment))
-    chunk = max(1, min(config.replicas, _BUFFER_DOUBLES // max(1, fine // 50) // n + 1))
+    full, half = _drift_flow(n, h), _drift_flow(n, h / 2.0)
+    pairs = (paths + 1) // 2
+    vals = np.empty((2, pairs, max_moment))  # top level^k of the + and the - paths
+    chunk = min(pairs, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
     done = 0
-    while done < config.replicas:
-        m = min(chunk, config.replicas - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, done)))
-        width = m * n
-        block = min(coarse_steps, max(1, _BUFFER_DOUBLES // (coarsen * width)))
-        draws = np.empty((block, coarsen, width))
-        z = np.zeros(width)
-        z[::n] = 1.0
-        carry = np.empty(width - 1)
+    while done < pairs:
+        c = min(chunk, pairs - done)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 2 * done)))
+        block = min(coarse_steps, max(1, _BUFFER_DOUBLES // ((coarsen + 2) * n * c)))
+        draws = np.empty((block, coarsen, n, c))
+        mult = np.empty((block, n, 2 * c))
+        z = np.zeros((n, 2 * c))
+        z[0] = 1.0
+        drifted = np.empty_like(z)
+        flow = half
         left = coarse_steps
         while left:
             b = min(left, block)
@@ -118,22 +140,36 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
             for j in range(1, coarsen):
                 g += draws[:b, j]
             g *= scale
-            g -= dt / 2.0
-            np.exp(g, out=g)
-            for row in g:
-                # z_l <- z_l g_l + z_{l-1} dt within each replica; level N feeds no one
-                np.multiply(z[:-1], dt, out=carry)
-                carry[n - 1 :: n] = 0.0
-                z *= row
-                z[1:] += carry
+            np.subtract(g, h / 2.0, out=mult[:b, :, :c])
+            np.subtract(-h / 2.0, g, out=mult[:b, :, c:])
+            np.exp(mult[:b], out=mult[:b])
+            for row in mult[:b]:
+                np.matmul(flow, z, out=drifted)
+                np.multiply(drifted, row, out=z)
+                flow = full
             left -= b
-        top = z[n - 1 :: n]
+        top = (half[-1] @ z).reshape(2, c)
         for k in range(1, max_moment + 1):
-            vals[done : done + m, k - 1] = top**k
-        done += m
-    means = vals.mean(axis=0)
-    errs = vals.std(axis=0, ddof=1) / math.sqrt(config.replicas)
+            vals[:, done : done + c, k - 1] = top**k
+        done += c
+    plus, minus = vals[0], vals[1, : paths - pairs]
+    means = (plus.sum(axis=0) + minus.sum(axis=0)) / paths
+    units = plus - means  # each unit's summed residual
+    if pairs > 1:
+        units[: len(minus)] += minus - means
+    else:
+        units = np.concatenate([units, minus - means])
+    count = len(units)
+    errs = np.sqrt(count / (count - 1) * (units**2).sum(axis=0)) / paths
     return PolymerMoments(means, errs, config)
+
+
+def _drift_flow(levels: int, h: float) -> np.ndarray:
+    # exp(hD) for the drift dZt_l = Zt_{l-1} dt: entry (l, l - j) is h^j/j!
+    flow = np.zeros((levels, levels))
+    for j in range(levels):
+        flow[np.arange(j, levels), np.arange(levels - j)] = h**j / math.factorial(j)
+    return flow
 
 
 def _default_radii(k: int, levels: int, t: float) -> np.ndarray:
@@ -215,6 +251,8 @@ def scaling_constant(levels: int, T: float, X: float = 0.0) -> float:
         raise ValueError("levels must be >= 1")
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be positive and finite")
+    if not math.isfinite(X):
+        raise ValueError("X must be finite")
     t = math.sqrt(n * T) + X
     return n + t / 2.0 + X * math.sqrt(n / T) + 0.5 * n * math.log(T / n)
 
@@ -242,7 +280,7 @@ def intermediate_disorder_limit(
         raise ValueError("levels must be strictly increasing with at least two entries")
     raw = []
     for n in levels:
-        log_c = scaling_constant(n, T, X)  # refuses a bad T by name, before t = sqrt(NT) + X
+        log_c = scaling_constant(n, T, X)  # refuses a bad T or X by name, before t = sqrt(NT) + X
         t = math.sqrt(n * T) + X
         mom = polymer_moment_contour(k, n, t)
         log_ratio = math.log(mom) + k * t / 2.0 - k * log_c

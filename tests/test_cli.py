@@ -276,6 +276,14 @@ class TestSubcommands:
         assert payload["estimates"][0]["value"] == pytest.approx(2.0, rel=1e-10)
         assert math.isfinite(payload["estimates"][0]["err"])
 
+    def test_polymer_simulate_odd_replicas(self, capsys):
+        # the lone last path of an odd count is its own unit of the error bar
+        code, payload = run_json(
+            capsys, ["polymer", "simulate", "--levels", "2", "--time", "1", "--steps", "20", "--replicas", "3"]
+        )
+        assert code == 0
+        assert all(math.isfinite(e["err"]) and e["err"] > 0 for e in payload["estimates"])
+
     def test_polymer_simulate(self, capsys):
         _, payload = run_json(
             capsys,
@@ -377,6 +385,17 @@ class TestReportContract:
         assert code == 1
         assert out == ""
         assert f"error: {name} must be positive and finite" in err
+        assert caught == []
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_x_refused(self, x):
+        # named as the --x the user gave, not as the derived t = sqrt(NT) + X
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_quiet(["polymer", "limit", "--k", "2", "--t", "1", f"--x={x}"])
+        assert code == 1
+        assert out == ""
+        assert "error: X must be finite" in err and "Traceback" not in err
         assert caught == []
 
     def test_runtime_error_refused(self):

@@ -72,7 +72,7 @@ class TestContourMoments:
 
 class TestSimulation:
     def test_mean_exact_n1(self):
-        # for N=1 the exponential-Euler update is exact in distribution
+        # for N=1 the drift is the identity and the noise multiply is exact in distribution
         cfg = PolymerConfig(levels=1, time=1.0, steps=50, replicas=20_000, seed=2)
         sim = simulate_polymer(cfg, max_moment=2)
         assert abs(sim.values[0] - 1.0) <= 4.0 * sim.stderrs[0]
@@ -84,6 +84,33 @@ class TestSimulation:
         for k in (1, 2):
             truth = polymer_moment_contour(k, 3, 1.0)
             assert abs(sim.values[k - 1] - truth) <= 4.0 * sim.stderrs[k - 1]
+
+    def test_mean_exact_at_any_step_count(self):
+        # the exact drift flow keeps E[Zt] = t^{N-1}/(N-1)!; an Euler drift
+        # would be low by prod_{j<N-1} (1 - j/steps) = 0.72 here
+        cfg = PolymerConfig(levels=4, time=1.0, steps=10, replicas=20_000, seed=3)
+        sim = simulate_polymer(cfg, max_moment=1)
+        assert abs(sim.values[0] - 1.0 / 6.0) <= 4.0 * sim.stderrs[0]
+
+    def test_antithetic_pair(self):
+        # at N = 1 the pair's paths are e^{+-B_t - t/2}, so z+ z- = e^{-t}
+        # and 2 mean^2 - (second moment) = z+ z- for the one pair
+        t = 1.3
+        sim = simulate_polymer(PolymerConfig(levels=1, time=t, steps=40, replicas=2, seed=5), max_moment=2)
+        assert 2.0 * sim.values[0] ** 2 - sim.values[1] == pytest.approx(math.exp(-t), abs=1e-12)
+        assert np.all(np.isfinite(sim.stderrs)) and np.all(sim.stderrs > 0)
+
+    def test_stderr_calibrated(self):
+        # k = 1 has an exact mean, so z is pure noise: its spread over 200
+        # seeds reads 0.96-1.10 with the error taken over pairs, 0.52-0.59 with
+        # it taken over paths as if they were independent (five seed blocks);
+        # 40 seeds would scatter the correct spread over 0.76-1.31
+        truth = polymer_moment_contour(1, 2, 0.5)
+        zs = []
+        for seed in range(200):
+            sim = simulate_polymer(PolymerConfig(levels=2, time=0.5, steps=20, replicas=400, seed=seed), max_moment=1)
+            zs.append((sim.values[0] - truth) / sim.stderrs[0])
+        assert 0.7 <= np.std(zs, ddof=1) <= 1.3
 
     def test_reproducible(self):
         cfg = PolymerConfig(levels=2, time=1.0, steps=100, replicas=500, seed=7)
@@ -110,10 +137,10 @@ class TestSimulation:
     @pytest.mark.parametrize(
         "levels,steps,replicas",
         [
-            (1, 11, 7),  # fewer steps than one draw block, odd step count
-            (1, 501, 20_050),  # two chunks (20_001 + 49)
-            (3, 641, 5_600),  # two chunks (5_556 + 44), a partial last block
-            (8, 64, 300),  # many levels in one block
+            (1, 11, 7),  # all steps in one draw block, odd step and path counts
+            (1, 501, 20_050),  # two chunks (10_001 + 24 pairs)
+            (3, 641, 5_600),  # two chunks (2_778 + 22 pairs), a partial last block
+            (8, 64, 300),  # many levels, a partial last block
         ],
     )
     def test_bit_identical_to_per_step_loop(self, levels, steps, replicas):
@@ -125,25 +152,40 @@ class TestSimulation:
 
 
 def _per_step_reference(config: PolymerConfig, max_moment: int):
-    """The simulation one step at a time: a normal(scale, (m, N)) draw per step, same chunks."""
-    n, t, fine = config.levels, config.time, config.steps
-    dt = t / fine
-    vals = np.zeros((config.replicas, max_moment))
-    chunk = max(1, min(config.replicas, 200_000 // max(1, fine // 50) // n + 1))
+    """The simulation one step at a time: one (N, pairs) draw per step for a pair of paths, same chunks."""
+    n, t, fine, paths = config.levels, config.time, config.steps, config.replicas
+    h = t / fine
+    # exp(hD), the exact flow of dZt_l = Zt_{l-1} dt, and its half step
+    full, half = (
+        np.array([[s**(l - m) / math.factorial(l - m) if l >= m else 0.0 for m in range(n)] for l in range(n)])
+        for s in (h, h / 2.0)
+    )
+    pairs = (paths + 1) // 2
+    chunk = min(pairs, 200_000 // max(1, fine // 50) // (2 * n) + 1)
+    plus, minus = [], []
     done = 0
-    while done < config.replicas:
-        m = min(chunk, config.replicas - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, done)))
-        z = np.zeros((m, n))
-        z[:, 0] = 1.0
-        for _ in range(fine):
-            growth = np.exp(rng.normal(scale=math.sqrt(t / fine), size=(m, n)) - dt / 2.0)
-            z[:, 1:] = z[:, 1:] * growth[:, 1:] + z[:, :-1] * dt
-            z[:, 0] *= growth[:, 0]
-        for k in range(1, max_moment + 1):
-            vals[done : done + m, k - 1] = z[:, -1] ** k
-        done += m
-    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(config.replicas)
+    while done < pairs:
+        c = min(chunk, pairs - done)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 2 * done)))
+        z = np.zeros((n, 2 * c))
+        z[0] = 1.0
+        for step in range(fine):
+            g = rng.standard_normal((n, c)) * math.sqrt(t / fine)
+            growth = np.hstack([np.exp(g - h / 2.0), np.exp(-h / 2.0 - g)])
+            z = ((half if step == 0 else full) @ z) * growth
+        top = half[-1] @ z
+        plus.append(np.stack([top[:c] ** k for k in range(1, max_moment + 1)], axis=1))
+        minus.append(np.stack([top[c:] ** k for k in range(1, max_moment + 1)], axis=1))
+        done += c
+    plus, minus = np.concatenate(plus), np.concatenate(minus)[: paths - pairs]
+    means = (plus.sum(axis=0) + minus.sum(axis=0)) / paths
+    # one unit per pair, and an odd count's last path alone; one pair falls back to its two paths
+    units = plus - means
+    if pairs > 1:
+        units[: len(minus)] += minus - means
+    else:
+        units = np.concatenate([units, minus - means])
+    return means, np.sqrt(len(units) / (len(units) - 1) * (units**2).sum(axis=0)) / paths
 
 
 class TestScalingConstant:
@@ -166,6 +208,11 @@ class TestScalingConstant:
         for T in (math.inf, math.nan):
             with pytest.raises(ValueError, match="T must be positive and finite"):
                 scaling_constant(1, T)
+
+    @pytest.mark.parametrize("X", [math.nan, math.inf, -math.inf])
+    def test_x_must_be_finite(self, X):
+        with pytest.raises(ValueError, match="X must be finite"):
+            scaling_constant(8, 1.0, X)
 
 
 class TestDisorderLimit:
@@ -191,6 +238,11 @@ class TestDisorderLimit:
         lim = intermediate_disorder_limit(1, T, X, levels=(16, 32))
         # X != 0 converges only at rate 1/sqrt(N); sqrt-Richardson leaves O(1/N)
         assert lim.extrapolated == pytest.approx(heat_kernel(T, X), rel=2e-2)
+
+    @pytest.mark.parametrize("X", [math.nan, math.inf, -math.inf])
+    def test_x_must_be_finite(self, X):
+        with pytest.raises(ValueError, match="X must be finite"):
+            intermediate_disorder_limit(2, 1.0, X)
 
     def test_levels_must_increase(self):
         with pytest.raises(ValueError):
