@@ -11,7 +11,8 @@ with Zt_k(0) = 1{k=1}, so E[Zt(t, N)] = t^{N-1}/(N-1)! exactly.
 alternates the exact noise multiply with the exact flow of the drift, so its
 mean is exact at any step count, on antithetic pairs of paths (+dB, -dB)
 that share one column of normals; ``coarsen`` reruns the same paths at a
-longer step to measure the time-step error.
+longer step to measure the time-step error.  Its independent chunks of pairs
+run on the usable cores, and its results are the same for any core count.
 
 Integer moments admit nested contour integrals over circles around the origin
 with radii separated by more than one; under the scaling t = sqrt(NT) + X and
@@ -21,9 +22,13 @@ moments of the stochastic heat equation with delta initial data.
 
 from __future__ import annotations
 
+import contextvars
 import decimal
 import math
 import numbers
+import os
+import queue
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,9 +104,13 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     path).  A chunk's state is one (levels, paths) array, the + paths before
     the - paths.  The generator fills a buffer for a block of steps at a time
     in (step, level, pair) order, so a fine run draws exactly the normals, in
-    the same order, that one (levels, pairs) draw per step would; the draws
-    and the +- multipliers together take at most ``_BUFFER_DOUBLES`` doubles
-    (at least one step's worth).
+    the same order, that one (levels, pairs) draw per step would, whatever
+    the block size.  The chunks run at the same time on a thread pool, one
+    worker per usable core (``taskset`` limits them) up to the chunk count;
+    each writes its own rows of the result, so values and errors are
+    bit-identical for any worker count.  The caller allocates one buffer set
+    per worker, and the draws and the +- multipliers of all workers together
+    take at most ``_BUFFER_DOUBLES`` doubles (at least one step's worth each).
 
     ``coarsen`` > 1 runs steps/coarsen steps on the same paths: each coarse
     increment is the sum of the coarsen fine increments of its pair and
@@ -121,37 +130,53 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     pairs = (paths + 1) // 2
     vals = np.empty((2, pairs, max_moment))  # top level^k of the + and the - paths
     chunk = min(pairs, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
-    done = 0
-    while done < pairs:
-        c = min(chunk, pairs - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 2 * done)))
-        block = min(coarse_steps, max(1, _BUFFER_DOUBLES // ((coarsen + 2) * n * c)))
-        draws = np.empty((block, coarsen, n, c))
-        mult = np.empty((block, n, 2 * c))
-        z = np.zeros((n, 2 * c))
-        z[0] = 1.0
-        drifted = np.empty_like(z)
-        flow = half
-        left = coarse_steps
-        while left:
-            b = min(left, block)
-            rng.standard_normal(out=draws[:b])
-            g = draws[:b, 0]
-            for j in range(1, coarsen):
-                g += draws[:b, j]
-            g *= scale
-            np.subtract(g, h / 2.0, out=mult[:b, :, :c])
-            np.subtract(-h / 2.0, g, out=mult[:b, :, c:])
-            np.exp(mult[:b], out=mult[:b])
-            for row in mult[:b]:
-                np.matmul(flow, z, out=drifted)
-                np.multiply(drifted, row, out=z)
-                flow = full
-            left -= b
-        top = (half[-1] @ z).reshape(2, c)
+    starts = range(0, pairs, chunk)
+    workers = min(_usable_cores(), len(starts))
+    # the chunks in flight share one budget: each worker's draws and +- multipliers take 1/workers of it
+    block = min(coarse_steps, max(1, _BUFFER_DOUBLES // workers // ((coarsen + 2) * n * chunk)))
+    # allocated here, not in the workers, whose malloc arenas would keep them after the call
+    buffers = queue.SimpleQueue()
+    sizes = (block * coarsen * n * chunk, block * n * 2 * chunk, 2 * n * 2 * chunk)  # draws, +- multipliers, state
+    for _ in range(workers):
+        buffers.put(tuple(np.empty(size) for size in sizes))
+
+    def run_chunk(start: int) -> None:
+        c = min(chunk, pairs - start)
+        rng = _chunk_rng(config.seed, 2 * start)
+        buffer_set = buffers.get()
+        try:
+            draw_buf, mult_buf, state = buffer_set
+            draws = draw_buf[: block * coarsen * n * c].reshape(block, coarsen, n, c)
+            mult = mult_buf[: block * n * 2 * c].reshape(block, n, 2 * c)
+            z, drifted = state[: 2 * n * 2 * c].reshape(2, n, 2 * c)
+            z.fill(0.0)
+            z[0] = 1.0
+            src = drifted if n > 1 else z  # at N = 1 the flow is the identity
+            flow = half
+            left = coarse_steps
+            while left:
+                b = min(left, block)
+                rng.standard_normal(out=draws[:b])
+                g = draws[:b, 0]
+                for j in range(1, coarsen):
+                    g += draws[:b, j]
+                g *= scale
+                np.subtract(g, h / 2.0, out=mult[:b, :, :c])
+                np.subtract(-h / 2.0, g, out=mult[:b, :, c:])
+                np.exp(mult[:b], out=mult[:b])
+                for row in mult[:b]:
+                    if n > 1:
+                        np.matmul(flow, z, out=drifted)
+                    np.multiply(src, row, out=z)
+                    flow = full
+                left -= b
+            top = (half[-1] @ z).reshape(2, c)
+        finally:
+            buffers.put(buffer_set)
         for k in range(1, max_moment + 1):
-            vals[:, done : done + c, k - 1] = top**k
-        done += c
+            vals[:, start : start + c, k - 1] = top**k
+
+    _run_chunks(run_chunk, starts, workers)
     plus, minus = vals[0], vals[1, : paths - pairs]
     means = (plus.sum(axis=0) + minus.sum(axis=0)) / paths
     units = plus - means  # each unit's summed residual
@@ -162,6 +187,39 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     count = len(units)
     errs = np.sqrt(count / (count - 1) * (units**2).sum(axis=0)) / paths
     return PolymerMoments(means, errs, config)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_rng(seed: int, first_path: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, first_path)))
+
+
+def _run_chunks(run_chunk, starts: range, workers: int) -> None:
+    """Call run_chunk on every start: inline with one worker, else on a thread pool.
+
+    Each chunk runs in a copy of the caller's context, so it sees the caller's
+    np.errstate.  The first chunk to raise ends the call with its exception,
+    and so does an interrupt of the caller; either way the chunks not yet
+    started are cancelled.
+    """
+    if workers == 1:
+        for start in starts:
+            run_chunk(start)
+        return
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="shemom-polymer")
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, run_chunk, start) for start in starts]
+        finished, _ = wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            if future in finished:
+                future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _drift_flow(levels: int, h: float) -> np.ndarray:

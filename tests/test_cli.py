@@ -160,6 +160,8 @@ class TestDeterminism:
             ["moment", "gaussian-mc", "--k", "2", "--t", "1", "--samples", "5000", "--seed", "3"],
             ["airy", "laplace-r", "--c", "1.0", "0.8"],
             ["sample", "hk", "--k", "2", "--t", "1", "--matrix-size", "200", "--top-points", "8", "--replicas", "30"],
+            # three chunks of pairs, run on every usable core
+            ["polymer", "simulate", "--levels", "3", "--time", "1", "--steps", "500", "--replicas", "20000", "--seed", "3"],
         ],
     )
     def test_byte_identical_modulo_timestamp(self, capsys, argv):

@@ -1,10 +1,13 @@
 """Polymer moments: contour vs closed forms vs simulation, and the disorder limit."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from shemom import polymer
 from shemom.polymer import (
     MAX_LEVELS,
     PolymerConfig,
@@ -149,6 +152,69 @@ class TestSimulation:
         values, stderrs = _per_step_reference(cfg, max_moment=3)
         assert np.array_equal(sim.values, values)
         assert np.array_equal(sim.stderrs, stderrs)
+
+    @pytest.mark.parametrize(
+        "levels,steps,replicas,coarsen",
+        [
+            (1, 501, 20_050, 1),  # two chunks
+            (3, 641, 5_600, 1),  # two chunks
+            (2, 500, 20_010, 2),  # three chunks (5_001 + 5_001 + 3 pairs)
+            (2, 500, 20_010, 5),
+            (2, 500, 20_011, 1),  # odd: the last path's mirror is dropped
+        ],
+    )
+    def test_independent_of_worker_count(self, monkeypatch, levels, steps, replicas, coarsen):
+        cfg = PolymerConfig(levels, 1.3, steps, replicas, seed=13)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often: shared buffers would show
+        try:
+            for workers in (1, 3):
+                monkeypatch.setattr(polymer, "_usable_cores", lambda w=workers: w)
+                runs.append(simulate_polymer(cfg, max_moment=3, coarsen=coarsen))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(runs[0].values, runs[1].values)
+        assert np.array_equal(runs[0].stderrs, runs[1].stderrs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_chunk_ends_the_call(self, monkeypatch, workers):
+        # n = 1, 500 steps: chunks of 10_001 pairs, so 400_040 paths are 20 chunks
+        cfg = PolymerConfig(1, 1.0, 500, 400_040, seed=0)
+        make_rng, started = polymer._chunk_rng, []
+
+        def failing_rng(seed, first_path):
+            started.append(first_path)
+            if first_path == 2 * 10_001:
+                raise ArithmeticError("chunk 2 of 20")
+            return make_rng(seed, first_path)
+
+        monkeypatch.setattr(polymer, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(polymer, "_chunk_rng", failing_rng)
+        with pytest.raises(ArithmeticError, match="chunk 2 of 20"):
+            simulate_polymer(cfg)
+        if workers == 1:
+            assert started == [0, 2 * 10_001]
+        else:
+            assert len(started) <= 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_see_callers_warning_filters_and_errstate(self, monkeypatch, workers):
+        make_rng = polymer._chunk_rng
+
+        def overflowing_rng(seed, first_path):
+            np.float64(1e308) * 10.0
+            return make_rng(seed, first_path)
+
+        monkeypatch.setattr(polymer, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(polymer, "_chunk_rng", overflowing_rng)
+        cfg = PolymerConfig(2, 1.0, 500, 20_010, seed=0)  # three chunks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                simulate_polymer(cfg)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            simulate_polymer(cfg)
 
 
 def _per_step_reference(config: PolymerConfig, max_moment: int):
