@@ -18,11 +18,10 @@ from .quadrature import cauchy_pair_det, gauss_hermite_cauchy, gauss_legendre_pa
 
 __all__ = [
     "AiryConfig",
+    "edge_scale",
     "airy_ai",
     "airy_ai_prime",
     "airy_kernel",
-    "okounkov_transform",
-    "okounkov_numeric",
     "laplace_R",
     "laplace_R_mc",
     "laplace_R_direct",
@@ -92,29 +91,6 @@ def airy_kernel(x: float, y: float, form: str = "divided_difference") -> float:
     raise ValueError(f"unknown kernel form: {form}")
 
 
-def okounkov_transform(x: float, a: float, b: float) -> float:
-    """Closed form of int e^{xz} Ai(z+a) Ai(z+b) dz for x > 0."""
-    if x <= 0:
-        raise ValueError("okounkov_transform requires x > 0")
-    return (
-        1.0
-        / (2.0 * math.sqrt(math.pi * x))
-        * math.exp(x**3 / 12.0 - 0.5 * (a + b) * x - (a - b) ** 2 / (4.0 * x))
-    )
-
-
-def okounkov_numeric(x: float, a: float, b: float) -> float:
-    """Quadrature of the same integral; left tail truncated where e^{xz} < e^{-45}."""
-    if x <= 0:
-        raise ValueError("okounkov_numeric requires x > 0")
-    z_left = -(45.0 / x + max(abs(a), abs(b)) + 5.0)
-    z_right = 14.0 - min(a, b)
-    z, w = gauss_legendre_panels(z_left, z_right, 0.4, 12)
-    aia, _ = _ai_both(z + a)
-    aib, _ = _ai_both(z + b)
-    return float(np.sum(w * np.exp(x * z) * aia * aib))
-
-
 # the one default Gauss-Hermite order per length n; n = 1 has a closed form and
 # never reads its entry, which is kept so the table covers every length 1..4
 _R_GH_ORDER = {1: 160, 2: 96, 3: 48, 4: 28}
@@ -132,8 +108,8 @@ def laplace_R(c, order: int | None = None, with_err: bool = False):
     if c.ndim == 0:
         c = c[None]
     n = len(c)
-    if np.any(c <= 0):
-        raise ValueError("all c_i must be positive")
+    if not np.all(np.isfinite(c) & (c > 0)):
+        raise ValueError("all c_i must be positive and finite")
     if n > 4:
         raise ValueError("laplace_R supports n <= 4")
     if order is None:
@@ -195,8 +171,8 @@ def laplace_R_direct(c) -> float:
     c = np.asarray(c, dtype=float)
     if c.ndim == 0:
         c = c[None]
-    if np.any(c <= 0):
-        raise ValueError("all c_i must be positive")
+    if not np.all(np.isfinite(c) & (c > 0)):
+        raise ValueError("all c_i must be positive and finite")
     if len(c) > 2:
         raise ValueError("direct form implemented for n <= 2 only")
     lo = -50.0 / float(np.min(c))
@@ -211,6 +187,13 @@ def laplace_R_direct(c) -> float:
     e1 = np.exp(c[0] * x)
     e2 = np.exp(c[1] * x)
     return float((w * e1) @ det2 @ (w * e2))
+
+
+def edge_scale(T: float) -> float:
+    """C = (T/2)^(1/3), the scale of the Airy points in the SHE at time T."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be positive and finite")
+    return (T / 2.0) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -228,7 +211,7 @@ class AiryConfig:
 
     @classmethod
     def from_T(cls, T: float) -> "AiryConfig":
-        return cls(T, (T / 2.0) ** (1.0 / 3.0))
+        return cls(T, edge_scale(T))
 
 
 def _fredholm_det(x: np.ndarray, w: np.ndarray, g) -> float:
@@ -248,8 +231,8 @@ def fredholm_multiplicative(u: float, cfg: AiryConfig) -> float:
     width 1 over [lo, 14]; lo = -10 - 2 log(1/u) / C for u < 1, so the left
     tail of phi is below tolerance.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not (math.isfinite(u) and u > 0):
+        raise ValueError("u must be positive and finite")
     C = cfg.C
     x, w = gauss_legendre_panels(-10.0 - 2.0 * max(0.0, math.log(1.0 / u)) / C, 14.0, 1.0, 16)
     return _fredholm_det(x, w, special.expit(C * x + math.log(u)))

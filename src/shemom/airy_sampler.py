@@ -25,7 +25,6 @@ Functionals estimated here:
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ import numpy as np
 from scipy import special
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
+from .airy import edge_scale
 from .combinatorics import h_complete
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "series_moment_mc",
     "hk_mc",
     "conditional_laplace_mc",
-    "write_samples_csv",
 ]
 
 
@@ -171,13 +170,6 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     return AirySampleSet(config, out, window, fallbacks)
 
 
-def _edge_C(T: float) -> float:
-    """C = (T/2)^(1/3), the Airy-point scale of the SHE at time T."""
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("T must be positive and finite")
-    return (T / 2.0) ** (1.0 / 3.0)
-
-
 def _weights_exp(sample: AirySampleSet, C: float, k: int) -> np.ndarray:
     """e^{C a_p} per replica, with a truncation-bias warning when the cut matters.
 
@@ -205,7 +197,7 @@ def series_moment_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
         raise ValueError("series_moment_mc supports k in {1, 2}; variance explodes beyond")
     if sample.config.replicas < 2:
         raise ValueError("at least 2 replicas for an error bar")
-    C = _edge_C(T)
+    C = edge_scale(T)
     ex = _weights_exp(sample, C, k)
     nrep, m = ex.shape
     vals = np.empty(nrep)
@@ -221,7 +213,7 @@ def hk_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
         raise ValueError("hk_mc supports k <= 3")
     if sample.config.replicas < 2:
         raise ValueError("at least 2 replicas for an error bar")
-    C = _edge_C(T)
+    C = edge_scale(T)
     ex = _weights_exp(sample, C, k)
     vals = h_complete(k, ex.T)  # one h_k per replica, elementwise over the columns
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))
@@ -229,20 +221,11 @@ def hk_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
 
 def conditional_laplace_mc(u: float, T: float, sample: AirySampleSet) -> MCEstimate:
     """E prod_p (1 + u e^{C a_p})^{-1}; the sampling counterpart of the Fredholm determinant."""
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not (math.isfinite(u) and u > 0):
+        raise ValueError("u must be positive and finite")
     if sample.config.replicas < 2:
         raise ValueError("at least 2 replicas for an error bar")
-    C = _edge_C(T)
+    C = edge_scale(T)
     logs = np.log1p(u * np.exp(C * sample.points)).sum(axis=1)
     vals = np.exp(-logs)
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))
-
-
-def write_samples_csv(sample: AirySampleSet, path: str) -> None:
-    """Persist scaled edge samples; one row per replica, columns a1..am."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica"] + [f"a{j+1}" for j in range(sample.config.top_points)])
-        for r, row in enumerate(sample.points):
-            writer.writerow([r] + [f"{v:.12g}" for v in row])

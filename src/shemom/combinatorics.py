@@ -1,8 +1,7 @@
-"""Exact partition enumeration and (truncated) complete homogeneous symmetric functions.
+"""Partitions, their multiplicity factors, and complete homogeneous symmetric functions.
 
-Everything here is exact: partitions and multiplicity factors are integer
-arithmetic, and the symmetric-function routines accept ``Fraction`` inputs so
-that polynomial identities can be checked without floating-point noise.
+Partitions and multiplicity factors are exact integer arithmetic; h_complete
+works over any numbers that add and multiply, elementwise over arrays.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 MAX_PARTITION_WEIGHT = 40  # p(40) = 37338, still cheap to enumerate
@@ -69,29 +67,6 @@ def enumerate_partitions(k: int) -> list[Partition]:
     return out
 
 
-@lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
-    """p(n) by the Euler pentagonal-number recurrence."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if j % 2 == 0 else 1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        j += 1
-    return total
-
-
 def multiplicity_factor(lam: Partition) -> int:
     """The prefactor k! / (m_1! m_2! ...) of the residue expansion, exact."""
     num = math.factorial(lam.weight)
@@ -117,80 +92,3 @@ def h_complete(n: int, x: Sequence) -> float | Fraction:
         for j in range(1, n + 1):
             h[j] = h[j] + xv * h[j - 1]
     return h[n]
-
-
-def h_truncated(n: int, cap: int, x: Sequence) -> float | Fraction:
-    """h_n restricted to tuples using no variable more than ``cap`` times.
-
-    Equals h_complete whenever n <= cap.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    if n > _MAX_H_DEGREE:
-        raise ValueError(f"n exceeds supported degree {_MAX_H_DEGREE}")
-    h = [1] + [0] * n
-    for xv in x:
-        new = list(h)
-        xpow = 1
-        for m in range(1, cap + 1):
-            xpow = xpow * xv
-            for j in range(m, n + 1):
-                new[j] = new[j] + xpow * h[j - m]
-        h = new
-    return h[n]
-
-
-_MAX_GEN_DEGREE = 24
-
-
-def truncated_generating_check(Q: int, cap: int, nmax: int, x: Sequence[Fraction]) -> bool:
-    """Verify prod_p sum_{m<=cap} (-u x_p)^m = sum_n h_trunc(n, cap, x) (-u)^n up to degree nmax.
-
-    Exact polynomial identity over rationals; inputs must be exact numbers.
-    """
-    if len(x) != Q:
-        raise ValueError("alphabet length must equal Q")
-    if nmax > _MAX_GEN_DEGREE:
-        raise ValueError(f"nmax exceeds supported degree {_MAX_GEN_DEGREE}")
-    # left side: product of the per-variable truncated geometric polynomials
-    poly = [Fraction(1)] + [Fraction(0)] * nmax
-    for xv in x:
-        factor = [(-Fraction(xv)) ** m for m in range(cap + 1)]
-        new = [Fraction(0)] * (nmax + 1)
-        for i, c in enumerate(poly):
-            if c == 0:
-                continue
-            for m, f in enumerate(factor):
-                if i + m <= nmax:
-                    new[i + m] += c * f
-        poly = new
-    for n in range(nmax + 1):
-        rhs = h_truncated(n, cap, [Fraction(v) for v in x]) * (Fraction(-1)) ** n
-        if poly[n] != rhs:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class PartitionBoundReport:
-    passed: bool
-    max_ratio: float  # max over n <= nmax of p(n) / e^sqrt(n)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def partition_count_bound_check(nmax: int) -> PartitionBoundReport:
-    """Check p(n) <= e^{pi sqrt(2n/3)} for n <= nmax and report max p(n)/e^sqrt(n)."""
-    if nmax < 1 or nmax > MAX_PARTITION_WEIGHT:
-        raise ValueError(f"nmax must be in [1, {MAX_PARTITION_WEIGHT}]")
-    ok = True
-    max_ratio = 0.0
-    for n in range(1, nmax + 1):
-        p = partition_count(n)
-        if p > math.exp(math.pi * math.sqrt(2 * n / 3)):
-            ok = False
-        max_ratio = max(max_ratio, p / math.exp(math.sqrt(n)))
-    return PartitionBoundReport(ok, max_ratio)

@@ -44,7 +44,6 @@ __all__ = [
     "polymer_second_moment_exact",
     "scaling_constant",
     "intermediate_disorder_limit",
-    "markov_tail_bound",
 ]
 
 MAX_LEVELS = 64
@@ -348,17 +347,3 @@ def intermediate_disorder_limit(
     rate = 1.0 if X == 0.0 else 0.5
     extrapolated = v2 + (v2 - v1) / ((n2 / n1) ** rate - 1.0)
     return DisorderLimit(raw[-1], extrapolated, tuple(levels), tuple(raw))
-
-
-def markov_tail_bound(a: float, moments: list[float]) -> tuple[float, int]:
-    """Best Markov bound P(Z > a) <= min_k E[Z^k]/a^k; returns (bound, best k)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if not moments or any(m <= 0 for m in moments):
-        raise ValueError("need positive moments E[Z^1..Z^K]")
-    best_k, best = 1, float("inf")
-    for k, m in enumerate(moments, start=1):
-        bound = m / a**k
-        if bound < best:
-            best, best_k = bound, k
-    return min(best, 1.0), best_k

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-
-class QuadratureError(RuntimeError):
-    """A quadrature rule failed its own check."""
 
 
 def default_halfwidth(decay_rate: float, tol: float = 1e-12) -> float:
@@ -18,24 +13,6 @@ def default_halfwidth(decay_rate: float, tol: float = 1e-12) -> float:
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")
     return math.sqrt(2.0 * math.log(1.0 / tol) / decay_rate) + 3.0
-
-
-@dataclass(frozen=True)
-class GaussHermiteRule:
-    """Nodes and weights for int f(x) exp(-x^2) dx."""
-
-    order: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-
-def gauss_hermite(n: int) -> GaussHermiteRule:
-    if not 1 <= n <= 200:
-        raise ValueError("Gauss-Hermite order must be in [1, 200]")
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
-    if not np.all(weights > 0):
-        raise QuadratureError("Gauss-Hermite weight computation failed")
-    return GaussHermiteRule(n, nodes, weights)
 
 
 def gauss_legendre_panels(a: float, b: float, panel_width: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,10 +94,11 @@ def cauchy_pair_det(ys: Sequence[np.ndarray], parts) -> np.ndarray:
 
 def gauss_hermite_cauchy(scales, parts, order: int) -> float:
     """int prod_j exp(-scales_j^2 y_j^2) cauchy_pair_det(y, parts) dy by tensor Gauss-Hermite."""
-    rule = gauss_hermite(order)
-    ys = np.meshgrid(*(rule.nodes / s for s in scales), indexing="ij", sparse=True)
-    weights = np.meshgrid(*(rule.weights / s for s in scales), indexing="ij", sparse=True)
+    if not 1 <= order <= 200:
+        raise ValueError("Gauss-Hermite order must be in [1, 200]")
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    ys = np.meshgrid(*(nodes / s for s in scales), indexing="ij", sparse=True)
     integrand = cauchy_pair_det(ys, parts)
-    for w in weights:
+    for w in np.meshgrid(*(weights / s for s in scales), indexing="ij", sparse=True):
         integrand *= w
     return float(np.sum(integrand))

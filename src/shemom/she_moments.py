@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .airy import _R_GH_ORDER, laplace_R, laplace_R_mc, residue_sum
+from .airy import _R_GH_ORDER, edge_scale, laplace_R, laplace_R_mc, residue_sum
 from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for callers of this module
 from .quadrature import check_nested, default_halfwidth, nested_contour_sum
 
@@ -181,7 +181,7 @@ def moment_partition(
             return laplace_R_mc(c, mc_samples, rng)
         return laplace_R(c, order=gh_order, with_err=True)
 
-    total, terms = residue_sum(k, (T / 2.0) ** (1.0 / 3.0), R)
+    total, terms = residue_sum(k, edge_scale(T), R)
     scale = math.factorial(k) * math.exp(-k * T / 24.0)
     value = scale * total
     err = scale * sum(e for _, e in terms.values()) + _ERR_FLOOR_REL * abs(value)
@@ -233,7 +233,7 @@ def moment_gaussian_mc(k: int, T: float, samples: int = 100_000, seed: int = 0) 
     if samples < 1_000:
         raise ValueError("need at least 1000 samples")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    C = (T / 2.0) ** (1.0 / 3.0)
+    C = edge_scale(T)
     total, terms = residue_sum(k, C, lambda c: laplace_R_mc(c, samples, rng))
     scale = math.factorial(k) * math.exp(-k * T / 24.0)
     value = scale * total

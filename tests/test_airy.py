@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from oracles import okounkov_numeric, okounkov_transform
 from shemom.airy import (
     AiryConfig,
     airy_ai,
@@ -15,8 +16,6 @@ from shemom.airy import (
     laplace_R,
     laplace_R_direct,
     moment_from_airy,
-    okounkov_numeric,
-    okounkov_transform,
     tracy_widom_cdf,
     tracy_widom_mean_var,
 )

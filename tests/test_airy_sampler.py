@@ -1,6 +1,5 @@
 """Airy point process sampler: reproducibility and agreement with analytic functionals."""
 
-import csv
 import math
 import warnings
 
@@ -17,7 +16,6 @@ from shemom.airy_sampler import (
     conditional_laplace_mc,
     hk_mc,
     series_moment_mc,
-    write_samples_csv,
 )
 
 
@@ -199,17 +197,3 @@ class TestTruncationWarning:
         sam = sample_airy_points(cfg)
         with pytest.warns(RuntimeWarning):
             hk_mc(2, 1.0, sam)
-
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        cfg = EnsembleConfig(matrix_size=100, top_points=3, replicas=4, seed=2)
-        sam = sample_airy_points(cfg)
-        path = tmp_path / "points.csv"
-        write_samples_csv(sam, str(path))
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["replica", "a1", "a2", "a3"]
-        assert len(rows) == 5
-        back = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-        np.testing.assert_allclose(back, sam.points, rtol=1e-10)

@@ -78,6 +78,17 @@ class TestExitCodes:
         # invalid parameter reaching the module precondition
         assert main(["moment", "contour", "--k", "0", "--t", "1"]) == 1
         assert main(["moment", "contour", "--k", "5", "--t", "1"]) == 1  # no contour evaluator at k >= 5
+        # a non-finite u or c is refused by name, before any quadrature runs
+        for argv, name in [
+            (["airy", "fredholm", "--u", "nan", "--t", "1"], "u"),
+            (["airy", "fredholm", "--u", "inf", "--t", "1"], "u"),
+            (["airy", "laplace-r", "--c", "1", "nan"], "c_i"),
+            (["airy", "laplace-r", "--c", "inf"], "c_i"),
+        ]:
+            code, out, err = run_quiet(argv)
+            assert code == 1
+            assert out == ""
+            assert f"{name} must be positive and finite" in err
 
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time_is_config_error(self, capsys, t):

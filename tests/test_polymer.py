@@ -12,7 +12,6 @@ from shemom.polymer import (
     MAX_LEVELS,
     PolymerConfig,
     intermediate_disorder_limit,
-    markov_tail_bound,
     polymer_moment_contour,
     polymer_second_moment_exact,
     scaling_constant,
@@ -315,26 +314,3 @@ class TestDisorderLimit:
             intermediate_disorder_limit(1, 1.0, levels=(8,))
         with pytest.raises(ValueError):
             intermediate_disorder_limit(1, 1.0, levels=(16, 8))
-
-
-class TestMarkovBound:
-    def test_bound_valid_for_lognormal(self):
-        # P(e^{G - 1/2} > a) is exactly computable; moments are e^{k(k-1)/2}
-        from scipy.stats import norm
-
-        moments = [math.exp(k * (k - 1) / 2.0) for k in range(1, 6)]
-        for a in (2.0, 5.0, 20.0):
-            bound, k = markov_tail_bound(a, moments)
-            exact = norm.sf((math.log(a) + 0.5))
-            assert bound >= exact
-            assert 1 <= k <= 5
-
-    def test_bound_capped_at_one(self):
-        bound, _ = markov_tail_bound(0.1, [1.0])
-        assert bound == 1.0
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            markov_tail_bound(-1.0, [1.0])
-        with pytest.raises(ValueError):
-            markov_tail_bound(1.0, [])

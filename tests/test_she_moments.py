@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from shemom.airy import AiryConfig, moment_from_airy
 from shemom.combinatorics import enumerate_partitions, multiplicity_factor
-from shemom.quadrature import gauss_hermite
 from shemom.she_moments import (
     InconsistencyError,
     MomentEstimate,
@@ -53,6 +53,13 @@ class TestRequestValidation:
             moment_partition(9, 1.0)
         with pytest.raises(ValueError):
             moment_gaussian_mc(7, 1.0)
+
+    # these routes take T, not a MomentRequest, so airy.edge_scale is what refuses a bad T
+    @pytest.mark.parametrize("route", [moment_partition, moment_gaussian_mc])
+    @pytest.mark.parametrize("T", [-1.0, 0.0, math.nan, math.inf])
+    def test_residue_routes_refuse_bad_time(self, route, T):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            route(2, T)
 
 
 class TestHeatKernel:
@@ -195,16 +202,16 @@ class TestPartitionInternals:
         # explicit matrix, on the same nodes and the same random draws
         T, order, samples, seed = 1.3, 10, 20_000, 4
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        rule = gauss_hermite(order)
+        nodes, weights = hermgauss(order)
         total = 0.0
         for lam in enumerate_partitions(k):
             parts = np.asarray(lam.parts, dtype=float)
             decay = T * parts / 2.0
             norm = math.exp(float(np.sum((T / 2.0) * (parts**3 - parts) / 12.0))) / (2.0 * math.pi) ** lam.length
             if lam.length <= 4:
-                grids = np.meshgrid(*(rule.nodes / np.sqrt(d) for d in decay), indexing="ij")
+                grids = np.meshgrid(*(nodes / np.sqrt(d) for d in decay), indexing="ij")
                 ys = np.stack([g.ravel() for g in grids], axis=-1)
-                wgrids = np.meshgrid(*(rule.weights / np.sqrt(d) for d in decay), indexing="ij")
+                wgrids = np.meshgrid(*(weights / np.sqrt(d) for d in decay), indexing="ij")
                 w = np.prod([g.ravel() for g in wgrids], axis=0)
                 term = norm * float(np.sum(w * np.linalg.det(_lu_matrix(ys, parts)).real))
             else:
