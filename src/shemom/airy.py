@@ -19,8 +19,6 @@ from .quadrature import cauchy_pair_det, gauss_hermite_cauchy, gauss_legendre_pa
 __all__ = [
     "AiryConfig",
     "edge_scale",
-    "airy_ai",
-    "airy_ai_prime",
     "airy_kernel",
     "laplace_R",
     "laplace_R_mc",
@@ -41,21 +39,9 @@ _X_MAX = 200.0
 
 def _ai_both(x) -> tuple[np.ndarray, np.ndarray]:
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < _X_MIN) or np.any(x > _X_MAX):
+    if not np.all((x >= _X_MIN) & (x <= _X_MAX)):
         raise ValueError(f"Airy argument outside supported window [{_X_MIN}, {_X_MAX}]")
     return special.airy(x)[:2]
-
-
-def airy_ai(x):
-    """Ai(x); accepts scalars or arrays."""
-    ai, _ = _ai_both(x)
-    return float(ai[0]) if np.isscalar(x) or np.ndim(x) == 0 else ai
-
-
-def airy_ai_prime(x):
-    """Ai'(x); accepts scalars or arrays."""
-    _, aip = _ai_both(x)
-    return float(aip[0]) if np.isscalar(x) or np.ndim(x) == 0 else aip
 
 
 def _kernel_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -80,6 +66,8 @@ def airy_kernel(x: float, y: float, form: str = "divided_difference") -> float:
     with the diagonal limit Ai'(x)^2 - x Ai(x)^2; form="integral" integrates
     the definition directly with a truncated tail.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("x and y must be finite")
     if form == "divided_difference":
         return float(_kernel_grid(np.array([x]), np.array([y]))[0, 0])
     if form == "integral":
@@ -198,20 +186,20 @@ def edge_scale(T: float) -> float:
 
 @dataclass(frozen=True)
 class AiryConfig:
-    """Carries T and the edge scale C = (T/2)^(1/3)."""
+    """Carries T; the edge scale C = (T/2)^(1/3) is derived from it."""
 
     T: float
-    C: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError("T must be positive and finite")
-        if abs(self.C**3 - self.T / 2.0) > 1e-14 * max(1.0, self.T):
-            raise ValueError("C must equal (T/2)^(1/3)")
+        edge_scale(self.T)
+
+    @property
+    def C(self) -> float:
+        return edge_scale(self.T)
 
     @classmethod
     def from_T(cls, T: float) -> "AiryConfig":
-        return cls(T, edge_scale(T))
+        return cls(T)
 
 
 def _fredholm_det(x: np.ndarray, w: np.ndarray, g) -> float:

@@ -61,8 +61,8 @@ class EnsembleConfig:
             raise ValueError("matrix_size must be >= 50 for a meaningful edge limit")
         if not 1 <= self.top_points <= self.matrix_size:
             raise ValueError("top_points must be in [1, matrix_size]")
-        if self.replicas < 1:
-            raise ValueError("replicas must be positive")
+        if self.replicas < 2:
+            raise ValueError("at least 2 replicas for an error bar")
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,6 @@ def series_moment_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
     """
     if not 1 <= k <= 2:
         raise ValueError("series_moment_mc supports k in {1, 2}; variance explodes beyond")
-    if sample.config.replicas < 2:
-        raise ValueError("at least 2 replicas for an error bar")
     C = edge_scale(T)
     ex = _weights_exp(sample, C, k)
     nrep, m = ex.shape
@@ -211,8 +209,6 @@ def hk_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
     """E[h_k(e^{C a_1}, e^{C a_2}, ...)], the partition-summed Laplace functional."""
     if not 1 <= k <= 3:
         raise ValueError("hk_mc supports k <= 3")
-    if sample.config.replicas < 2:
-        raise ValueError("at least 2 replicas for an error bar")
     C = edge_scale(T)
     ex = _weights_exp(sample, C, k)
     vals = h_complete(k, ex.T)  # one h_k per replica, elementwise over the columns
@@ -223,8 +219,6 @@ def conditional_laplace_mc(u: float, T: float, sample: AirySampleSet) -> MCEstim
     """E prod_p (1 + u e^{C a_p})^{-1}; the sampling counterpart of the Fredholm determinant."""
     if not (math.isfinite(u) and u > 0):
         raise ValueError("u must be positive and finite")
-    if sample.config.replicas < 2:
-        raise ValueError("at least 2 replicas for an error bar")
     C = edge_scale(T)
     logs = np.log1p(u * np.exp(C * sample.points)).sum(axis=1)
     vals = np.exp(-logs)

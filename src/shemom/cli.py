@@ -180,6 +180,84 @@ def run_xcheck(args) -> tuple[dict, int]:
     return _payload(request, estimates, args.seed, gaps, passed), 0 if passed else 2
 
 
+def run_moment(args) -> tuple[dict, list]:
+    req = she_moments.MomentRequest(args.k, args.t, args.x)
+    if args.method == "contour":
+        est = she_moments.moment_contour(req)
+    else:
+        est = _at_origin(req, args.method.replace("-", "_"), args)
+    return {"k": req.k, "T": req.T, "X": req.X}, [est]
+
+
+def run_airy(args) -> tuple[dict, list]:
+    if args.method == "fredholm":
+        val = airy.fredholm_multiplicative(args.u, airy.AiryConfig.from_T(args.t))
+        est = she_moments.MomentEstimate(val, 0.0, "fredholm", {"u": args.u, "T": args.t})
+        return {"u": args.u, "T": args.t}, [est]
+    if args.method == "laplace-r":
+        val, err = airy.laplace_R(args.c, with_err=True)
+        return {"c": list(args.c)}, [she_moments.MomentEstimate(val, err, "laplace_r", {"c": list(args.c)})]
+    val = airy.airy_kernel(args.x, args.y, form=args.form)
+    return {"x": args.x, "y": args.y}, [she_moments.MomentEstimate(val, 0.0, f"kernel_{args.form}", {})]
+
+
+def run_sample(args) -> tuple[dict, list]:
+    cfg = airy_sampler.EnsembleConfig(args.matrix_size, args.top_points, args.replicas, subseed(args.seed, "sample"))
+    sam = airy_sampler.sample_airy_points(cfg)
+    provenance = {"window": sam.window, "full_matrix_fallbacks": sam.full_matrix_fallbacks}
+    if args.method == "airy":
+        top = sam.points[:, 0]
+        est = she_moments.MomentEstimate(
+            float(top.mean()),
+            float(top.std(ddof=1) / math.sqrt(len(top))),
+            "sample_airy",
+            {"var_a1": float(top.var(ddof=1)), "replicas": cfg.replicas, **provenance},
+        )
+        return {"matrix_size": cfg.matrix_size, "top_points": cfg.top_points}, [est]
+    if args.method == "series":
+        mc = airy_sampler.series_moment_mc(args.k, args.t, sam)
+        meta = {
+            "replicas": mc.replicas,
+            # weight calibration: i.i.d. Exp(1) weights reproduce the moment
+            # identities exactly; the printed constant (mean-2 weights) would
+            # overshoot by 2^k
+            "weight_convention": "exponential(1)",
+            "weight_mean": 1.0,
+            "printed_weight_mean": 2.0,
+            "printed_scale_deviation": 2.0 ** args.k,
+        }
+    else:
+        mc = airy_sampler.hk_mc(args.k, args.t, sam)
+        meta = {"replicas": mc.replicas}
+    est = she_moments.MomentEstimate(mc.value, mc.stderr, f"{args.method}_mc", {**meta, **provenance})
+    return {"k": args.k, "T": args.t}, [est]
+
+
+def run_polymer(args) -> tuple[dict, list]:
+    if args.method == "simulate":
+        cfg = polymer.PolymerConfig(args.levels, args.time, args.steps, args.replicas, subseed(args.seed, "polymer"))
+        sim = polymer.simulate_polymer(cfg, max_moment=args.max_moment)
+        estimates = [
+            she_moments.MomentEstimate(
+                float(sim.values[i]), float(sim.stderrs[i]), f"polymer_mc_k{i+1}", {"replicas": args.replicas}
+            )
+            for i in range(args.max_moment)
+        ]
+        return {"levels": args.levels, "t": args.time, "steps": args.steps}, estimates
+    if args.method == "contour":
+        val = polymer.polymer_moment_contour(args.k, args.levels, args.time)
+        est = she_moments.MomentEstimate(val, 0.0, "polymer_contour", {"levels": args.levels})
+        return {"k": args.k, "levels": args.levels, "t": args.time}, [est]
+    lim = polymer.intermediate_disorder_limit(args.k, args.t, args.x, tuple(args.levels))
+    est = she_moments.MomentEstimate(
+        lim.extrapolated,
+        abs(lim.extrapolated - lim.value),
+        "polymer_limit",
+        {"levels": list(lim.levels), "raw": list(lim.raw)},
+    )
+    return {"k": args.k, "T": args.t, "X": args.x}, [est]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="shemom", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -192,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0)
 
     moment = sub.add_parser("moment", help="heat-equation moment E[Z(T,X)^k]")
+    moment.set_defaults(run=run_moment)
     msub = moment.add_subparsers(dest="method", required=True)
     for name in ("contour", "partition", "gaussian-mc"):
         sp = msub.add_parser(name)
@@ -203,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
 
     ai = sub.add_parser("airy", help="Airy kernel functionals")
+    ai.set_defaults(run=run_airy)
     asub = ai.add_subparsers(dest="method", required=True)
     sp = asub.add_parser("fredholm")
     sp.add_argument("--u", type=float, required=True)
@@ -218,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seed=False)
 
     sample = sub.add_parser("sample", help="Airy point process Monte Carlo")
+    sample.set_defaults(run=run_sample)
     ssub = sample.add_subparsers(dest="method", required=True)
     for name in ("airy", "series", "hk"):
         sp = ssub.add_parser(name)
@@ -230,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
 
     poly = sub.add_parser("polymer", help="semi-discrete polymer moments")
+    poly.set_defaults(run=run_polymer)
     psub = poly.add_subparsers(dest="method", required=True)
     sp = psub.add_parser("simulate")
     sp.add_argument("--levels", type=int, required=True)
@@ -260,114 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    if args.command == "xcheck":
-        return run_xcheck(args)
-
-    if args.command == "moment":
-        req = she_moments.MomentRequest(args.k, args.t, args.x)
-        if args.method == "contour":
-            est = she_moments.moment_contour(req)
-        else:
-            est = _at_origin(req, args.method.replace("-", "_"), args)
-        request = {"k": req.k, "T": req.T, "X": req.X}
-        return _payload(request, [est], args.seed, [], True), 0
-
-    if args.command == "airy":
-        if args.method == "fredholm":
-            cfg = airy.AiryConfig.from_T(args.t)
-            val = airy.fredholm_multiplicative(args.u, cfg)
-            est = she_moments.MomentEstimate(val, 0.0, "fredholm", {"u": args.u, "T": args.t})
-            request = {"u": args.u, "T": args.t}
-        elif args.method == "laplace-r":
-            val, err = airy.laplace_R(args.c, with_err=True)
-            est = she_moments.MomentEstimate(val, err, "laplace_r", {"c": list(args.c)})
-            request = {"c": list(args.c)}
-        else:
-            val = airy.airy_kernel(args.x, args.y, form=args.form)
-            est = she_moments.MomentEstimate(val, 0.0, f"kernel_{args.form}", {})
-            request = {"x": args.x, "y": args.y}
-        return _payload(request, [est], 0, [], True), 0
-
-    if args.command == "sample":
-        if args.replicas < 2:
-            raise ValueError("sample needs at least 2 replicas for an error bar")
-        cfg = airy_sampler.EnsembleConfig(
-            args.matrix_size, args.top_points, args.replicas, subseed(args.seed, "sample")
-        )
-        sam = airy_sampler.sample_airy_points(cfg)
-        provenance = {"window": sam.window, "full_matrix_fallbacks": sam.full_matrix_fallbacks}
-        if args.method == "airy":
-            top = sam.points[:, 0]
-            est = she_moments.MomentEstimate(
-                float(top.mean()),
-                float(top.std(ddof=1) / math.sqrt(len(top))),
-                "sample_airy",
-                {"var_a1": float(top.var(ddof=1)), "replicas": cfg.replicas},
-            )
-            request = {"matrix_size": cfg.matrix_size, "top_points": cfg.top_points}
-        elif args.method == "series":
-            mc = airy_sampler.series_moment_mc(args.k, args.t, sam)
-            est = she_moments.MomentEstimate(
-                mc.value,
-                mc.stderr,
-                "series_mc",
-                {
-                    "replicas": mc.replicas,
-                    # weight calibration: i.i.d. Exp(1) weights reproduce the
-                    # moment identities exactly; the printed constant (mean-2
-                    # weights) would overshoot by 2^k
-                    "weight_convention": "exponential(1)",
-                    "weight_mean": 1.0,
-                    "printed_weight_mean": 2.0,
-                    "printed_scale_deviation": 2.0 ** args.k,
-                },
-            )
-            request = {"k": args.k, "T": args.t}
-        else:
-            mc = airy_sampler.hk_mc(args.k, args.t, sam)
-            est = she_moments.MomentEstimate(mc.value, mc.stderr, "hk_mc", {"replicas": mc.replicas})
-            request = {"k": args.k, "T": args.t}
-        est.meta.update(provenance)
-        return _payload(request, [est], args.seed, [], True), 0
-
-    if args.command == "polymer":
-        if args.method == "simulate":
-            cfg = polymer.PolymerConfig(
-                args.levels, args.time, args.steps, args.replicas, subseed(args.seed, "polymer")
-            )
-            sim = polymer.simulate_polymer(cfg, max_moment=args.max_moment)
-            estimates = [
-                she_moments.MomentEstimate(
-                    float(sim.values[i]), float(sim.stderrs[i]), f"polymer_mc_k{i+1}", {"replicas": args.replicas}
-                )
-                for i in range(args.max_moment)
-            ]
-            request = {"levels": args.levels, "t": args.time, "steps": args.steps}
-            return _payload(request, estimates, args.seed, [], True), 0
-        if args.method == "contour":
-            val = polymer.polymer_moment_contour(args.k, args.levels, args.time)
-            est = she_moments.MomentEstimate(val, 0.0, "polymer_contour", {"levels": args.levels})
-            request = {"k": args.k, "levels": args.levels, "t": args.time}
-            return _payload(request, [est], 0, [], True), 0
-        lim = polymer.intermediate_disorder_limit(args.k, args.t, args.x, tuple(args.levels))
-        est = she_moments.MomentEstimate(
-            lim.extrapolated,
-            abs(lim.extrapolated - lim.value),
-            "polymer_limit",
-            {"levels": list(lim.levels), "raw": list(lim.raw)},
-        )
-        request = {"k": args.k, "T": args.t, "X": args.x}
-        return _payload(request, [est], 0, [], True), 0
-
-    raise UsageError(f"unknown command {args.command}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, code = _dispatch(args)
+        if args.command == "xcheck":
+            payload, code = run_xcheck(args)
+        else:
+            request, estimates = args.run(args)
+            payload, code = _payload(request, estimates, getattr(args, "seed", 0), [], True), 0
         emit_report(payload, args.format, args.output)
         return code
     except UsageError as exc:

@@ -35,7 +35,6 @@ __all__ = [
     "moment_contour",
     "reduce_to_origin",
     "moment_partition",
-    "dominant_term",
     "dominant_term_log",
     "moment_gaussian_mc",
     "erfc_reduction_oracle",
@@ -203,11 +202,6 @@ def dominant_term_log(k: int, T: float) -> float:
     if k < 1 or T <= 0:
         raise ValueError("need k >= 1 and T > 0")
     return math.lgamma(k) + T * (k**3 - k) / 24.0 - 0.5 * math.log(2.0 * math.pi * k * T)
-
-
-def dominant_term(k: int, T: float) -> float:
-    """The lambda = (k) summand of the residue expansion, in linear space."""
-    return math.exp(dominant_term_log(k, T))
 
 
 def erfc_reduction_oracle(T: float) -> float:

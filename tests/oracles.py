@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from shemom.airy import airy_ai
+from shemom.airy import _ai_both
 from shemom.quadrature import gauss_legendre_panels
 
 
@@ -86,4 +86,4 @@ def okounkov_numeric(x: float, a: float, b: float) -> float:
     z_left = -(45.0 / x + max(abs(a), abs(b)) + 5.0)
     z_right = 14.0 - min(a, b)
     z, w = gauss_legendre_panels(z_left, z_right, 0.4, 12)
-    return float(np.sum(w * np.exp(x * z) * airy_ai(z + a) * airy_ai(z + b)))
+    return float(np.sum(w * np.exp(x * z) * _ai_both(z + a)[0] * _ai_both(z + b)[0]))

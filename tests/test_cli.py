@@ -78,17 +78,19 @@ class TestExitCodes:
         # invalid parameter reaching the module precondition
         assert main(["moment", "contour", "--k", "0", "--t", "1"]) == 1
         assert main(["moment", "contour", "--k", "5", "--t", "1"]) == 1  # no contour evaluator at k >= 5
-        # a non-finite u or c is refused by name, before any quadrature runs
-        for argv, name in [
-            (["airy", "fredholm", "--u", "nan", "--t", "1"], "u"),
-            (["airy", "fredholm", "--u", "inf", "--t", "1"], "u"),
-            (["airy", "laplace-r", "--c", "1", "nan"], "c_i"),
-            (["airy", "laplace-r", "--c", "inf"], "c_i"),
+        # a non-finite u, c or x is refused by name, before any quadrature runs
+        for argv, message in [
+            (["airy", "fredholm", "--u", "nan", "--t", "1"], "u must be positive and finite"),
+            (["airy", "fredholm", "--u", "inf", "--t", "1"], "u must be positive and finite"),
+            (["airy", "laplace-r", "--c", "1", "nan"], "c_i must be positive and finite"),
+            (["airy", "laplace-r", "--c", "inf"], "c_i must be positive and finite"),
+            (["airy", "kernel", "--x", "nan", "--y", "0"], "x and y must be finite"),
+            (["airy", "kernel", "--x", "nan", "--y", "0", "--form", "integral"], "x and y must be finite"),
         ]:
             code, out, err = run_quiet(argv)
             assert code == 1
             assert out == ""
-            assert f"{name} must be positive and finite" in err
+            assert message in err
 
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time_is_config_error(self, capsys, t):
@@ -311,27 +313,34 @@ class TestSubcommands:
 
 class TestReportContract:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,request_keys,methods",
         [
-            ["moment", "contour", "--k", "1", "--t", "1"],
-            ["moment", "partition", "--k", "2", "--t", "1", "--x", "0.5"],
-            ["moment", "gaussian-mc", "--k", "2", "--t", "1", "--samples", "2000"],
-            ["airy", "fredholm", "--u", "1.0", "--t", "2.0"],
-            ["airy", "laplace-r", "--c", "1.0", "0.8"],
-            ["airy", "kernel", "--x", "0", "--y", "0"],
-            ["sample", "airy", "--matrix-size", "60", "--top-points", "4", "--replicas", "20"],
-            ["polymer", "simulate", "--levels", "2", "--time", "1", "--steps", "50", "--replicas", "100"],
-            ["polymer", "contour", "--k", "1", "--levels", "3", "--time", "2.0"],
-            ["polymer", "limit", "--k", "1", "--t", "1"],
+            pytest.param(line.split(), keys, methods, id=" ".join(line.split()[:2]))
+            for line, keys, methods in [
+                ("moment contour --k 1 --t 1", {"k", "T", "X"}, ["contour"]),
+                ("moment partition --k 2 --t 1 --x 0.5", {"k", "T", "X"}, ["partition"]),
+                ("moment gaussian-mc --k 2 --t 1 --samples 2000", {"k", "T", "X"}, ["gaussian_mc"]),
+                ("airy fredholm --u 1.0 --t 2.0", {"u", "T"}, ["fredholm"]),
+                ("airy laplace-r --c 1.0 0.8", {"c"}, ["laplace_r"]),
+                ("airy kernel --x 0 --y 0", {"x", "y"}, ["kernel_divided_difference"]),
+                ("sample airy --matrix-size 60 --top-points 4 --replicas 20", {"matrix_size", "top_points"},
+                 ["sample_airy"]),
+                ("sample series --k 1 --t 1 --matrix-size 100 --replicas 20", {"k", "T"}, ["series_mc"]),
+                ("sample hk --k 1 --t 1 --matrix-size 100 --replicas 20", {"k", "T"}, ["hk_mc"]),
+                ("polymer simulate --levels 2 --time 1 --steps 50 --replicas 100", {"levels", "t", "steps"},
+                 ["polymer_mc_k1", "polymer_mc_k2"]),
+                ("polymer contour --k 1 --levels 3 --time 2.0", {"k", "levels", "t"}, ["polymer_contour"]),
+                ("polymer limit --k 1 --t 1", {"k", "T", "X"}, ["polymer_limit"]),
+            ]
         ],
-        ids=lambda argv: " ".join(argv[:2]),
     )
-    def test_every_subcommand_emits_one_report_shape(self, argv):
+    def test_every_subcommand_emits_one_report_shape(self, argv, request_keys, methods):
         code, out, _ = run_quiet(argv)
         assert code == 0
         payload = strict_json(out)
         assert set(payload) == REPORT_KEYS
-        assert payload["estimates"]
+        assert set(payload["request"]) == request_keys
+        assert [e["method"] for e in payload["estimates"]] == methods
         for e in payload["estimates"]:
             assert set(e) == {"method", "value", "err", "meta"}
             assert math.isfinite(e["value"]) and math.isfinite(e["err"])

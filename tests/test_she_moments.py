@@ -13,7 +13,6 @@ from shemom.she_moments import (
     MomentEstimate,
     MomentRequest,
     default_anchors,
-    dominant_term,
     dominant_term_log,
     erfc_reduction_oracle,
     heat_kernel,
@@ -237,11 +236,6 @@ class TestPartitionInternals:
 
 
 class TestDominantTerm:
-    def test_log_linear_consistency(self):
-        assert dominant_term(3, 1.0) == pytest.approx(
-            math.exp(dominant_term_log(3, 1.0))
-        )
-
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_intermittency_growth(self, k):
         # log-convexity in k of the dominant residue at fixed T
