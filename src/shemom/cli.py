@@ -1,17 +1,16 @@
 """Command-line front end: run each method, emit machine-readable estimates, cross-validate.
 
-``xcheck`` compares the contour route (k <= 4) with the residue sum over
-partitions evaluated two ways: by Gauss-Hermite quadrature (partition,
-k <= 8) and by Monte Carlo (gaussian_mc, k <= 6).
+``xcheck`` runs every route of ``she_moments.ROUTES`` whose largest k admits
+the request, and compares each pair.
 
 Exit codes: 0 success (and cross-check pass), 2 cross-check tolerance failure
-or an xcheck that is not cross-validated (one route only, k >= 7), 1 usage or
-configuration error (including ``moment contour`` at k >= 5, which has no
-contour evaluator), or a numeric failure: an overflow, an estimate whose
-value or error is not finite, a contour estimate whose trapezoid step aliases
-the phase of the integrand or that is not positive beyond its error bar, or a
-failed internal consistency or accuracy check (any RuntimeError).  Nothing is
-written on exit 1, so every emitted report holds finite numbers only.
+or an xcheck that is not cross-validated (one route only), 1 usage or
+configuration error (including a k beyond a route's range), or a numeric
+failure: an overflow, an estimate whose value or error is not finite, a
+contour estimate whose trapezoid step aliases the phase of the integrand or
+that is not positive beyond its error bar, or a failed internal consistency or
+accuracy check (any RuntimeError).  Nothing is written on exit 1, so every
+emitted report holds finite numbers only.
 
 ``--samples``, the sample count of the gaussian_mc route, is an option of
 ``moment gaussian-mc`` and ``xcheck`` only; elsewhere it is a usage error.
@@ -31,8 +30,6 @@ import math
 import os
 import sys
 import time
-
-import numpy as np
 
 from . import __version__
 from . import airy, airy_sampler, polymer, she_moments
@@ -56,29 +53,13 @@ def subseed(seed: int, component: str) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def _plain(obj):
-    """JSON-safe copy: numpy scalars/arrays to python numbers/lists."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def emit_report(payload: dict, fmt: str, out_path: str | None) -> None:
     """Serialize a report; JSON is sorted-key and newline-terminated, CSV one row per estimate."""
     if "estimates" in payload and not payload["estimates"]:
         raise UsageError("refusing to emit a report with no estimates")
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        # numpy scalars and arrays in an estimate's meta become plain numbers and lists
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=lambda o: o.tolist()) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -118,7 +99,7 @@ def _payload(request: dict, estimates: list, seed: int, gaps: list, passed: bool
     return {
         "request": request,
         "estimates": [
-            {"method": e.method, "value": e.value, "err": e.err, "meta": _plain(e.meta)} for e in estimates
+            {"method": e.method, "value": e.value, "err": e.err, "meta": e.meta} for e in estimates
         ],
         "gaps": gaps,
         "pass": passed,
@@ -128,64 +109,37 @@ def _payload(request: dict, estimates: list, seed: int, gaps: list, passed: bool
     }
 
 
-def _at_origin(req: she_moments.MomentRequest, method: str, args) -> she_moments.MomentEstimate:
-    """A residue-sum route run at X = 0, shifted to req.X by reduce_to_origin's factor."""
-    factor, origin = she_moments.reduce_to_origin(req)
-    k, T = origin.k, origin.T
-    if method == "partition":
-        est = she_moments.moment_partition(k, T, seed=subseed(args.seed, "partition"))
-    else:
-        est = she_moments.moment_gaussian_mc(k, T, samples=args.samples, seed=subseed(args.seed, "gaussian_mc"))
-    est.value *= factor
-    est.err *= factor
-    est.meta["shift_factor"] = factor
-    return est
-
-
-_MC_METHODS = {"gaussian_mc"}
-
-
-def _quad_tol(k: int, override: float | None) -> float:
-    if override is not None:
-        return override
-    return 1e-6 if k <= 2 else 1e-3
-
-
 def run_xcheck(args) -> tuple[dict, int]:
     req = she_moments.MomentRequest(args.k, args.t, args.x)
-    estimates = []
-    if req.k <= 4:
-        estimates.append(she_moments.moment_contour(req))
-    estimates.append(_at_origin(req, "partition", args))
-    if req.k <= 6:
-        estimates.append(_at_origin(req, "gaussian_mc", args))
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError("tol must be positive and finite")
+    routes = she_moments.ROUTES
+    # a k beyond every route goes to the widest one, whose guard refuses it by name
+    methods = [m for m, k_max in routes.items() if req.k <= k_max] or [max(routes, key=routes.get)]
+    estimates = [she_moments.moment(req, m, subseed(args.seed, m), args.samples) for m in methods]
     gaps = []
-    # a single route (k >= 7) is reported but cannot pass: nothing was compared
+    # a single route is reported but cannot pass: nothing was compared
     passed = len(estimates) > 1
     for i in range(len(estimates)):
         for j in range(i + 1, len(estimates)):
             a, b = estimates[i], estimates[j]
             denom = max(abs(a.value), abs(b.value), 1e-300)
             rel_gap = abs(a.value - b.value) / denom
-            if a.method in _MC_METHODS or b.method in _MC_METHODS:
+            if "gaussian_mc" in (a.method, b.method):
                 tol = 3.0 * math.sqrt(a.err**2 + b.err**2) / denom
             else:
-                tol = _quad_tol(req.k, args.tol)
+                tol = args.tol or (1e-6 if req.k <= 2 else 1e-3)
             ok = bool(rel_gap <= tol)
             passed = passed and ok
-            gaps.append(
-                {"a": a.method, "b": b.method, "rel_gap": rel_gap, "tol": tol, "pass": ok}
-            )
+            gaps.append({"a": a.method, "b": b.method, "rel_gap": rel_gap, "tol": tol, "pass": ok})
     request = {"k": req.k, "T": req.T, "X": req.X}
     return _payload(request, estimates, args.seed, gaps, passed), 0 if passed else 2
 
 
 def run_moment(args) -> tuple[dict, list]:
     req = she_moments.MomentRequest(args.k, args.t, args.x)
-    if args.method == "contour":
-        est = she_moments.moment_contour(req)
-    else:
-        est = _at_origin(req, args.method.replace("-", "_"), args)
+    method = args.method.replace("-", "_")
+    est = she_moments.moment(req, method, subseed(args.seed, method), getattr(args, "samples", None))
     return {"k": req.k, "T": req.T, "X": req.X}, [est]
 
 

@@ -4,8 +4,9 @@ Three routes are implemented: the nested contour integral over ordered vertical
 lines, the partition/determinant residue expansion on a common imaginary axis,
 and a Gaussian-expectation Monte Carlo form of the Airy-kernel Laplace
 transforms.  The contour route is one tensor trapezoid sum for k <= 4 on
-centred anchors; it refuses (FloatingPointError) a step that aliases the
-phase of the integrand, an overflow, and an estimate with no correct digit.
+anchors centred on the saddle -X/T; it refuses (FloatingPointError) a step
+that aliases the phase of the integrand, an overflow, and an estimate with no
+correct digit.
 The last two routes are the same sum over partitions, airy.residue_sum, and
 differ only in how each Laplace transform R is evaluated (airy.moment_from_airy
 is the same sum unscaled, on the same Gauss-Hermite orders as the partition
@@ -28,6 +29,8 @@ from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for c
 from .quadrature import check_nested, default_halfwidth, nested_contour_sum
 
 __all__ = [
+    "ROUTES",
+    "moment",
     "MomentRequest",
     "MomentEstimate",
     "heat_kernel",
@@ -39,6 +42,10 @@ __all__ = [
     "moment_gaussian_mc",
     "erfc_reduction_oracle",
 ]
+
+
+# the largest k of each moment route, in the order xcheck reports them
+ROUTES = {"contour": 4, "partition": 8, "gaussian_mc": 6}
 
 
 class InconsistencyError(RuntimeError):
@@ -117,19 +124,21 @@ def moment_contour(
 ) -> MomentEstimate:
     """E[Z(T,X)^k] for k <= 4 by the nested contour formula over ordered vertical lines.
 
-    A tensor trapezoid sum on every line (quadrature.nested_contour_sum), with
-    centred default anchors; the error is the change from halving the nodes
-    plus machine epsilon times the sum of |terms| (the round-off of the sum).
+    A tensor trapezoid sum on every line (quadrature.nested_contour_sum); the
+    default anchors are default_anchors(k) shifted onto the saddle -X/T, where
+    the weights lose their X-dependent turn.  The error is the change from
+    halving the nodes plus machine epsilon times the sum of |terms| (the
+    round-off of the sum).
     Raises FloatingPointError, with no estimate, when the trapezoid step
     aliases the phase of the integrand, when the weights overflow, or when the
     estimate is not positive beyond its error bar (the moment is positive, so
     it has no correct digit).
     """
     k, T, X = req.k, req.T, req.X
-    if k > 4:
-        raise ValueError("moment_contour supports k <= 4")
+    if k > ROUTES["contour"]:
+        raise ValueError(f"moment_contour supports k <= {ROUTES['contour']}")
     if anchors is None:
-        anchors = default_anchors(k)
+        anchors = tuple(a - X / T for a in default_anchors(k))
     check_nested(anchors, k, "anchors")
     if nodes is None:
         nodes = {1: 800, 2: 512, 3: 256, 4: 96}[k]
@@ -171,8 +180,8 @@ def moment_partition(
     lengths <= 4 (the integrand carries an exact Gaussian envelope on the
     imaginary axis); longer partitions fall back to Gaussian Monte Carlo.
     """
-    if k > 8:
-        raise ValueError("moment_partition supports k <= 8")
+    if k > ROUTES["partition"]:
+        raise ValueError(f"moment_partition supports k <= {ROUTES['partition']}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
 
     def R(c):
@@ -222,8 +231,8 @@ def moment_gaussian_mc(k: int, T: float, samples: int = 100_000, seed: int = 0) 
     E[Z^k] = k! e^{-kT/24} * sum_{lambda |- k} (1/prod m_i!) R(C lambda_1, ..., C lambda_l),
     with C = (T/2)^{1/3} and each R evaluated by Monte Carlo.
     """
-    if k > 6:
-        raise ValueError("moment_gaussian_mc supports k <= 6")
+    if k > ROUTES["gaussian_mc"]:
+        raise ValueError(f"moment_gaussian_mc supports k <= {ROUTES['gaussian_mc']}")
     if samples < 1_000:
         raise ValueError("need at least 1000 samples")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
@@ -234,3 +243,24 @@ def moment_gaussian_mc(k: int, T: float, samples: int = 100_000, seed: int = 0) 
     err = scale * math.sqrt(sum(e**2 for _, e in terms.values()))
     meta = {"samples": samples, "seed": seed, "C": C}
     return MomentEstimate(value, err, "gaussian_mc", meta)
+
+
+def moment(req: MomentRequest, method: str, seed: int, samples: int | None) -> MomentEstimate:
+    """E[Z(T,X)^k] by the route ``method`` of ROUTES; ``samples`` reaches gaussian_mc only.
+
+    The residue-sum routes run at X = 0 and are shifted to req.X by
+    reduce_to_origin's factor, recorded as meta["shift_factor"].
+    """
+    if method == "contour":
+        return moment_contour(req)
+    factor, origin = reduce_to_origin(req)
+    if method == "partition":
+        est = moment_partition(origin.k, origin.T, seed=seed)
+    elif method == "gaussian_mc":
+        est = moment_gaussian_mc(origin.k, origin.T, samples=samples, seed=seed)
+    else:
+        raise ValueError(f"unknown moment route {method!r}")
+    est.value *= factor
+    est.err *= factor
+    est.meta["shift_factor"] = factor
+    return est

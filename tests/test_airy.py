@@ -128,6 +128,11 @@ class TestLaplaceR:
         with pytest.raises(ValueError):
             laplace_R_direct([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("c", [[1.0, math.nan], [math.inf], [1.0, 0.0]])
+    def test_direct_refuses_bad_c(self, c):
+        with pytest.raises(ValueError, match="c_i must be positive and finite"):
+            laplace_R_direct(c)
+
 
 class TestMomentFromAiry:
     def test_k1(self):

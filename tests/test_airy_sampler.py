@@ -54,6 +54,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             AirySampleSet(cfg, np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("replica,pair", [(0, 0), (4, 2)])
+    def test_sample_set_order_guard(self, replica, pair):
+        # one replica whose points rise between positions pair and pair + 1
+        cfg = EnsembleConfig(matrix_size=100, top_points=4, replicas=5, seed=0)
+        points = np.tile([3.0, 2.0, 1.0, 0.0], (5, 1))
+        points[replica, pair + 1] = points[replica, pair] + 0.5
+        with pytest.raises(ValueError, match="sorted decreasing"):
+            AirySampleSet(cfg, points)
+
 
 class TestSampling:
     def test_sorted_decreasing(self, sample):

@@ -6,11 +6,12 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shemom import __version__, airy_sampler
+from shemom import __version__, airy_sampler, she_moments
 from shemom.cli import UsageError, emit_report, main, subseed
 
 
@@ -86,6 +87,14 @@ class TestExitCodes:
             (["airy", "laplace-r", "--c", "inf"], "c_i must be positive and finite"),
             (["airy", "kernel", "--x", "nan", "--y", "0"], "x and y must be finite"),
             (["airy", "kernel", "--x", "nan", "--y", "0", "--form", "integral"], "x and y must be finite"),
+            # no route admits k = 9: the widest route's guard names its limit
+            (["xcheck", "--k", "9", "--t", "1"], "moment_partition supports k <= 8"),
+            # a bad tol is refused before any route runs, also at k >= 5 where no pair reads it
+            (["xcheck", "--k", "2", "--t", "1", "--tol", "nan"], "tol must be positive and finite"),
+            (["xcheck", "--k", "2", "--t", "1", "--tol", "inf"], "tol must be positive and finite"),
+            (["xcheck", "--k", "2", "--t", "1", "--tol", "-1"], "tol must be positive and finite"),
+            (["xcheck", "--k", "2", "--t", "1", "--tol", "0"], "tol must be positive and finite"),
+            (["xcheck", "--k", "5", "--t", "1", "--tol", "-1"], "tol must be positive and finite"),
         ]:
             code, out, err = run_quiet(argv)
             assert code == 1
@@ -232,6 +241,17 @@ class TestEmitReport:
         assert lines[0].startswith("method,value,err")
         assert len(lines) == 3  # header + 2 estimates
 
+    def test_numpy_meta_becomes_plain(self, tmp_path):
+        path = tmp_path / "report.json"
+        payload = self._payload()
+        payload["estimates"][0]["meta"] = {
+            "x": np.float64(0.25), "n": np.int64(3), "ok": np.bool_(True), "v": np.array([1.0, 2.0]),
+        }
+        emit_report(payload, "json", str(path))
+        meta = strict_json(path.read_text())["estimates"][0]["meta"]
+        assert meta == {"x": 0.25, "n": 3, "ok": True, "v": [1.0, 2.0]}
+        assert [type(meta[key]) for key in ("x", "n", "ok")] == [float, int, bool]
+
     def test_unknown_format(self):
         with pytest.raises(UsageError):
             emit_report(self._payload(), "xml", None)
@@ -344,6 +364,16 @@ class TestReportContract:
         for e in payload["estimates"]:
             assert set(e) == {"method", "value", "err", "meta"}
             assert math.isfinite(e["value"]) and math.isfinite(e["err"])
+
+    @pytest.mark.parametrize("value,err", [(math.nan, 0.0), (1.0, math.inf)])
+    def test_non_finite_estimate_refused(self, monkeypatch, value, err):
+        monkeypatch.setattr(
+            she_moments, "moment_gaussian_mc", lambda k, T, samples, seed: she_moments.MomentEstimate(value, err, "gaussian_mc")
+        )
+        code, out, err_text = run_quiet(["moment", "gaussian-mc", "--k", "2", "--t", "1"])
+        assert code == 1
+        assert out == ""
+        assert "gaussian_mc estimate is not finite" in err_text
 
     def test_contour_overflow_refused(self):
         # the anchors' prefactor overflows at T = 700 although the moment fits

@@ -92,6 +92,11 @@ class TestMultiplicityFactor:
 
 
 class TestSymmetricFunctions:
+    @pytest.mark.parametrize("n,message", [(-1, "n must be non-negative"), (65, "exceeds supported degree 64")])
+    def test_h_complete_degree_guard(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            h_complete(n, [1.0, 2.0])
+
     def test_h_complete_known_values(self):
         assert h_complete(2, [1, 1]) == 3  # x^2, xy, y^2 at x=y=1
         assert h_complete(0, [5, 7]) == 1

@@ -36,6 +36,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="time must be positive and finite"):
             PolymerConfig(levels=1, time=time)
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: PolymerConfig(levels=1, time=1.0, replicas=1), "at least 2 replicas"),
+            (lambda: simulate_polymer(PolymerConfig(levels=1, time=1.0), max_moment=0), "max_moment must be >= 1"),
+            (lambda: polymer_moment_contour(2, 0, 1.0), "levels must be in"),
+            (lambda: polymer_moment_contour(2, MAX_LEVELS + 1, 1.0), "levels must be in"),
+        ],
+        ids=["replicas=1", "max_moment=0", "contour levels=0", "contour levels=65"],
+    )
+    def test_guards_refuse_by_name(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestContourMoments:
     @pytest.mark.parametrize("levels,t", [(1, 1.0), (3, 2.0), (10, 3.5), (30, 6.0)])

@@ -16,6 +16,7 @@ from shemom.she_moments import (
     dominant_term_log,
     erfc_reduction_oracle,
     heat_kernel,
+    moment,
     moment_contour,
     moment_gaussian_mc,
     moment_partition,
@@ -147,6 +148,19 @@ class TestReduceToOrigin:
         assert direct.value == pytest.approx(shifted, rel=1e-8)
 
 
+class TestFrontDoor:
+    def test_residue_route_shifted_to_X(self):
+        req = MomentRequest(2, 1.5, 0.8)
+        factor, _ = reduce_to_origin(req)
+        est = moment(req, "partition", 0, None)
+        assert est.meta["shift_factor"] == factor
+        assert est.value == factor * moment_partition(2, 1.5, seed=0).value
+
+    def test_unknown_route_refused(self):
+        with pytest.raises(ValueError, match="unknown moment route 'gaussian-mc'"):
+            moment(MomentRequest(2, 1.0), "gaussian-mc", 0, 2_000)
+
+
 class TestAnchorInvariance:
     @pytest.mark.parametrize("gap", [1.2, 2.0])
     def test_k2_value_stable(self, gap):
@@ -181,9 +195,28 @@ class TestContourGuard:
         # e^{i T alpha y} by more than pi, and the aliased sum once gave 3.6e151.
         # The last two cancel to round-off (1.7e-17 and 3.2e-17 where the moments
         # are 2e-35 and 2e-69); only the eps * sum |terms| part of the error bar
-        # covers them
+        # covers them.  Those two and (1, 0.01, 1) are correct on the default
+        # saddle anchors (TestSaddleAnchors), so they check the guard on the
+        # anchors centred on 0, where the sum still cancels
+        centred = (k, T, X) in {(1, 0.01, 1.0), (3, 1 / 6, 3.0), (1, 8.0, 50.0)}
         with pytest.raises(FloatingPointError, match=f"contour.*T={T}, X={X}"):
-            moment_contour(MomentRequest(k, T, X))
+            moment_contour(MomentRequest(k, T, X), anchors=default_anchors(k) if centred else None)
+
+
+class TestSaddleAnchors:
+    # the default anchors sit on the saddle -X/T; anchors centred on 0 cancel to
+    # round-off at each of these points and are refused
+    @pytest.mark.parametrize("T,X", [(0.01, 1.0), (8.0, 50.0)])
+    def test_k1_heat_kernel(self, T, X):
+        est = moment_contour(MomentRequest(1, T, X))
+        assert est.meta["anchors"] == [-X / T]
+        assert est.value == pytest.approx(heat_kernel(T, X), rel=1e-12)
+
+    @pytest.mark.parametrize("T,X", [(27.83, 30.0), (27.83, -30.0), (0.6, 10.0)])
+    def test_k2_erfc_oracle(self, T, X):
+        req = MomentRequest(2, T, X)
+        factor, _ = reduce_to_origin(req)
+        assert moment_contour(req).value == pytest.approx(factor * erfc_reduction_oracle(T), rel=1e-12)
 
 
 def _lu_matrix(ys: np.ndarray, parts: np.ndarray) -> np.ndarray:
