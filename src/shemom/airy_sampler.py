@@ -12,8 +12,14 @@ count at lambda_j -/+ delta must find exactly j and j - 1 eigenvalues above, for
 every j.  That places the full matrix's j-th eigenvalue within delta = 1e-11 of
 lambda_j (unscaled) and leaves no eigenvalue the block missed.  A replica that
 fails the count is redone on the full matrix, bit-identical to sampling without
-the window; so is every replica when n_eff >= N.  The count runs over a fixed
-chunk of replicas at once, so the result does not depend on the replica count.
+the window; so is every replica when n_eff >= N.
+
+The replicas run in equal chunks of at most _CHUNK, whose count is a multiple
+of the usable cores, on one worker thread per core.  ``dsterf`` is called
+through scipy's Cython LAPACK table by ctypes, which releases the GIL, so the
+chunks' LAPACK calls run at the same time.  The Sturm count is elementwise
+per replica, so the points do not depend on the replica count, the chunk size
+or the worker count.
 
 Functionals estimated here:
   * series_moment_mc  -- moments of S = sum_p E_p e^{C a_p} with i.i.d. Exp(1)
@@ -25,15 +31,19 @@ Functionals estimated here:
 
 from __future__ import annotations
 
+import ctypes
 import math
+import queue
+import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.linalg import eigvalsh_tridiagonal, lapack
+from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
 
 from .airy import edge_scale
+from .chunks import _run_chunks, _usable_cores
 from .combinatorics import h_complete
 
 __all__ = [
@@ -100,7 +110,39 @@ def _replica_rng(seed: int, replica: int, component: int = 0) -> np.random.Gener
 
 _WINDOW_MARGIN = 10.0  # rows beyond the m-th Airy zero, in units of n^(1/3)
 _CERT_TOL = 1e-11  # delta: absolute, on the unscaled eigenvalues
-_CHUNK = 128  # replicas per Sturm count; bounds its memory
+_CHUNK = 128  # most replicas per chunk; bounds the Sturm count's memory
+
+
+def _bind_dsterf():
+    """LAPACK dsterf from scipy.linalg.cython_lapack's table, as a ctypes function: the call drops the GIL."""
+    capsule = cython_lapack.__pyx_capi__["dsterf"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    signature = name.decode()
+    # the table spells double as the typedef d of cython_lapack.pxd, mangled
+    if not re.fullmatch(r"void \(int \*, (double|\w*cython_lapack_d) \*, \1 \*, int \*\)", signature):
+        raise ImportError(f"scipy.linalg.cython_lapack dsterf has signature {signature!r}, not (int*, d*, d*, int*)")
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )(capsule, name)
+    int_p = ctypes.POINTER(ctypes.c_int)
+    return ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p)(pointer)
+
+
+_DSTERF = _bind_dsterf()
+
+
+def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """Eigenvalues (increasing) of the tridiagonal (d, e) and LAPACK's info, as lapack.dsterf gives them.
+
+    dsterf overwrites its arguments, so it runs on copies and leaves d and e unchanged.
+    """
+    d = np.array(d, dtype=np.float64)
+    e = np.array(e, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (max(len(d) - 1, 0),):
+        raise ValueError("dsterf needs a diagonal of length n and an off-diagonal of length n - 1")
+    n, info = ctypes.c_int(len(d)), ctypes.c_int()
+    _DSTERF(ctypes.byref(n), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+    return d, info.value
 
 
 def _window(n: int, m: int) -> int:
@@ -109,8 +151,8 @@ def _window(n: int, m: int) -> int:
     return min(n, math.ceil(n ** (1.0 / 3.0) * (abs(a_m) + _WINDOW_MARGIN)))
 
 
-def _sturm_above(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Eigenvalues above each shift: counts[r, s] for the tridiagonal (diag[r], sqrt(off2[r])).
+def _sturm_above(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues above each shift: counts[r, s] for the tridiagonal (diag[r], off[r]).
 
     One pass of the LDL^T pivot recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1}
     over the rows, for all replicas and shifts at once; the negative pivots
@@ -122,7 +164,7 @@ def _sturm_above(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.n
     below = (q < 0).astype(np.intp)
     with np.errstate(divide="ignore"):
         for i in range(1, n):
-            q = diag[:, i, None] - shifts - off2[:, i - 1, None] / q
+            q = diag[:, i, None] - shifts - off[:, i - 1, None] ** 2 / q
             below += q < 0
     return n - below
 
@@ -132,42 +174,63 @@ def _certified_top(diag: np.ndarray, off: np.ndarray, window: int, m: int) -> tu
     top = np.empty((len(diag), m))
     ok = np.empty(len(diag), dtype=bool)
     for i in range(len(diag)):
-        vals, info = lapack.dsterf(diag[i, :window], off[i, : window - 1])
+        vals, info = _dsterf(diag[i, :window], off[i, : window - 1])
         top[i] = vals[window - m :][::-1]
         ok[i] = info == 0
-    above = _sturm_above(diag, off * off, np.hstack([top - _CERT_TOL, top + _CERT_TOL]))
+    above = _sturm_above(diag, off, np.hstack([top - _CERT_TOL, top + _CERT_TOL]))
     rank = np.arange(1, m + 1)
     ok &= np.all(above[:, :m] == rank, axis=1) & np.all(above[:, m:] == rank - 1, axis=1)
     return top, ok
 
 
 def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
-    """Draw scaled GUE edge samples; replica r is reproducible from (seed, r) alone."""
+    """Draw scaled GUE edge samples; replica r is reproducible from (seed, r) alone.
+
+    Each chunk draws its replicas, certifies them, redoes its own fallbacks
+    and writes its own rows of the result, so the points are bit-identical
+    for any worker count.
+    """
     n = config.matrix_size
     m = config.top_points
+    replicas = config.replicas
     scale = n ** (1.0 / 6.0)
     center = 2.0 * math.sqrt(n)
     window = _window(n, m)
-    out = np.empty((config.replicas, m))
-    fallbacks = 0
+    out = np.empty((replicas, m))
+    failed = np.zeros(replicas, dtype=bool)
     dof = np.arange(n - 1, 0, -1).astype(float)
-    for start in range(0, config.replicas, _CHUNK):
-        replicas = range(start, min(start + _CHUNK, config.replicas))
-        diag = np.empty((len(replicas), n))
-        off = np.empty((len(replicas), n - 1))
-        for i, r in enumerate(replicas):
-            rng = _replica_rng(config.seed, r)
-            diag[i] = rng.normal(size=n)
-            off[i] = np.sqrt(rng.gamma(shape=dof))
-        if window < n:
-            top, ok = _certified_top(diag, off, window, m)
-            fallbacks += int(np.count_nonzero(~ok))
-        else:
-            top, ok = np.empty((len(replicas), m)), np.zeros(len(replicas), dtype=bool)
-        for i in np.flatnonzero(~ok):
-            top[i] = eigvalsh_tridiagonal(diag[i], off[i], select="i", select_range=(n - m, n - 1))[::-1]
-        out[start : replicas.stop] = scale * (top - center)
-    return AirySampleSet(config, out, window, fallbacks)
+    workers = min(_usable_cores(), replicas)
+    # a multiple of the worker count of equal chunks, so every worker gets the same share
+    chunk = math.ceil(replicas / (workers * math.ceil(replicas / (workers * _CHUNK))))
+    starts = range(0, replicas, chunk)
+    workers = min(workers, len(starts))
+    # allocated here, not in the workers, whose malloc arenas would keep them after the call
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put((np.empty((chunk, n)), np.empty((chunk, n - 1))))
+
+    def run_chunk(start: int) -> None:
+        rows = range(start, min(start + chunk, replicas))
+        buffer_set = buffers.get()
+        try:
+            diag, off = (buffer[: len(rows)] for buffer in buffer_set)
+            for i, r in enumerate(rows):
+                rng = _replica_rng(config.seed, r)
+                diag[i] = rng.normal(size=n)
+                off[i] = np.sqrt(rng.gamma(shape=dof))
+            if window < n:
+                top, ok = _certified_top(diag, off, window, m)
+                failed[start : rows.stop] = ~ok
+            else:
+                top, ok = np.empty((len(rows), m)), np.zeros(len(rows), dtype=bool)
+            for i in np.flatnonzero(~ok):
+                top[i] = eigvalsh_tridiagonal(diag[i], off[i], select="i", select_range=(n - m, n - 1))[::-1]
+        finally:
+            buffers.put(buffer_set)
+        out[start : rows.stop] = scale * (top - center)
+
+    _run_chunks(run_chunk, starts, workers)
+    return AirySampleSet(config, out, window, int(np.count_nonzero(failed)))
 
 
 def _weights_exp(sample: AirySampleSet, C: float, k: int) -> np.ndarray:

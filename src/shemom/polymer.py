@@ -22,18 +22,16 @@ moments of the stochastic heat equation with delta initial data.
 
 from __future__ import annotations
 
-import contextvars
 import decimal
 import math
 import numbers
-import os
 import queue
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .chunks import _run_chunks, _usable_cores
 from .quadrature import check_nested, nested_contour_sum
 
 __all__ = [
@@ -188,37 +186,8 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     return PolymerMoments(means, errs, config)
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _chunk_rng(seed: int, first_path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, first_path)))
-
-
-def _run_chunks(run_chunk, starts: range, workers: int) -> None:
-    """Call run_chunk on every start: inline with one worker, else on a thread pool.
-
-    Each chunk runs in a copy of the caller's context, so it sees the caller's
-    np.errstate.  The first chunk to raise ends the call with its exception,
-    and so does an interrupt of the caller; either way the chunks not yet
-    started are cancelled.
-    """
-    if workers == 1:
-        for start in starts:
-            run_chunk(start)
-        return
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="shemom-polymer")
-    try:
-        futures = [pool.submit(contextvars.copy_context().run, run_chunk, start) for start in starts]
-        finished, _ = wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            if future in finished:
-                future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _drift_flow(levels: int, h: float) -> np.ndarray:

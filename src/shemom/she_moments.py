@@ -249,11 +249,14 @@ def moment(req: MomentRequest, method: str, seed: int, samples: int | None) -> M
     """E[Z(T,X)^k] by the route ``method`` of ROUTES; ``samples`` reaches gaussian_mc only.
 
     The residue-sum routes run at X = 0 and are shifted to req.X by
-    reduce_to_origin's factor, recorded as meta["shift_factor"].
+    reduce_to_origin's factor, recorded as meta["shift_factor"].  A factor
+    that underflows to 0 would report 0 +- 0, so it raises FloatingPointError.
     """
     if method == "contour":
         return moment_contour(req)
     factor, origin = reduce_to_origin(req)
+    if factor == 0.0:
+        raise FloatingPointError(f"shift factor exp(-kX^2/2T) underflows to 0 at T={req.T}, X={req.X}")
     if method == "partition":
         est = moment_partition(origin.k, origin.T, seed=seed)
     elif method == "gaussian_mc":

@@ -1,10 +1,13 @@
 """Airy point process sampler: reproducibility and agreement with analytic functionals."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, lapack
 
 from shemom import airy_sampler
 from shemom.airy import AiryConfig, fredholm_multiplicative, laplace_R
@@ -87,6 +90,31 @@ class TestSampling:
         monkeypatch.setattr(airy_sampler, "_CHUNK", 3)
         np.testing.assert_array_equal(sample_airy_points(cfg).points, whole.points)
 
+    @pytest.mark.parametrize(
+        "n,m,window",
+        [
+            (200, 8, None),  # certified blocks of 123 rows
+            (300, 8, lambda n, m: m + 4),  # every block fails the certificate and is redone
+            (100, 24, None),  # n_eff >= n: every replica on the full matrix
+        ],
+    )
+    def test_independent_of_worker_count(self, monkeypatch, n, m, window):
+        if window is not None:
+            monkeypatch.setattr(airy_sampler, "_window", window)
+        cfg = EnsembleConfig(n, m, 2 * airy_sampler._CHUNK + 5, seed=7)  # not a multiple of any chunk
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often: shared buffers would show
+        try:
+            for workers in (1, 3):
+                monkeypatch.setattr(airy_sampler, "_usable_cores", lambda w=workers: w)
+                runs.append(sample_airy_points(cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(runs[0].points, runs[1].points)
+        assert runs[0].full_matrix_fallbacks == runs[1].full_matrix_fallbacks
+        assert runs[0].full_matrix_fallbacks == (cfg.replicas if window is not None else 0)
+
     def test_top_point_tracy_widom(self, sample):
         top = sample.points[:, 0]
         se = top.std(ddof=1) / math.sqrt(len(top))
@@ -130,7 +158,53 @@ class TestCertificate:
         eigs = [eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)]
         shifts = rng.uniform(-4.0, 4.0, size=(3, 7))
         expected = [[np.count_nonzero(ev > x) for x in row] for ev, row in zip(eigs, shifts)]
-        np.testing.assert_array_equal(airy_sampler._sturm_above(diag, off**2, shifts), expected)
+        np.testing.assert_array_equal(airy_sampler._sturm_above(diag, off, shifts), expected)
+
+
+class TestDsterfBinding:
+    @pytest.mark.parametrize("n", [1, 2, 245, 309])
+    def test_matches_f2py_wrapper(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.normal(size=n)
+        e = np.sqrt(rng.gamma(shape=np.arange(n - 1, 0, -1).astype(float)))
+        d_in, e_in = d.copy(), e.copy()
+        vals, info = airy_sampler._dsterf(d, e)
+        ref_vals, ref_info = lapack.dsterf(d, e if n > 1 else np.zeros(1))  # f2py's e has at least one entry
+        assert np.array_equal(vals, ref_vals) and info == ref_info == 0
+        assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
+
+    def test_refuses_another_signature(self, monkeypatch):
+        # dgtsv's capsule, (int *, int *, d *, d *, d *, d *, int *, int *), under dsterf's name
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsterf", cython_lapack.__pyx_capi__["dgtsv"])
+        with pytest.raises(ImportError, match="dsterf has signature 'void \\(int \\*, int \\*, "):
+            airy_sampler._bind_dsterf()
+
+    def test_releases_the_gil(self):
+        # dsterf at n = 3000 takes about 0.2 s, and this thread must keep running while it does.  A
+        # wrapper that holds the GIL lets it run only in the interpreter's 5 ms switch slices at
+        # the two ends of the call: tens of thousands of loop iterations, none in the middle half
+        rng = np.random.default_rng(0)
+        d, e = rng.normal(size=3000), rng.uniform(0.5, 2.0, size=2999)
+        stamps = {}
+
+        def call():
+            stamps["start"] = time.perf_counter()
+            airy_sampler._dsterf(d, e)
+            stamps["end"] = time.perf_counter()
+
+        worker = threading.Thread(target=call)
+        seen = []  # this loop's clock, at most once a millisecond
+        worker.start()
+        while worker.is_alive():
+            if "start" in stamps:
+                now = time.perf_counter()
+                if not seen or now - seen[-1] > 1e-3:
+                    seen.append(now)
+        worker.join(timeout=10.0)
+        assert "end" in stamps
+        quarter = (stamps["end"] - stamps["start"]) / 4.0
+        middle = [t for t in seen if stamps["start"] + quarter < t < stamps["end"] - quarter]
+        assert len(middle) >= 5
 
 
 class TestFunctionals:

@@ -101,6 +101,20 @@ class TestExitCodes:
             assert out == ""
             assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moment", "partition", "--k", "2", "--t", "1", "--x", "30"],
+            ["xcheck", "--k", "5", "--t", "1", "--x", "30", "--samples", "2000"],
+        ],
+    )
+    def test_underflowed_shift_factor_refused(self, argv):
+        # exp(-k X^2 / 2T) is 0.0 here: the route would report 0 +- 0, and xcheck would compare 0 with 0
+        code, out, err = run_quiet(argv)
+        assert code == 1
+        assert out == ""
+        assert "numeric failure" in err and "underflows" in err and "T=1.0, X=30.0" in err
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time_is_config_error(self, capsys, t):
         assert main(["xcheck", "--k", "2", "--t", t]) == 1

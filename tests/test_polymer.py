@@ -2,7 +2,6 @@
 
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -189,45 +188,6 @@ class TestSimulation:
             sys.setswitchinterval(interval)
         assert np.array_equal(runs[0].values, runs[1].values)
         assert np.array_equal(runs[0].stderrs, runs[1].stderrs)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_chunk_ends_the_call(self, monkeypatch, workers):
-        # n = 1, 500 steps: chunks of 10_001 pairs, so 400_040 paths are 20 chunks
-        cfg = PolymerConfig(1, 1.0, 500, 400_040, seed=0)
-        make_rng, started = polymer._chunk_rng, []
-
-        def failing_rng(seed, first_path):
-            started.append(first_path)
-            if first_path == 2 * 10_001:
-                raise ArithmeticError("chunk 2 of 20")
-            return make_rng(seed, first_path)
-
-        monkeypatch.setattr(polymer, "_usable_cores", lambda: workers)
-        monkeypatch.setattr(polymer, "_chunk_rng", failing_rng)
-        with pytest.raises(ArithmeticError, match="chunk 2 of 20"):
-            simulate_polymer(cfg)
-        if workers == 1:
-            assert started == [0, 2 * 10_001]
-        else:
-            assert len(started) <= 5
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_chunks_see_callers_warning_filters_and_errstate(self, monkeypatch, workers):
-        make_rng = polymer._chunk_rng
-
-        def overflowing_rng(seed, first_path):
-            np.float64(1e308) * 10.0
-            return make_rng(seed, first_path)
-
-        monkeypatch.setattr(polymer, "_usable_cores", lambda: workers)
-        monkeypatch.setattr(polymer, "_chunk_rng", overflowing_rng)
-        cfg = PolymerConfig(2, 1.0, 500, 20_010, seed=0)  # three chunks
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeWarning, match="overflow"):
-                simulate_polymer(cfg)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            simulate_polymer(cfg)
 
 
 def _per_step_reference(config: PolymerConfig, max_moment: int):
