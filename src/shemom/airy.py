@@ -8,11 +8,14 @@ scale of the oscillation amplitude (|x|^{-1/4} for Ai, |x|^{1/4} for Ai').
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
+from .chunks import _run_chunks, _usable_cores
 from .combinatorics import Partition, enumerate_partitions, multiplicity_factor
 from .quadrature import cauchy_pair_det, gauss_hermite_cauchy, gauss_legendre_panels
 
@@ -35,6 +38,10 @@ __all__ = [
 # quadratures reach its far negative end
 _X_MIN = -600.0
 _X_MAX = 200.0
+
+# rows per laplace_R_mc chunk; each worker's buffers take 2n + 2 doubles a row
+# (1.2 MB at n = 8), and larger chunks were no faster
+_MC_CHUNK = 8192
 
 
 def _ai_both(x) -> tuple[np.ndarray, np.ndarray]:
@@ -117,9 +124,16 @@ def laplace_R_mc(c, samples: int, rng: np.random.Generator) -> tuple[float, floa
 
     R(c) = e^{sum c^3/12} prod_i (2 sqrt(pi) c_i^{3/2})^{-1}
            * E prod_{i<j} [(Z_i-Z_j)^2 + (c_i-c_j)^2/4] / [(Z_i-Z_j)^2 + (c_i+c_j)^2/4]
-    with Z_i independent N(0, 1/(2 c_i)), drawn in chunks of 50k rows.  The
-    constants are pinned by the n=1 closed form, which needs no draws.
+    with Z_i independent N(0, 1/(2 c_i)).  The constants are pinned by the
+    n=1 closed form, which needs no draws.
+
+    The samples run in chunks of ``_MC_CHUNK`` rows on the shared thread
+    pool.  The chunks take their normals from ``rng`` in turn, in chunk
+    order, so the draws, the estimate and the state ``rng`` is left in are
+    bit-identical for any worker count.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     c = np.asarray(c, dtype=float)
     n = len(c)
     # the Cauchy determinant carries prod_i 1/c_i; pref holds the rest
@@ -127,11 +141,38 @@ def laplace_R_mc(c, samples: int, rng: np.random.Generator) -> tuple[float, floa
     if n == 1:
         return pref / float(c[0]), 0.0
     sigma = 1.0 / np.sqrt(2.0 * c)
-    chunks = []
-    for start in range(0, samples, 50_000):
-        zs = rng.normal(0.0, 1.0, size=(min(50_000, samples - start), n)) * sigma[None, :]
-        chunks.append(cauchy_pair_det(zs.T, c))
-    dets = np.concatenate(chunks)
+    dets = np.empty(samples)
+    starts = range(0, samples, _MC_CHUNK)
+    workers = min(_usable_cores(), len(starts))
+    # allocated here, not in the workers, whose malloc arenas would keep them after the call:
+    # the draws, their scaled transpose and the determinant's two pair factors
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(tuple(np.empty(size) for size in (_MC_CHUNK * n, n * _MC_CHUNK, _MC_CHUNK, _MC_CHUNK)))
+    turn = threading.Condition()
+    next_draw = 0  # the start of the chunk whose turn it is to draw
+
+    def run_chunk(start: int) -> None:
+        nonlocal next_draw
+        rows = min(_MC_CHUNK, samples - start)
+        buffer_set = buffers.get()
+        try:
+            draw_buf, z_buf, d2, den = buffer_set
+            draws = draw_buf[: rows * n].reshape(rows, n)
+            with turn:
+                turn.wait_for(lambda: next_draw == start)
+                try:
+                    rng.standard_normal(out=draws)
+                finally:  # a failed draw still passes the turn on, so no chunk waits forever
+                    next_draw = start + rows
+                    turn.notify_all()
+            zs = z_buf[: n * rows].reshape(n, rows)
+            np.multiply(draws.T, sigma[:, None], out=zs)
+            cauchy_pair_det(zs, c, out=dets[start : start + rows], work=(d2[:rows], den[:rows]))
+        finally:
+            buffers.put(buffer_set)
+
+    _run_chunks(run_chunk, starts, workers)
     mean = float(np.mean(dets))
     se = float(np.std(dets, ddof=1) / math.sqrt(samples))
     return pref * mean, pref * se

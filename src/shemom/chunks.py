@@ -2,7 +2,9 @@
 
 ``simulate_polymer`` and ``sample_airy_points`` split their replicas into
 chunks that write disjoint rows of one result, so running the chunks at the
-same time leaves every value unchanged.  Most of their time goes to numpy
+same time leaves every value unchanged.  ``airy.laplace_R_mc`` does the same
+with its samples; its chunks share the caller's one generator, so they take
+their draws from it in turn, in chunk order.  Most of the time goes to numpy
 and LAPACK calls that release the GIL, so plain threads reach every core, and
 all memory stays in the calling process.
 """

@@ -74,21 +74,29 @@ def nested_contour_sum(zs: Sequence[np.ndarray], ws: Sequence[np.ndarray]) -> co
     return complex(np.sum(ws[0][:, None] * c02 * ((c01 * ws[1]) @ (c12 * ws[2]))))
 
 
-def cauchy_pair_det(ys: Sequence[np.ndarray], parts) -> np.ndarray:
+def cauchy_pair_det(ys: Sequence[np.ndarray], parts, out=None, work=(None, None)) -> np.ndarray:
     """det[1/(a_i - b_j)] for a_i = i y_i + p_i/2, b_j = i y_j - p_j/2, in closed form.
 
     Cauchy's formula makes the determinant real and positive:
     prod_i 1/p_i * prod_{i<j} (d^2 + ((p_i - p_j)/2)^2) / (d^2 + ((p_i + p_j)/2)^2)
     with d = y_i - y_j.  The ys[i] broadcast against each other, so sparse
-    meshgrid axes build each pair factor on its own plane.
+    meshgrid axes build each pair factor on its own plane.  A caller may pass
+    ``out`` for the result and ``work``, two arrays of the pair factors'
+    shape, for the factors; given all three, the call allocates nothing.  The
+    arithmetic is the closed form's, in its order, either way.
     """
     parts = np.asarray(parts, dtype=float)
-    shape = np.broadcast_shapes(*(np.shape(y) for y in ys))
-    out = np.full(shape, 1.0 / float(np.prod(parts)))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*(np.shape(y) for y in ys)))
+    out.fill(1.0 / float(np.prod(parts)))
+    d2_buf, den_buf = work
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            d2 = (ys[i] - ys[j]) ** 2
-            out *= (d2 + 0.25 * (parts[i] - parts[j]) ** 2) / (d2 + 0.25 * (parts[i] + parts[j]) ** 2)
+            d2 = np.square(np.subtract(ys[i], ys[j], out=d2_buf), out=d2_buf)
+            den = np.add(d2, 0.25 * (parts[i] + parts[j]) ** 2, out=den_buf)
+            d2 += 0.25 * (parts[i] - parts[j]) ** 2
+            d2 /= den
+            out *= d2
     return out
 
 

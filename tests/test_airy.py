@@ -1,12 +1,18 @@
 """Airy function, kernel, Laplace transforms, and Fredholm determinants vs oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
 from scipy import special
 
 from oracles import okounkov_numeric, okounkov_transform
+from shemom import airy
 from shemom.airy import (
     AiryConfig,
     _ai_both,
@@ -14,10 +20,12 @@ from shemom.airy import (
     fredholm_multiplicative,
     laplace_R,
     laplace_R_direct,
+    laplace_R_mc,
     moment_from_airy,
     tracy_widom_cdf,
     tracy_widom_mean_var,
 )
+from shemom.quadrature import cauchy_pair_det
 from shemom.she_moments import MomentRequest, erfc_reduction_oracle, moment_contour
 
 
@@ -132,6 +140,74 @@ class TestLaplaceR:
     def test_direct_refuses_bad_c(self, c):
         with pytest.raises(ValueError, match="c_i must be positive and finite"):
             laplace_R_direct(c)
+
+
+class TestLaplaceRMC:
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_refuses_too_few_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            laplace_R_mc([1.0, 0.8], samples, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("samples", [1000, 2 * airy._MC_CHUNK + 5, 200_000])
+    def test_matches_serial_route_for_any_worker_count(self, monkeypatch, n, samples):
+        c = np.linspace(0.6, 1.8, n)
+        # the serial route: every normal in one draw, every determinant in one call
+        ref_rng = np.random.default_rng(11)
+        zs = ref_rng.normal(0.0, 1.0, size=(samples, n)) * (1.0 / np.sqrt(2.0 * c))[None, :]
+        dets = cauchy_pair_det(zs.T, c)
+        pref = math.exp(float(np.sum(c**3) / 12.0)) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
+        ref = (pref * float(np.mean(dets)), pref * float(np.std(dets, ddof=1) / math.sqrt(samples)))
+        run_chunks = airy._run_chunks
+
+        def late_chunks(run_chunk, starts, workers):
+            # a worker held up between taking its chunk and starting it: the next chunk must still draw after it
+            def late(start):
+                time.sleep(start // airy._MC_CHUNK % 3 * 1e-3)
+                run_chunk(start)
+
+            run_chunks(late, starts, workers)
+
+        monkeypatch.setattr(airy, "_run_chunks", late_chunks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often: draws out of turn would show
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(airy, "_usable_cores", lambda w=workers: w)
+                rng = np.random.default_rng(11)
+                assert laplace_R_mc(c, samples, rng) == ref
+                # the routes draw their next partition's normals from the same generator
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failing_chunk_ends_the_call(self):
+        # in a child process, so that a deadlock fails the test instead of hanging the suite at exit
+        script = textwrap.dedent(
+            """
+            import itertools
+            import numpy as np
+            from shemom import airy
+
+            calls = itertools.count(1)
+            det = airy.cauchy_pair_det
+
+            def failing_det(*args, **kwargs):
+                if next(calls) == 2:
+                    raise ArithmeticError("second chunk")
+                return det(*args, **kwargs)
+
+            airy.cauchy_pair_det = failing_det
+            airy._usable_cores = lambda: 3
+            try:
+                airy.laplace_R_mc([1.0, 0.8, 0.6], 4 * airy._MC_CHUNK + 1, np.random.default_rng(0))  # 5 chunks
+            except ArithmeticError as exc:
+                print(exc)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=20, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "second chunk\n", "")
 
 
 class TestMomentFromAiry:

@@ -1,4 +1,4 @@
-"""The chunk runner shared by the polymer and GUE edge Monte Carlo routes."""
+"""The chunk runner shared by the polymer, GUE edge and residue-sum Monte Carlo routes."""
 
 import time
 import warnings

@@ -145,6 +145,30 @@ class TestCauchyPairDet:
         assert sparse.shape == (5, 5, 5)
         np.testing.assert_allclose(sparse.ravel(), cauchy_pair_det(dense.T, parts), rtol=1e-15)
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "sparse", "scalar"])
+    def test_bits_match_pair_ratio_expression(self, layout):
+        # the in-place loop must give the bits of the plain expression, on every layout its callers pass
+        parts = np.array([2.4, 0.9, 1.7, 0.9, 3.1])
+        draws = np.random.default_rng(6).normal(0.0, 1.0, size=(257, len(parts)))
+        if layout == "contiguous":
+            ys = np.ascontiguousarray(draws.T)
+        elif layout == "strided":
+            ys = draws.T
+        elif layout == "sparse":
+            ys = np.meshgrid(*(draws[:6, j] for j in range(len(parts))), indexing="ij", sparse=True)
+        else:
+            ys = draws[0]
+        ref = np.full(np.broadcast_shapes(*(np.shape(y) for y in ys)), 1.0 / float(np.prod(parts)))
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                d2 = (ys[i] - ys[j]) ** 2
+                ref *= (d2 + 0.25 * (parts[i] - parts[j]) ** 2) / (d2 + 0.25 * (parts[i] + parts[j]) ** 2)
+        np.testing.assert_array_equal(cauchy_pair_det(ys, parts), ref)
+        if layout in ("contiguous", "strided"):  # rows of one length: the caller's buffers serve every pair
+            out, work = np.empty(ref.shape), (np.empty(ref.shape), np.empty(ref.shape))
+            assert cauchy_pair_det(ys, parts, out=out, work=work) is out
+            np.testing.assert_array_equal(out, ref)
+
     def test_single_part(self):
         ys = [np.linspace(-1.0, 1.0, 7)]
         np.testing.assert_array_equal(cauchy_pair_det(ys, [4.0]), np.full(7, 0.25))

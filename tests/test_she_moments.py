@@ -263,6 +263,12 @@ class TestPartitionInternals:
         scaled = math.factorial(k) * math.exp(-k * T / 24.0) * airy_value
         assert moment_partition(k, T).value == pytest.approx(scaled, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("mc_samples", [0, 1])
+    def test_refuses_too_few_mc_samples(self, mc_samples):
+        # lambda = (1^5) is the first partition past laplace_R's n <= 4
+        with pytest.raises(ValueError, match="samples"):
+            moment_partition(5, 1.0, mc_samples=mc_samples)
+
     def test_error_bounds_truth_k2(self):
         est = moment_partition(2, 1.0)
         assert abs(est.value - erfc_reduction_oracle(1.0)) <= 10.0 * est.err
