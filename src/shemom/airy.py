@@ -91,13 +91,27 @@ def airy_kernel(x: float, y: float, form: str = "divided_difference") -> float:
 _R_GH_ORDER = {1: 160, 2: 96, 3: 48, 4: 28}
 
 
+def _exp_cubes(x: float, c) -> float:
+    """e^x for the exponent x = sum c^3/12 that R(c) carries; an overflow is refused by name."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise FloatingPointError(
+            f"R overflowed at c = {np.asarray(c).tolist()}: e^(sum c^3/12) = e^{x:.6g} exceeds the largest double"
+        ) from None
+
+
 def laplace_R(c, order: int | None = None, with_err: bool = False):
     """R(c_1, ..., c_n): the Laplace transform of the n-point Airy kernel determinant.
 
     Evaluated through the Gaussian form derived from the Okounkov identity by
-    tensor Gauss-Hermite, with the Cauchy-determinant constants pinned by the
-    n=1 closed form R(c) = e^{c^3/12} / (2 sqrt(pi) c^{3/2}).  The error is the
-    change from order halving.
+    tensor Gauss-Hermite (quadrature.gauss_hermite_cauchy), with the
+    Cauchy-determinant constants pinned by the n=1 closed form
+    R(c) = e^{c^3/12} / (2 sqrt(pi) c^{3/2}).  The error is the change from
+    order halving plus the round-off eps |R| (n * order + sum c^3/12): every
+    Gauss-Hermite term is positive, so the n * order roundings along the
+    longest chain of the nested sums bound the sum's, and sum c^3/12 bounds
+    the exponent's.  Raises FloatingPointError when e^{sum c^3/12} overflows.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim == 0:
@@ -110,13 +124,15 @@ def laplace_R(c, order: int | None = None, with_err: bool = False):
     if order is None:
         order = _R_GH_ORDER[n]
     if n == 1:
-        val = math.exp(float(c[0]) ** 3 / 12.0) / (2.0 * math.sqrt(math.pi) * float(c[0]) ** 1.5)
+        val = _exp_cubes(float(c[0]) ** 3 / 12.0, c) / (2.0 * math.sqrt(math.pi) * float(c[0]) ** 1.5)
         return (val, 0.0) if with_err else val
-    pref = math.exp(float(np.sum(c**3) / 12.0)) / (2.0 * math.pi) ** n
+    exponent = float(np.sum(c**3) / 12.0)
+    pref = _exp_cubes(exponent, c) / (2.0 * math.pi) ** n
     val = pref * gauss_hermite_cauchy(np.sqrt(c), c, order)
     if not with_err:
         return val
-    return val, abs(val - pref * gauss_hermite_cauchy(np.sqrt(c), c, max(8, order // 2)))
+    roundoff = np.finfo(float).eps * abs(val) * (n * order + exponent)
+    return val, abs(val - pref * gauss_hermite_cauchy(np.sqrt(c), c, max(8, order // 2))) + roundoff
 
 
 def laplace_R_mc(c, samples: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -130,14 +146,15 @@ def laplace_R_mc(c, samples: int, rng: np.random.Generator) -> tuple[float, floa
     The samples run in chunks of ``_MC_CHUNK`` rows on the shared thread
     pool.  The chunks take their normals from ``rng`` in turn, in chunk
     order, so the draws, the estimate and the state ``rng`` is left in are
-    bit-identical for any worker count.
+    bit-identical for any worker count.  Raises FloatingPointError when
+    e^{sum c^3/12} overflows.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     c = np.asarray(c, dtype=float)
     n = len(c)
     # the Cauchy determinant carries prod_i 1/c_i; pref holds the rest
-    pref = math.exp(float(np.sum(c**3) / 12.0)) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
+    pref = _exp_cubes(float(np.sum(c**3) / 12.0), c) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
     if n == 1:
         return pref / float(c[0]), 0.0
     sigma = 1.0 / np.sqrt(2.0 * c)

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chunks import _run_chunks, _usable_cores
-from .quadrature import check_nested, nested_contour_sum
+from .quadrature import check_nested, contour_cross, pairwise_tensor_sum
 
 __all__ = [
     "PolymerConfig",
@@ -232,7 +232,7 @@ def polymer_moment_contour(
     rings = [r * np.exp(1j * theta) for r in radii]
     # dz/(2 pi i) = z dtheta/(2 pi) on a circle, absorbed into per-axis weights
     wts = [np.exp(t * z) * z ** (1 - levels) / nodes for z in rings]
-    val = nested_contour_sum(rings, wts)
+    val = complex(pairwise_tensor_sum(wts, contour_cross(rings)))
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise RuntimeError(f"contour moment has spurious imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -1,9 +1,16 @@
-"""Truncation of vertical lines, Gauss rules, the nested-contour sum and the Cauchy-determinant kernel."""
+"""Truncation of vertical lines, cached Gauss rules, the pairwise tensor sum and the Cauchy-determinant kernel.
+
+pairwise_tensor_sum sums prod_a w_a prod_{a<b} P_ab over a tensor grid of
+k <= 4 axes by matrix products.  The two contour routes give it the pair
+factor contour_cross, gauss_hermite_cauchy the pair ratios of the Cauchy
+determinant, which cauchy_pair_det evaluates on the Monte Carlo R's samples.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -15,12 +22,20 @@ def default_halfwidth(decay_rate: float, tol: float = 1e-12) -> float:
     return math.sqrt(2.0 * math.log(1.0 / tol) / decay_rate) + 3.0
 
 
+@lru_cache(maxsize=64)
+def _rule(family, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of one Gauss rule, built once per order and shared read-only."""
+    nodes, weights = family(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre_panels(a: float, b: float, panel_width: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b] with panels of roughly panel_width."""
     if b <= a:
         raise ValueError("need b > a")
     npanels = max(1, int(math.ceil((b - a) / panel_width)))
-    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0, w0 = _rule(np.polynomial.legendre.leggauss, order)
     edges = np.linspace(a, b, npanels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -40,38 +55,51 @@ def check_nested(positions, k: int, name: str) -> np.ndarray:
     return p
 
 
-def contour_cross(za, zb):
-    """(z_a - z_b) / (z_a - z_b - 1), the pair factor of the nested-contour integrand; broadcasts."""
-    d = za - zb
-    return d / (d - 1.0)
+def contour_cross(zs: Sequence[np.ndarray]) -> Callable[[int, int], np.ndarray]:
+    """The pair factor of the nested-contour integrand on the nodes zs[a] of each axis, for pairwise_tensor_sum.
 
-
-def nested_contour_sum(zs: Sequence[np.ndarray], ws: Sequence[np.ndarray]) -> complex:
-    """sum over the tensor grid of prod_a ws[a] prod_{a<b} contour_cross(zs[a], zs[b]), for k = len(zs) <= 4.
-
-    zs[a] are the nodes of axis a and ws[a] their weights, each already holding
-    the quadrature weight times the route's exponential.  The grid is summed
-    by matrix products; no k-dimensional array is built.  At k = 4 each node
-    of axis 0 folds its pair factors into the weights of a k = 3 sum, so the
-    work is N^4 and the memory N^2.
+    pair(a, b) is the matrix (z_a - z_b) / (z_a - z_b - 1) over the nodes of axes a and b.
     """
-    k = len(zs)
-    if not 1 <= k <= 4 or len(ws) != k:
-        raise ValueError("nested_contour_sum needs 1 to 4 axes, one weight vector per node vector")
+
+    def pair(a: int, b: int) -> np.ndarray:
+        d = zs[a][:, None] - zs[b][None, :]
+        return d / (d - 1.0)
+
+    return pair
+
+
+def pairwise_tensor_sum(ws: Sequence[np.ndarray], pair: Callable[[int, int], np.ndarray]):
+    """sum over the tensor grid of prod_a ws[a] prod_{a<b} pair(a, b), for k = len(ws) <= 4 axes.
+
+    ws[a] are the weights of the nodes of axis a; pair(a, b), for a < b,
+    returns the matrix of the pair factor between the nodes of axes a (rows)
+    and b (columns).  The grid is summed by matrix products; no
+    k-dimensional array is built.  At k = 4 each node of axis 0 folds its
+    pair factors into the weights of a k = 3 sum, so the work is N^4 and the
+    memory N^2.  Returns a numpy scalar of the weights' dtype.
+    """
+    k = len(ws)
+    if not 1 <= k <= 4:
+        raise ValueError("pairwise_tensor_sum needs 1 to 4 axes")
     if k == 4:
-        c12, c13, c23 = (contour_cross(zs[a][:, None], zs[b][None, :]) for a, b in ((1, 2), (1, 3), (2, 3)))
-        u1, u2, u3 = (ws[a] * contour_cross(zs[0][:, None], zs[a][None, :]) for a in (1, 2, 3))
-        return complex(
-            sum(w0 * np.sum(u1[i][:, None] * c13 * ((c12 * u2[i]) @ (c23 * u3[i]))) for i, w0 in enumerate(ws[0]))
-        )
+        p12, p13, p23 = pair(1, 2), pair(1, 3), pair(2, 3)
+        u1, u2, u3 = (ws[a] * pair(0, a) for a in (1, 2, 3))
+        return sum(w0 * np.sum(u1[i][:, None] * p13 * ((p12 * u2[i]) @ (p23 * u3[i]))) for i, w0 in enumerate(ws[0]))
     if k == 1:
-        return complex(np.sum(ws[0]))
-    c01 = contour_cross(zs[0][:, None], zs[1][None, :])
+        return np.sum(ws[0])
+    p01 = pair(0, 1)
     if k == 2:
-        return complex(ws[0] @ c01 @ ws[1])
-    c02 = contour_cross(zs[0][:, None], zs[2][None, :])
-    c12 = contour_cross(zs[1][:, None], zs[2][None, :])
-    return complex(np.sum(ws[0][:, None] * c02 * ((c01 * ws[1]) @ (c12 * ws[2]))))
+        return ws[0] @ p01 @ ws[1]
+    return np.sum(ws[0][:, None] * pair(0, 2) * ((p01 * ws[1]) @ (pair(1, 2) * ws[2])))
+
+
+def _cauchy_ratio(ya, yb, pa, pb, out=None, work=None):
+    """(d^2 + ((pa - pb)/2)^2) / (d^2 + ((pa + pb)/2)^2) with d = ya - yb, into ``out`` with ``work`` if given."""
+    d2 = np.square(np.subtract(ya, yb, out=out), out=out)
+    den = np.add(d2, 0.25 * (pa + pb) ** 2, out=work)
+    d2 += 0.25 * (pa - pb) ** 2
+    d2 /= den
+    return d2
 
 
 def cauchy_pair_det(ys: Sequence[np.ndarray], parts, out=None, work=(None, None)) -> np.ndarray:
@@ -79,11 +107,11 @@ def cauchy_pair_det(ys: Sequence[np.ndarray], parts, out=None, work=(None, None)
 
     Cauchy's formula makes the determinant real and positive:
     prod_i 1/p_i * prod_{i<j} (d^2 + ((p_i - p_j)/2)^2) / (d^2 + ((p_i + p_j)/2)^2)
-    with d = y_i - y_j.  The ys[i] broadcast against each other, so sparse
-    meshgrid axes build each pair factor on its own plane.  A caller may pass
-    ``out`` for the result and ``work``, two arrays of the pair factors'
-    shape, for the factors; given all three, the call allocates nothing.  The
-    arithmetic is the closed form's, in its order, either way.
+    with d = y_i - y_j.  The ys[i] broadcast against each other; the Monte
+    Carlo R passes one row of samples per part.  A caller may pass ``out``
+    for the result and ``work``, two arrays of the pair factors' shape, for
+    the factors; given all three, the call allocates nothing.  The arithmetic
+    is the closed form's, in its order, either way.
     """
     parts = np.asarray(parts, dtype=float)
     if out is None:
@@ -92,21 +120,24 @@ def cauchy_pair_det(ys: Sequence[np.ndarray], parts, out=None, work=(None, None)
     d2_buf, den_buf = work
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            d2 = np.square(np.subtract(ys[i], ys[j], out=d2_buf), out=d2_buf)
-            den = np.add(d2, 0.25 * (parts[i] + parts[j]) ** 2, out=den_buf)
-            d2 += 0.25 * (parts[i] - parts[j]) ** 2
-            d2 /= den
-            out *= d2
+            out *= _cauchy_ratio(ys[i], ys[j], parts[i], parts[j], d2_buf, den_buf)
     return out
 
 
 def gauss_hermite_cauchy(scales, parts, order: int) -> float:
-    """int prod_j exp(-scales_j^2 y_j^2) cauchy_pair_det(y, parts) dy by tensor Gauss-Hermite."""
+    """int prod_j exp(-scales_j^2 y_j^2) cauchy_pair_det(y, parts) dy by tensor Gauss-Hermite.
+
+    The cached order-point Hermite rule is scaled onto each axis, and
+    pairwise_tensor_sum sums the grid with cauchy_pair_det's pair ratios as
+    the pair factor; the constant prod_j 1/parts_j divides the sum.
+    """
     if not 1 <= order <= 200:
         raise ValueError("Gauss-Hermite order must be in [1, 200]")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    ys = np.meshgrid(*(nodes / s for s in scales), indexing="ij", sparse=True)
-    integrand = cauchy_pair_det(ys, parts)
-    for w in np.meshgrid(*(weights / s for s in scales), indexing="ij", sparse=True):
-        integrand *= w
-    return float(np.sum(integrand))
+    nodes, weights = _rule(np.polynomial.hermite.hermgauss, order)
+    parts = np.asarray(parts, dtype=float)
+    ys = [nodes / s for s in scales]
+
+    def pair(a: int, b: int) -> np.ndarray:
+        return _cauchy_ratio(ys[a][:, None], ys[b][None, :], parts[a], parts[b])
+
+    return float(pairwise_tensor_sum([weights / s for s in scales], pair)) / float(np.prod(parts))

@@ -26,7 +26,7 @@ from scipy.special import erfc
 
 from .airy import _R_GH_ORDER, edge_scale, laplace_R, laplace_R_mc, residue_sum
 from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for callers of this module
-from .quadrature import check_nested, default_halfwidth, nested_contour_sum
+from .quadrature import check_nested, contour_cross, default_halfwidth, pairwise_tensor_sum
 
 __all__ = [
     "ROUTES",
@@ -112,7 +112,7 @@ def _contour_tensor_value(T, X, anchors, n, Y) -> tuple[complex, float]:
     zs = [a + 1j * y for a in anchors]
     with np.errstate(over="ignore", invalid="ignore"):
         ws = [w * np.exp((T / 2.0) * z * z + X * z) for z in zs]
-        value = nested_contour_sum(zs, ws) / (2.0 * math.pi) ** len(zs)
+        value = complex(pairwise_tensor_sum(ws, contour_cross(zs))) / (2.0 * math.pi) ** len(zs)
         scale = math.prod(float(np.sum(np.abs(wa))) for wa in ws) / (2.0 * math.pi) ** len(zs)
     if not (np.isfinite(value) and math.isfinite(scale)):
         raise FloatingPointError(f"contour route overflowed at T={T} with anchors {tuple(anchors)}")
@@ -124,7 +124,7 @@ def moment_contour(
 ) -> MomentEstimate:
     """E[Z(T,X)^k] for k <= 4 by the nested contour formula over ordered vertical lines.
 
-    A tensor trapezoid sum on every line (quadrature.nested_contour_sum); the
+    A tensor trapezoid sum on every line (quadrature.pairwise_tensor_sum); the
     default anchors are default_anchors(k) shifted onto the saddle -X/T, where
     the weights lose their X-dependent turn.  The error is the change from
     halving the nodes plus machine epsilon times the sum of |terms| (the

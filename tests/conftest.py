@@ -8,5 +8,5 @@ from shemom import she_moments
 @pytest.fixture
 def imaginary_residue(monkeypatch):
     """Make the contour kernel, as she_moments calls it, add an imaginary part 1e3 times the value."""
-    kernel = she_moments.nested_contour_sum
-    monkeypatch.setattr(she_moments, "nested_contour_sum", lambda zs, ws: kernel(zs, ws) * (1.0 + 1e3j))
+    kernel = she_moments.pairwise_tensor_sum
+    monkeypatch.setattr(she_moments, "pairwise_tensor_sum", lambda ws, pair: kernel(ws, pair) * (1.0 + 1e3j))

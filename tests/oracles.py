@@ -2,7 +2,8 @@
 
 partition_count checks combinatorics.enumerate_partitions, h_truncated and
 truncated_generating_check check combinatorics.h_complete in exact arithmetic,
-and the Okounkov pair checks the identity behind airy.laplace_R.
+the Okounkov pair checks the identity behind airy.laplace_R, and
+laplace_R_two_part checks laplace_R itself at n = 2.
 """
 
 import math
@@ -10,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfcx
 
 from shemom.airy import _ai_both
 from shemom.quadrature import gauss_legendre_panels
@@ -87,3 +89,20 @@ def okounkov_numeric(x: float, a: float, b: float) -> float:
     z_right = 14.0 - min(a, b)
     z, w = gauss_legendre_panels(z_left, z_right, 0.4, 12)
     return float(np.sum(w * np.exp(x * z) * _ai_both(z + a)[0] * _ai_both(z + b)[0]))
+
+
+def laplace_R_two_part(c1: float, c2: float) -> float:
+    """Closed form of R(c_1, c_2), the two-point Airy-kernel Laplace transform.
+
+    With S = c_1 + c_2, a = c_1 c_2 / S, alpha = (c_1 - c_2)/2 and
+    beta = (c_1 + c_2)/2, R = e^{(c_1^3 + c_2^3)/12} (2 pi)^-2 sqrt(pi/S) / (c_1 c_2)
+    * [sqrt(pi/a) - (beta^2 - alpha^2)(pi/beta) erfcx(beta sqrt(a))]: the
+    Gaussian form of R integrated in closed form.  For c_1 = c_2 the bracket
+    cancels to about 1/(2 beta^2 a) of its terms, so its round-off grows to
+    about 90 eps at c = (4, 4).
+    """
+    S = c1 + c2
+    a = c1 * c2 / S
+    alpha, beta = 0.5 * (c1 - c2), 0.5 * S
+    bracket = math.sqrt(math.pi / a) - (beta**2 - alpha**2) * (math.pi / beta) * erfcx(beta * math.sqrt(a))
+    return math.exp((c1**3 + c2**3) / 12.0) / (2.0 * math.pi) ** 2 * math.sqrt(math.pi / S) / (c1 * c2) * bracket

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from scipy import special
 
-from oracles import okounkov_numeric, okounkov_transform
+from oracles import laplace_R_two_part, okounkov_numeric, okounkov_transform
 from shemom import airy
 from shemom.airy import (
     AiryConfig,
     _ai_both,
     airy_kernel,
+    edge_scale,
     fredholm_multiplicative,
     laplace_R,
     laplace_R_direct,
@@ -25,6 +26,7 @@ from shemom.airy import (
     tracy_widom_cdf,
     tracy_widom_mean_var,
 )
+from shemom.combinatorics import enumerate_partitions
 from shemom.quadrature import cauchy_pair_det
 from shemom.she_moments import MomentRequest, erfc_reduction_oracle, moment_contour
 
@@ -127,6 +129,23 @@ class TestLaplaceR:
         val, err = laplace_R([1.0, 0.8], with_err=True)
         assert err >= 0.0
         assert err < 1e-6 * abs(val)
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    def test_two_parts_within_error_bar(self, T):
+        # every two-part term of the residue sum for k <= 8, against the closed form, at the bar itself:
+        # where order halving changes nothing, the round-off term alone must cover the error
+        C = edge_scale(T)
+        for lam in (lam for k in range(2, 9) for lam in enumerate_partitions(k) if lam.length == 2):
+            c = C * np.asarray(lam.parts, dtype=float)
+            val, err = laplace_R(c, with_err=True)
+            assert abs(val - laplace_R_two_part(*c)) <= err, lam.parts
+
+    @pytest.mark.parametrize("c", [[20.5], [30.0, 20.0], [13.0, 13.0, 13.0, 13.0]])
+    def test_overflow_refused_by_name(self, c):
+        # e^{sum c^3/12} beyond the largest double: both evaluators name R, c and the exponent
+        for R in (laplace_R, lambda c: laplace_R_mc(c, 1000, np.random.default_rng(0))):
+            with pytest.raises(FloatingPointError, match=r"R overflowed at c = \[.*\]: e\^\(sum c\^3/12\) = e\^"):
+                R(c)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -115,6 +118,20 @@ class TestExitCodes:
         assert out == ""
         assert "numeric failure" in err and "underflows" in err and "T=1.0, X=30.0" in err
 
+    @pytest.mark.parametrize(
+        "argv, parts",
+        [
+            (["moment", "partition", "--k", "2", "--t", "2140"], "[20.456182435393426]"),
+            (["airy", "laplace-r", "--c", "30", "20"], "[30.0, 20.0]"),
+        ],
+    )
+    def test_R_overflow_refused_by_name(self, argv, parts):
+        # e^{sum c^3/12} overflows inside R, although at k = 2, T = 2140 the moment itself fits in a double
+        code, out, err = run_quiet(argv)
+        assert code == 1
+        assert out == ""
+        assert f"numeric failure: R overflowed at c = {parts}: e^(sum c^3/12) = e^" in err
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time_is_config_error(self, capsys, t):
         assert main(["xcheck", "--k", "2", "--t", t]) == 1
@@ -206,6 +223,19 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert strip_timestamp(first) == strip_timestamp(second)
+
+    def test_partition_independent_of_blas_threads(self):
+        # the Gauss-Hermite sums of R are BLAS matrix products: the report must not depend on BLAS's thread count
+        argv = [sys.executable, "-m", "shemom.cli", "moment", "partition", "--k", "4", "--t", "0.5"]
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+            done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+            assert done.returncode == 0, done.stderr
+            report = json.loads(done.stdout)
+            report.pop("metadata")
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     def test_seed_changes_mc_output(self, capsys):
         base = ["moment", "gaussian-mc", "--k", "2", "--t", "1", "--samples", "5000"]

@@ -10,11 +10,13 @@ from numpy.polynomial.hermite import hermgauss
 
 from shemom.combinatorics import enumerate_partitions
 from shemom.quadrature import (
+    _rule,
     cauchy_pair_det,
+    contour_cross,
     default_halfwidth,
     gauss_hermite_cauchy,
     gauss_legendre_panels,
-    nested_contour_sum,
+    pairwise_tensor_sum,
 )
 
 
@@ -43,6 +45,17 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             gauss_hermite_cauchy([1.0], [1.0], 201)
 
+    def test_rules_are_shared_read_only(self):
+        # the cached Gauss rules are handed to every caller, so no caller may write to them
+        for family in (np.polynomial.hermite.hermgauss, np.polynomial.legendre.leggauss):
+            nodes, weights = _rule(family, 12)
+            assert _rule(family, 12)[0] is nodes
+            np.testing.assert_array_equal(nodes, family(12)[0])
+            np.testing.assert_array_equal(weights, family(12)[1])
+            for rule in (nodes, weights):
+                with pytest.raises(ValueError):
+                    rule[0] = 0.0
+
 
 class TestGaussLegendrePanels:
     def test_polynomial_exactness(self):
@@ -67,7 +80,17 @@ def cauchy_matrix(ys: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return 1.0 / (1j * (ys[..., :, None] - ys[..., None, :]) + 0.5 * (parts[:, None] + parts[None, :]))
 
 
-class TestNestedContourSum:
+def gauss_hermite_dense(scales, parts, order):
+    """gauss_hermite_cauchy's integral as a k-dimensional tensor: cauchy_pair_det on sparse meshgrid axes."""
+    nodes, weights = hermgauss(order)
+    ys = np.meshgrid(*(nodes / s for s in scales), indexing="ij", sparse=True)
+    integrand = cauchy_pair_det(ys, parts)
+    for w in np.meshgrid(*(weights / s for s in scales), indexing="ij", sparse=True):
+        integrand *= w
+    return float(np.sum(integrand))
+
+
+class TestPairwiseTensorSum:
     @settings(max_examples=60, deadline=None)
     @given(
         # k = 4 sums N^4 terms densely, so its axes stay short
@@ -80,7 +103,7 @@ class TestNestedContourSum:
     def test_matches_dense_grid(self, sizes, seed):
         rng = np.random.default_rng(seed)
         k = len(sizes)
-        # nodes on vertical lines whose real parts differ by more than 1, as the routes use
+        # contour pair factor: nodes on vertical lines whose real parts differ by more than 1, as the routes use
         zs = [1.5 * (k - a) + rng.uniform(-0.2, 0.2, n) + 1j * rng.normal(0.0, 2.0, n) for a, n in enumerate(sizes)]
         ws = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in sizes]
         grid = np.meshgrid(*zs, indexing="ij")
@@ -89,14 +112,21 @@ class TestNestedContourSum:
             for b in range(a + 1, k):
                 dense = dense * (grid[a] - grid[b]) / (grid[a] - grid[b] - 1.0)
         expected = complex(np.sum(dense))
-        assert abs(nested_contour_sum(zs, ws) - expected) <= 1e-12 * abs(expected)
+        assert abs(complex(pairwise_tensor_sum(ws, contour_cross(zs))) - expected) <= 1e-12 * abs(expected)
+        # any pair factor: positive random matrices, as the Cauchy pair ratios of Gauss-Hermite are
+        ws = [rng.uniform(0.1, 1.0, n) for n in sizes]
+        pairs = {(a, b): rng.uniform(0.1, 1.0, (sizes[a], sizes[b])) for a in range(k) for b in range(a + 1, k)}
+        dense = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0)
+        for (a, b), p in pairs.items():
+            dense = dense * np.expand_dims(p, [c for c in range(k) if c not in (a, b)])
+        expected = float(np.sum(dense))
+        assert float(pairwise_tensor_sum(ws, lambda a, b: pairs[a, b])) == pytest.approx(expected, rel=1e-13)
 
     def test_axis_count_guard(self):
         z = np.zeros(5, dtype=complex)
-        with pytest.raises(ValueError):
-            nested_contour_sum([z] * 5, [z] * 5)
-        with pytest.raises(ValueError):
-            nested_contour_sum([z, z], [z])
+        for k in (0, 5):
+            with pytest.raises(ValueError):
+                pairwise_tensor_sum([z] * k, contour_cross([z] * k))
 
 
 PARTITIONS = [lam.parts for k in range(1, 9) for lam in enumerate_partitions(k)]
@@ -186,3 +216,13 @@ class TestGaussHermiteCauchy:
         w = np.outer(weights / scales[0], weights / scales[1])
         lu = float(np.sum(w * np.linalg.det(cauchy_matrix(y, parts)).real))
         assert gauss_hermite_cauchy(scales, parts, 40) == pytest.approx(lu, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_tensor(self, n, seed):
+        # the matrix-product sum against every term of the n-dimensional grid, at the default orders of airy.laplace_R
+        rng = np.random.default_rng(seed)
+        scales, parts = rng.uniform(0.5, 2.5, n), rng.uniform(0.3, 6.0, n)
+        order = {2: 96, 3: 48, 4: 28}[n]
+        dense = gauss_hermite_dense(scales, parts, order)
+        assert abs(gauss_hermite_cauchy(scales, parts, order) - dense) <= 1e-13 * dense
