@@ -8,8 +8,6 @@ scale of the oscillation amplitude (|x|^{-1/4} for Ai, |x|^{1/4} for Ai').
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +38,8 @@ _X_MIN = -600.0
 _X_MAX = 200.0
 
 # rows per laplace_R_mc chunk; each worker's buffers take 2n + 2 doubles a row
-# (1.2 MB at n = 8), and larger chunks were no faster
+# (1.2 MB at n = 8), and larger chunks were no faster.  Each chunk draws from
+# its own spawned generator, so this size is part of the random stream.
 _MC_CHUNK = 8192
 
 
@@ -144,10 +143,10 @@ def laplace_R_mc(c, samples: int, rng: np.random.Generator) -> tuple[float, floa
     n=1 closed form, which needs no draws.
 
     The samples run in chunks of ``_MC_CHUNK`` rows on the shared thread
-    pool.  The chunks take their normals from ``rng`` in turn, in chunk
-    order, so the draws, the estimate and the state ``rng`` is left in are
-    bit-identical for any worker count.  Raises FloatingPointError when
-    e^{sum c^3/12} overflows.
+    pool.  Chunk i takes its normals from ``rng.spawn(chunks)[i]``, so the
+    estimate is bit-identical for any worker count, and the next call on
+    the same ``rng`` spawns fresh streams; ``rng``'s own state is not used.
+    Raises FloatingPointError when e^{sum c^3/12} overflows.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
@@ -160,36 +159,20 @@ def laplace_R_mc(c, samples: int, rng: np.random.Generator) -> tuple[float, floa
     sigma = 1.0 / np.sqrt(2.0 * c)
     dets = np.empty(samples)
     starts = range(0, samples, _MC_CHUNK)
-    workers = min(_usable_cores(), len(starts))
-    # allocated here, not in the workers, whose malloc arenas would keep them after the call:
-    # the draws, their scaled transpose and the determinant's two pair factors
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(tuple(np.empty(size) for size in (_MC_CHUNK * n, n * _MC_CHUNK, _MC_CHUNK, _MC_CHUNK)))
-    turn = threading.Condition()
-    next_draw = 0  # the start of the chunk whose turn it is to draw
+    streams = rng.spawn(len(starts))
+    # one set per worker: the draws, their scaled transpose and the determinant's two pair factors
+    sizes = (_MC_CHUNK * n, n * _MC_CHUNK, _MC_CHUNK, _MC_CHUNK)
+    buffer_sets = [tuple(np.empty(size) for size in sizes) for _ in range(min(_usable_cores(), len(starts)))]
 
-    def run_chunk(start: int) -> None:
-        nonlocal next_draw
+    def run_chunk(start: int, draw_buf, z_buf, d2, den) -> None:
         rows = min(_MC_CHUNK, samples - start)
-        buffer_set = buffers.get()
-        try:
-            draw_buf, z_buf, d2, den = buffer_set
-            draws = draw_buf[: rows * n].reshape(rows, n)
-            with turn:
-                turn.wait_for(lambda: next_draw == start)
-                try:
-                    rng.standard_normal(out=draws)
-                finally:  # a failed draw still passes the turn on, so no chunk waits forever
-                    next_draw = start + rows
-                    turn.notify_all()
-            zs = z_buf[: n * rows].reshape(n, rows)
-            np.multiply(draws.T, sigma[:, None], out=zs)
-            cauchy_pair_det(zs, c, out=dets[start : start + rows], work=(d2[:rows], den[:rows]))
-        finally:
-            buffers.put(buffer_set)
+        draws = draw_buf[: rows * n].reshape(rows, n)
+        streams[start // _MC_CHUNK].standard_normal(out=draws)
+        zs = z_buf[: n * rows].reshape(n, rows)
+        np.multiply(draws.T, sigma[:, None], out=zs)
+        cauchy_pair_det(zs, c, out=dets[start : start + rows], work=(d2[:rows], den[:rows]))
 
-    _run_chunks(run_chunk, starts, workers)
+    _run_chunks(run_chunk, starts, buffer_sets)
     mean = float(np.mean(dets))
     se = float(np.std(dets, ddof=1) / math.sqrt(samples))
     return pref * mean, pref * se
@@ -275,12 +258,18 @@ def fredholm_multiplicative(u: float, cfg: AiryConfig) -> float:
 
     phi(x) = u e^{Cx} / (1 + u e^{Cx}), on order-16 Gauss-Legendre panels of
     width 1 over [lo, 14]; lo = -10 - 2 log(1/u) / C for u < 1, so the left
-    tail of phi is below tolerance.
+    tail of phi is below tolerance.  A lo below the Airy window is refused
+    (ValueError) before any node is built.
     """
     if not (math.isfinite(u) and u > 0):
         raise ValueError("u must be positive and finite")
     C = cfg.C
-    x, w = gauss_legendre_panels(-10.0 - 2.0 * max(0.0, math.log(1.0 / u)) / C, 14.0, 1.0, 16)
+    lo = -10.0 - 2.0 * max(0.0, math.log(1.0 / u)) / C
+    if lo < _X_MIN:
+        raise ValueError(
+            f"u = {u:g} at T = {cfg.T:g} needs the left cutoff {lo:.6g}, below the Airy window [{_X_MIN}, {_X_MAX}]"
+        )
+    x, w = gauss_legendre_panels(lo, 14.0, 1.0, 16)
     return _fredholm_det(x, w, special.expit(C * x + math.log(u)))
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import queue
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -203,33 +202,25 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     # a multiple of the worker count of equal chunks, so every worker gets the same share
     chunk = math.ceil(replicas / (workers * math.ceil(replicas / (workers * _CHUNK))))
     starts = range(0, replicas, chunk)
-    workers = min(workers, len(starts))
-    # allocated here, not in the workers, whose malloc arenas would keep them after the call
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put((np.empty((chunk, n)), np.empty((chunk, n - 1))))
+    buffer_sets = [(np.empty((chunk, n)), np.empty((chunk, n - 1))) for _ in range(min(workers, len(starts)))]
 
-    def run_chunk(start: int) -> None:
+    def run_chunk(start: int, diag_buf, off_buf) -> None:
         rows = range(start, min(start + chunk, replicas))
-        buffer_set = buffers.get()
-        try:
-            diag, off = (buffer[: len(rows)] for buffer in buffer_set)
-            for i, r in enumerate(rows):
-                rng = _replica_rng(config.seed, r)
-                diag[i] = rng.normal(size=n)
-                off[i] = np.sqrt(rng.gamma(shape=dof))
-            if window < n:
-                top, ok = _certified_top(diag, off, window, m)
-                failed[start : rows.stop] = ~ok
-            else:
-                top, ok = np.empty((len(rows), m)), np.zeros(len(rows), dtype=bool)
-            for i in np.flatnonzero(~ok):
-                top[i] = eigvalsh_tridiagonal(diag[i], off[i], select="i", select_range=(n - m, n - 1))[::-1]
-        finally:
-            buffers.put(buffer_set)
+        diag, off = diag_buf[: len(rows)], off_buf[: len(rows)]
+        for i, r in enumerate(rows):
+            rng = _replica_rng(config.seed, r)
+            diag[i] = rng.normal(size=n)
+            off[i] = np.sqrt(rng.gamma(shape=dof))
+        if window < n:
+            top, ok = _certified_top(diag, off, window, m)
+            failed[start : rows.stop] = ~ok
+        else:
+            top, ok = np.empty((len(rows), m)), np.zeros(len(rows), dtype=bool)
+        for i in np.flatnonzero(~ok):
+            top[i] = eigvalsh_tridiagonal(diag[i], off[i], select="i", select_range=(n - m, n - 1))[::-1]
         out[start : rows.stop] = scale * (top - center)
 
-    _run_chunks(run_chunk, starts, workers)
+    _run_chunks(run_chunk, starts, buffer_sets)
     return AirySampleSet(config, out, window, int(np.count_nonzero(failed)))
 
 

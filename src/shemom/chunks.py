@@ -1,18 +1,18 @@
 """The thread pool that runs the Monte Carlo routes' independent chunks.
 
-``simulate_polymer`` and ``sample_airy_points`` split their replicas into
-chunks that write disjoint rows of one result, so running the chunks at the
-same time leaves every value unchanged.  ``airy.laplace_R_mc`` does the same
-with its samples; its chunks share the caller's one generator, so they take
-their draws from it in turn, in chunk order.  Most of the time goes to numpy
-and LAPACK calls that release the GIL, so plain threads reach every core, and
-all memory stays in the calling process.
+``simulate_polymer``, ``sample_airy_points`` and ``airy.laplace_R_mc`` split
+their work into chunks that each draw from their own generator and write
+disjoint rows of one result, so running the chunks at the same time leaves
+every value unchanged.  Most of the time goes to numpy and LAPACK calls that
+release the GIL, so plain threads reach every core, and all memory stays in
+the calling process.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
+import queue
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
 
@@ -22,21 +22,35 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunks(run_chunk, starts: range, workers: int) -> None:
-    """Call run_chunk on every start: inline with one worker, else on a thread pool.
+def _run_chunks(run_chunk, starts: range, buffer_sets: list) -> None:
+    """Call run_chunk(start, *buffers) on every start, one worker per buffer set.
 
-    Each chunk runs in a copy of the caller's context, so it sees the caller's
-    np.errstate.  The first chunk to raise ends the call with its exception,
-    and so does an interrupt of the caller; either way the chunks not yet
-    started are cancelled.
+    The caller allocates the buffer sets: buffers allocated in the workers
+    would stay in their malloc arenas after the call.  Each running chunk
+    holds a set that no other running chunk holds.  With one set the chunks
+    run inline, in order.  Each chunk runs in a copy of the caller's context,
+    so it sees the caller's np.errstate.  The first chunk to raise ends the
+    call with its exception, and so does an interrupt of the caller; either
+    way the chunks not yet started are cancelled.
     """
-    if workers == 1:
+    if len(buffer_sets) == 1:
         for start in starts:
-            run_chunk(start)
+            run_chunk(start, *buffer_sets[0])
         return
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="shemom-chunk")
+    free = queue.SimpleQueue()  # never empty when a chunk starts: there are as many sets as workers
+    for buffers in buffer_sets:
+        free.put(buffers)
+
+    def run_with_buffers(start: int) -> None:
+        buffers = free.get()
+        try:
+            run_chunk(start, *buffers)
+        finally:
+            free.put(buffers)
+
+    pool = ThreadPoolExecutor(len(buffer_sets), thread_name_prefix="shemom-chunk")
     try:
-        futures = [pool.submit(contextvars.copy_context().run, run_chunk, start) for start in starts]
+        futures = [pool.submit(contextvars.copy_context().run, run_with_buffers, start) for start in starts]
         finished, _ = wait(futures, return_when=FIRST_EXCEPTION)
         for future in futures:
             if future in finished:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import decimal
 import math
 import numbers
-import queue
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,49 +130,41 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     workers = min(_usable_cores(), len(starts))
     # the chunks in flight share one budget: each worker's draws and +- multipliers take 1/workers of it
     block = min(coarse_steps, max(1, _BUFFER_DOUBLES // workers // ((coarsen + 2) * n * chunk)))
-    # allocated here, not in the workers, whose malloc arenas would keep them after the call
-    buffers = queue.SimpleQueue()
     sizes = (block * coarsen * n * chunk, block * n * 2 * chunk, 2 * n * 2 * chunk)  # draws, +- multipliers, state
-    for _ in range(workers):
-        buffers.put(tuple(np.empty(size) for size in sizes))
+    buffer_sets = [tuple(np.empty(size) for size in sizes) for _ in range(workers)]
 
-    def run_chunk(start: int) -> None:
+    def run_chunk(start: int, draw_buf, mult_buf, state) -> None:
         c = min(chunk, pairs - start)
         rng = _chunk_rng(config.seed, 2 * start)
-        buffer_set = buffers.get()
-        try:
-            draw_buf, mult_buf, state = buffer_set
-            draws = draw_buf[: block * coarsen * n * c].reshape(block, coarsen, n, c)
-            mult = mult_buf[: block * n * 2 * c].reshape(block, n, 2 * c)
-            z, drifted = state[: 2 * n * 2 * c].reshape(2, n, 2 * c)
-            z.fill(0.0)
-            z[0] = 1.0
-            src = drifted if n > 1 else z  # at N = 1 the flow is the identity
-            flow = half
-            left = coarse_steps
-            while left:
-                b = min(left, block)
-                rng.standard_normal(out=draws[:b])
-                g = draws[:b, 0]
-                for j in range(1, coarsen):
-                    g += draws[:b, j]
-                g *= scale
-                np.subtract(g, h / 2.0, out=mult[:b, :, :c])
-                np.subtract(-h / 2.0, g, out=mult[:b, :, c:])
-                np.exp(mult[:b], out=mult[:b])
-                for row in mult[:b]:
-                    if n > 1:
-                        np.matmul(flow, z, out=drifted)
-                    np.multiply(src, row, out=z)
-                    flow = full
-                left -= b
-            top = (half[-1] @ z).reshape(2, c)
-        finally:
-            buffers.put(buffer_set)
+        draws = draw_buf[: block * coarsen * n * c].reshape(block, coarsen, n, c)
+        mult = mult_buf[: block * n * 2 * c].reshape(block, n, 2 * c)
+        z, drifted = state[: 2 * n * 2 * c].reshape(2, n, 2 * c)
+        z.fill(0.0)
+        z[0] = 1.0
+        src = drifted if n > 1 else z  # at N = 1 the flow is the identity
+        flow = half
+        left = coarse_steps
+        while left:
+            b = min(left, block)
+            rng.standard_normal(out=draws[:b])
+            g = draws[:b, 0]
+            for j in range(1, coarsen):
+                g += draws[:b, j]
+            g *= scale
+            np.subtract(g, h / 2.0, out=mult[:b, :, :c])
+            np.subtract(-h / 2.0, g, out=mult[:b, :, c:])
+            np.exp(mult[:b], out=mult[:b])
+            for row in mult[:b]:
+                if n > 1:
+                    np.matmul(flow, z, out=drifted)
+                np.multiply(src, row, out=z)
+                flow = full
+            left -= b
+        top = (half[-1] @ z).reshape(2, c)
         for k in range(1, max_moment + 1):
             vals[:, start : start + c, k - 1] = top**k
 
-    _run_chunks(run_chunk, starts, workers)
+    _run_chunks(run_chunk, starts, buffer_sets)
     plus, minus = vals[0], vals[1, : paths - pairs]
     means = (plus.sum(axis=0) + minus.sum(axis=0)) / paths
     units = plus - means  # each unit's summed residual

@@ -2,8 +2,9 @@
 
 partition_count checks combinatorics.enumerate_partitions, h_truncated and
 truncated_generating_check check combinatorics.h_complete in exact arithmetic,
-the Okounkov pair checks the identity behind airy.laplace_R, and
-laplace_R_two_part checks laplace_R itself at n = 2.
+the Okounkov pair checks the identity behind airy.laplace_R,
+laplace_R_two_part checks laplace_R itself at n = 2, and spawned_normals
+draws airy.laplace_R_mc's normals serially.
 """
 
 import math
@@ -13,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfcx
 
-from shemom.airy import _ai_both
+from shemom.airy import _MC_CHUNK, _ai_both
 from shemom.quadrature import gauss_legendre_panels
 
 
@@ -106,3 +107,10 @@ def laplace_R_two_part(c1: float, c2: float) -> float:
     alpha, beta = 0.5 * (c1 - c2), 0.5 * S
     bracket = math.sqrt(math.pi / a) - (beta**2 - alpha**2) * (math.pi / beta) * erfcx(beta * math.sqrt(a))
     return math.exp((c1**3 + c2**3) / 12.0) / (2.0 * math.pi) ** 2 * math.sqrt(math.pi / S) / (c1 * c2) * bracket
+
+
+def spawned_normals(rng: np.random.Generator, samples: int, n: int) -> np.ndarray:
+    """laplace_R_mc's (samples, n) standard normals in one serial pass: chunk i from rng.spawn(chunks)[i]."""
+    children = rng.spawn(-(-samples // _MC_CHUNK))
+    rows = [min(_MC_CHUNK, samples - i * _MC_CHUNK) for i in range(len(children))]
+    return np.concatenate([child.normal(0.0, 1.0, size=(r, n)) for child, r in zip(children, rows)])

@@ -5,13 +5,12 @@ import os
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
 from scipy import special
 
-from oracles import laplace_R_two_part, okounkov_numeric, okounkov_transform
+from oracles import laplace_R_two_part, okounkov_numeric, okounkov_transform, spawned_normals
 from shemom import airy
 from shemom.airy import (
     AiryConfig,
@@ -171,34 +170,35 @@ class TestLaplaceRMC:
     @pytest.mark.parametrize("samples", [1000, 2 * airy._MC_CHUNK + 5, 200_000])
     def test_matches_serial_route_for_any_worker_count(self, monkeypatch, n, samples):
         c = np.linspace(0.6, 1.8, n)
-        # the serial route: every normal in one draw, every determinant in one call
-        ref_rng = np.random.default_rng(11)
-        zs = ref_rng.normal(0.0, 1.0, size=(samples, n)) * (1.0 / np.sqrt(2.0 * c))[None, :]
+        # the serial route: each chunk's normals from its own spawned child, every determinant in one call
+        zs = spawned_normals(np.random.default_rng(11), samples, n) * (1.0 / np.sqrt(2.0 * c))[None, :]
         dets = cauchy_pair_det(zs.T, c)
         pref = math.exp(float(np.sum(c**3) / 12.0)) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
         ref = (pref * float(np.mean(dets)), pref * float(np.std(dets, ddof=1) / math.sqrt(samples)))
-        run_chunks = airy._run_chunks
-
-        def late_chunks(run_chunk, starts, workers):
-            # a worker held up between taking its chunk and starting it: the next chunk must still draw after it
-            def late(start):
-                time.sleep(start // airy._MC_CHUNK % 3 * 1e-3)
-                run_chunk(start)
-
-            run_chunks(late, starts, workers)
-
-        monkeypatch.setattr(airy, "_run_chunks", late_chunks)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more workers than cores, switching often: draws out of turn would show
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often: shared buffers would show
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(airy, "_usable_cores", lambda w=workers: w)
                 rng = np.random.default_rng(11)
                 assert laplace_R_mc(c, samples, rng) == ref
-                # the routes draw their next partition's normals from the same generator
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                # one child per chunk: the routes' next partition spawns fresh streams from the same generator
+                assert rng.bit_generator.seed_seq.n_children_spawned == -(-samples // airy._MC_CHUNK)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("T", [0.5, 2.0])
+    @pytest.mark.parametrize("parts", [(2, 1), (1, 1, 1), (2, 1, 1, 1)])
+    def test_agrees_with_gauss_hermite_R(self, parts, T):
+        # a stream fault, such as every chunk reusing one child, would shrink the standard error
+        c = edge_scale(T) * np.asarray(parts, dtype=float)
+        value, se = laplace_R_mc(c, 200_000, np.random.default_rng(np.random.SeedSequence(entropy=7)))
+        # at twice the default order the rule's own error is below 0.1 se; at the
+        # default order it reaches 1.5 se for (2, 1, 1, 1) at T = 0.5
+        truth = laplace_R(c, order=2 * airy._R_GH_ORDER[len(c)])
+        assert abs(value - truth) <= 4.0 * se, (value, se, truth)
+        if len(c) == 2:
+            assert abs(value - laplace_R_two_part(*c)) <= 4.0 * se
 
     def test_failing_chunk_ends_the_call(self):
         # in a child process, so that a deadlock fails the test instead of hanging the suite at exit

@@ -1,5 +1,8 @@
 """The chunk runner shared by the polymer, GUE edge and residue-sum Monte Carlo routes."""
 
+import itertools
+import sys
+import threading
 import time
 import warnings
 
@@ -21,7 +24,7 @@ class TestRunChunks:
             time.sleep(0.05)
 
         with pytest.raises(ArithmeticError, match="chunk 2 of 20"):
-            chunks._run_chunks(run_chunk, range(20), workers)
+            chunks._run_chunks(run_chunk, range(20), [()] * workers)
         if workers == 1:
             assert started == [0, 1]
         else:
@@ -35,6 +38,31 @@ class TestRunChunks:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning, match="overflow"):
-                chunks._run_chunks(overflowing_chunk, range(3), workers)
+                chunks._run_chunks(overflowing_chunk, range(3), [()] * workers)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            chunks._run_chunks(overflowing_chunk, range(3), workers)
+            chunks._run_chunks(overflowing_chunk, range(3), [()] * workers)
+
+    def test_running_chunks_never_share_a_buffer_set(self):
+        buffer_sets = [(np.empty(1),) for _ in range(3)]
+        lock = threading.Lock()
+        clock = itertools.count()
+        spans = []  # (set id, thread, entered, left) per chunk
+
+        def run_chunk(start, buffer):
+            with lock:
+                entered = next(clock)
+            time.sleep(start % 4 * 1e-3)  # uneven, so the chunks finish out of order
+            with lock:
+                spans.append((id(buffer), threading.get_ident(), entered, next(clock)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often: a shared set would show
+        try:
+            chunks._run_chunks(run_chunk, range(20), buffer_sets)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(spans) == 20
+        assert {s for s, *_ in spans} <= {id(b) for (b,) in buffer_sets}
+        for (set_a, _, in_a, out_a), (set_b, _, in_b, out_b) in itertools.combinations(spans, 2):
+            assert set_a != set_b or out_a < in_b or out_b < in_a  # one set, never two chunks in flight
+        assert len({thread for _, thread, *_ in spans}) <= 3

@@ -104,6 +104,15 @@ class TestExitCodes:
             assert out == ""
             assert message in err
 
+    @pytest.mark.parametrize("u,t", [("1e-300", "1e-6"), ("1e-3", "1e-6")])
+    def test_fredholm_cutoff_below_airy_window_refused(self, u, t):
+        # the left cutoff -10 - 2 log(1/u)/C falls below -600; it is refused before its nodes (2.8M at u = 1e-300) are built
+        code, out, err = run_quiet(["airy", "fredholm", "--u", u, "--t", t])
+        assert code == 1
+        assert out == ""
+        assert f"u = {float(u):g} at T = {float(t):g}" in err and "below the Airy window" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+from oracles import spawned_normals
 from shemom.airy import AiryConfig, moment_from_airy
 from shemom.combinatorics import enumerate_partitions, multiplicity_factor
 from shemom.she_moments import (
@@ -247,7 +248,7 @@ class TestPartitionInternals:
                 w = np.prod([g.ravel() for g in wgrids], axis=0)
                 term = norm * float(np.sum(w * np.linalg.det(_lu_matrix(ys, parts)).real))
             else:
-                ys = rng.normal(0.0, 1.0, size=(samples, lam.length)) / np.sqrt(2.0 * decay)
+                ys = spawned_normals(rng, samples, lam.length) / np.sqrt(2.0 * decay)
                 envelope = float(np.prod(np.sqrt(math.pi / decay)))
                 term = norm * envelope * float(np.mean(np.linalg.det(_lu_matrix(ys, parts)).real))
             total += multiplicity_factor(lam) * term
