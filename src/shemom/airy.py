@@ -257,19 +257,25 @@ def fredholm_multiplicative(u: float, cfg: AiryConfig) -> float:
     """E prod_p (1 + u e^{C a_p})^{-1} over the Airy points, as det(I - sqrt(phi) K sqrt(phi)).
 
     phi(x) = u e^{Cx} / (1 + u e^{Cx}), on order-16 Gauss-Legendre panels of
-    width 1 over [lo, 14]; lo = -10 - 2 log(1/u) / C for u < 1, so the left
-    tail of phi is below tolerance.  A lo below the Airy window is refused
-    (ValueError) before any node is built.
+    width 2 over [lo, 14].  Below lo, phi K_Ai(x, x) < u e^{Cx} sqrt|x| / pi,
+    so the dropped tail is about u e^{C lo} sqrt|lo| / (pi C); lo <= -10 holds
+    it to 1e-15 min(1, u).  A lo below the Airy window is refused (ValueError)
+    before any node is built.
     """
     if not (math.isfinite(u) and u > 0):
         raise ValueError("u must be positive and finite")
     C = cfg.C
-    lo = -10.0 - 2.0 * max(0.0, math.log(1.0 / u)) / C
+    # L = -lo solves C L - log(sqrt L) = log(max(1, u) / (1e-15 pi C)); the fixed-point map contracts by 1/(2 C L)
+    target = math.log(max(1.0, u) / (1e-15 * math.pi * C))
+    L = max(10.0, target / C)
+    for _ in range(4):
+        L = max(10.0, (target + 0.5 * math.log(L)) / C)
+    lo = -L
     if lo < _X_MIN:
         raise ValueError(
             f"u = {u:g} at T = {cfg.T:g} needs the left cutoff {lo:.6g}, below the Airy window [{_X_MIN}, {_X_MAX}]"
         )
-    x, w = gauss_legendre_panels(lo, 14.0, 1.0, 16)
+    x, w = gauss_legendre_panels(lo, 14.0, 2.0, 16)
     return _fredholm_det(x, w, special.expit(C * x + math.log(u)))
 
 

@@ -6,13 +6,18 @@ tridiagonal beta=2 ensemble (diagonal N(0,1), off-diagonal chi with decreasing
 degrees of freedom; Dumitriu & Edelman, J. Math. Phys. 2002).
 
 Its top eigenvectors live in the leading rows, so each replica takes its top m
-eigenvalues from the leading n_eff x n_eff block, n_eff = N^(1/3)(|a_m| + 10)
-with a_m the m-th Airy zero, and then proves them on the full matrix: a Sturm
-count at lambda_j -/+ delta must find exactly j and j - 1 eigenvalues above, for
-every j.  That places the full matrix's j-th eigenvalue within delta = 1e-11 of
-lambda_j (unscaled) and leaves no eigenvalue the block missed.  A replica that
-fails the count is redone on the full matrix, bit-identical to sampling without
-the window; so is every replica when n_eff >= N.
+eigenvalues from the leading n_eff x n_eff block and then proves them on the
+full matrix.  The block ends where an eigenvector at the m-th Airy zero a_m has
+decayed as much as over 9 N^(1/3) rows past its turning point in the linear
+band edge of the N -> oo limit (_window): 214 rows at (N, m) = (400, 24) and
+281 at (800, 24).  A Sturm count at lambda_j -/+ delta must find exactly j and
+j - 1 eigenvalues above, for every j.  That places the full matrix's j-th
+eigenvalue within delta = 1e-11 of lambda_j (unscaled) and leaves no eigenvalue
+the block missed.  The count stops at the row past which Gershgorin's bound
+proves every pivot negative (_sturm_above), about 40% and 53% of the rows at
+N = 800 and 400.  A replica that fails the count is redone on the full matrix,
+bit-identical to sampling without the window; so is every replica when
+n_eff >= N.
 
 The replicas run in equal chunks of at most _CHUNK, whose count is a multiple
 of the usable cores, on one worker thread per core.  ``dsterf`` is called
@@ -107,7 +112,10 @@ def _replica_rng(seed: int, replica: int, component: int = 0) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, replica, component)))
 
 
-_WINDOW_MARGIN = 10.0  # rows beyond the m-th Airy zero, in units of n^(1/3)
+# the block's decay, in scaled rows of the limit's linear band edge (_window).  Of 10 000
+# replicas, none fell back to the full matrix at (n, m) = (400, 24) or (800, 24), 5 at (800, 1)
+# and 1 at (800, 8); the linear rule n^(1/3)(|a_m| + 7) left 6 of 20 at (800, 1)
+_WINDOW_MARGIN = 9.0
 _CERT_TOL = 1e-11  # delta: absolute, on the unscaled eigenvalues
 _CHUNK = 128  # most replicas per chunk; bounds the Sturm count's memory
 
@@ -145,30 +153,75 @@ def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _window(n: int, m: int) -> int:
-    """Rows n_eff of the leading block that holds the top m eigenvalues."""
-    a_m = special.ai_zeros(m)[0][-1]
-    return min(n, math.ceil(n ** (1.0 / 3.0) * (abs(a_m) + _WINDOW_MARGIN)))
+    """Rows n_eff of the leading block that holds the top m eigenvalues.
+
+    Row w's band edge 2 sqrt(n - w) lies V(w) = n^(1/6) (2 sqrt(n) - 2 sqrt(n - w))
+    below the spectral edge in the edge scaling, and x = w / n^(1/3) is the scaled
+    row.  An eigenvector at the m-th Airy zero a_m decays past its turning point
+    V = |a_m| like exp(-int sqrt(V - |a_m|) dx) (WKB).  With N = n^(2/3),
+    s = sqrt(1 - w / n) and s_0 = 1 - |a_m| / (2N) at the turning point, the
+    exponent is (2N)^(3/2) t^(3/2) (2/3 s_0 - 2/5 t) for t = s_0 - s >= 0, and
+    the block ends where it reaches (2/3) _WINDOW_MARGIN^(3/2): the decay over
+    _WINDOW_MARGIN scaled rows of the linear band edge of the n -> oo limit.
+    """
+    N = n ** (2.0 / 3.0)
+    s_0 = 1.0 - abs(special.ai_zeros(m)[0][-1]) / (2.0 * N)
+    t = np.clip(s_0 - np.sqrt(1.0 - np.arange(n + 1) / n), 0.0, None)
+    decay = (2.0 * N) ** 1.5 * t**1.5 * (2.0 / 3.0 * s_0 - 0.4 * t)
+    reached = np.flatnonzero(decay >= 2.0 / 3.0 * _WINDOW_MARGIN**1.5)
+    return int(reached[0]) if len(reached) else n
 
 
-def _sturm_above(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _sturm_above(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Eigenvalues above each shift: counts[r, s] for the tridiagonal (diag[r], off[r]).
 
-    One pass of the LDL^T pivot recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1}
-    over the rows, for all replicas and shifts at once; the negative pivots
-    count the eigenvalues below x.  A zero pivot makes the next one -inf, which
+    The LDL^T pivot recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1} runs over
+    the rows, for all replicas and shifts at once; the negative pivots count
+    the eigenvalues below x.  A zero pivot makes the next one -inf, which
     counts as LAPACK's -pivmin substitution does.
+
+    The pass stops early when Gershgorin settles the remaining rows.  If every
+    row i >= r has d_i + |e_{i-1}| + |e_i| < x - slack and q_{r-1} < -|e_{r-1}|,
+    then q_i <= d_i - x + |e_{i-1}| < -|e_i| for every i >= r, by induction, so
+    each of those rows counts once below x.  The slack, 1e-9 of the entries'
+    and shifts' magnitude, is far above the recurrence's round-off, so the
+    rounded pivots obey the same bound and the counts equal the full pass's.
+    The pass runs to the stop row, one past the last row of the chunk whose
+    Gershgorin upper edge reaches its replica's smallest shift minus the slack,
+    and on from there until the pivot condition holds.  scratch is a (chunk, n)
+    array with at least as many rows as diag; it is overwritten.
     """
     n = diag.shape[1]
+    slack = 1e-9 * (
+        1.0
+        + np.abs(shifts).max()
+        + max(diag.max(), -diag.min())
+        + 4.0 * max(off.max(initial=0.0), -off.min(initial=0.0))
+    )
+    flat = scratch.reshape(-1)[: diag.size]
+    edge = flat.reshape(diag.shape)  # edge[r, i] = d_i + |e_{i-1}| + |e_i| - (min_s x_rs - slack)
+    edge[:, 0] = 0.0
+    np.abs(off, out=edge[:, 1:])
+    np.add(flat[:-1], flat[1:], out=flat[:-1])  # a row's last entry adds the next row's leading 0
+    edge += diag
+    edge -= (shifts.min(axis=1) - slack)[:, None]
+    reached = np.flatnonzero(~(edge.max(axis=0) < 0.0))  # ~(... < 0) keeps a nan row
+    stop = reached[-1] + 1 if len(reached) else 0
+
     q = diag[:, :1] - shifts
     below = (q < 0).astype(np.intp)
     with np.errstate(divide="ignore"):
         for i in range(1, n):
+            if i >= stop and np.all(q < -np.abs(off[:, i - 1, None])):
+                return i - below  # the n - i rows not run are all below
             q = diag[:, i, None] - shifts - off[:, i - 1, None] ** 2 / q
             below += q < 0
     return n - below
 
 
-def _certified_top(diag: np.ndarray, off: np.ndarray, window: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _certified_top(
+    diag: np.ndarray, off: np.ndarray, window: int, m: int, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Top m eigenvalues (decreasing) of each leading block, and whether the full matrix confirms them."""
     top = np.empty((len(diag), m))
     ok = np.empty(len(diag), dtype=bool)
@@ -176,7 +229,7 @@ def _certified_top(diag: np.ndarray, off: np.ndarray, window: int, m: int) -> tu
         vals, info = _dsterf(diag[i, :window], off[i, : window - 1])
         top[i] = vals[window - m :][::-1]
         ok[i] = info == 0
-    above = _sturm_above(diag, off, np.hstack([top - _CERT_TOL, top + _CERT_TOL]))
+    above = _sturm_above(diag, off, np.hstack([top - _CERT_TOL, top + _CERT_TOL]), scratch)
     rank = np.arange(1, m + 1)
     ok &= np.all(above[:, :m] == rank, axis=1) & np.all(above[:, m:] == rank - 1, axis=1)
     return top, ok
@@ -202,9 +255,11 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     # a multiple of the worker count of equal chunks, so every worker gets the same share
     chunk = math.ceil(replicas / (workers * math.ceil(replicas / (workers * _CHUNK))))
     starts = range(0, replicas, chunk)
-    buffer_sets = [(np.empty((chunk, n)), np.empty((chunk, n - 1))) for _ in range(min(workers, len(starts)))]
+    buffer_sets = [
+        (np.empty((chunk, n)), np.empty((chunk, n - 1)), np.empty((chunk, n))) for _ in range(min(workers, len(starts)))
+    ]
 
-    def run_chunk(start: int, diag_buf, off_buf) -> None:
+    def run_chunk(start: int, diag_buf, off_buf, scratch) -> None:
         rows = range(start, min(start + chunk, replicas))
         diag, off = diag_buf[: len(rows)], off_buf[: len(rows)]
         for i, r in enumerate(rows):
@@ -212,7 +267,7 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
             diag[i] = rng.normal(size=n)
             off[i] = np.sqrt(rng.gamma(shape=dof))
         if window < n:
-            top, ok = _certified_top(diag, off, window, m)
+            top, ok = _certified_top(diag, off, window, m, scratch)
             failed[start : rows.stop] = ~ok
         else:
             top, ok = np.empty((len(rows), m)), np.zeros(len(rows), dtype=bool)

@@ -3,8 +3,9 @@
 partition_count checks combinatorics.enumerate_partitions, h_truncated and
 truncated_generating_check check combinatorics.h_complete in exact arithmetic,
 the Okounkov pair checks the identity behind airy.laplace_R,
-laplace_R_two_part checks laplace_R itself at n = 2, and spawned_normals
-draws airy.laplace_R_mc's normals serially.
+laplace_R_two_part checks laplace_R itself at n = 2, spawned_normals
+draws airy.laplace_R_mc's normals serially, and sturm_above_full is the
+Sturm count of airy_sampler._sturm_above without its early stop.
 """
 
 import math
@@ -114,3 +115,15 @@ def spawned_normals(rng: np.random.Generator, samples: int, n: int) -> np.ndarra
     children = rng.spawn(-(-samples // _MC_CHUNK))
     rows = [min(_MC_CHUNK, samples - i * _MC_CHUNK) for i in range(len(children))]
     return np.concatenate([child.normal(0.0, 1.0, size=(r, n)) for child, r in zip(children, rows)])
+
+
+def sturm_above_full(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues above each shift, by the LDL^T pivot recurrence over every row of every replica."""
+    n = diag.shape[1]
+    q = diag[:, :1] - shifts
+    below = (q < 0).astype(np.intp)
+    with np.errstate(divide="ignore"):
+        for i in range(1, n):
+            q = diag[:, i, None] - shifts - off[:, i - 1, None] ** 2 / q
+            below += q < 0
+    return n - below

@@ -287,6 +287,22 @@ class TestFredholm:
         with pytest.raises(ValueError):
             fredholm_multiplicative(-1.0, cfg)
 
+    @pytest.mark.parametrize(
+        "u,T,converged",
+        [
+            (0.1, 2.0, 0.9711177275),
+            (1.0, 2.0, 0.7906900995),
+            (10.0, 2.0, 0.2897556987),
+            (1e3, 2.0, 4.301891575e-5),
+            (1.0, 0.5, 0.6219147639),
+            (1.0, 0.05, 0.2167034292),
+        ],
+    )
+    def test_left_cutoff_converged(self, u, T, converged):
+        # converged: width-1 panels from x = -200 (-300 at T = 0.05), where u e^{Cx} is below 1e-38.  A cutoff
+        # at -10 - 2 log(1/u)+/C was off by 4.8e-5 at (1, 2), 5% at (1e3, 2) and 23% at (1, 0.05)
+        assert fredholm_multiplicative(u, AiryConfig.from_T(T)) == pytest.approx(converged, rel=1e-9)
+
 
 class TestTracyWidom:
     def test_cdf_monotone(self):

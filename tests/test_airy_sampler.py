@@ -7,8 +7,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, lapack
 
+from oracles import sturm_above_full
 from shemom import airy_sampler
 from shemom.airy import AiryConfig, fredholm_multiplicative, laplace_R
 from shemom.airy_sampler import (
@@ -93,7 +95,7 @@ class TestSampling:
     @pytest.mark.parametrize(
         "n,m,window",
         [
-            (200, 8, None),  # certified blocks of 123 rows
+            (200, 8, None),  # certified blocks of 108 rows
             (300, 8, lambda n, m: m + 4),  # every block fails the certificate and is redone
             (100, 24, None),  # n_eff >= n: every replica on the full matrix
         ],
@@ -139,8 +141,14 @@ class TestCertificate:
             assert np.abs(sam.points - ref).max() <= airy_sampler._CERT_TOL * n ** (1.0 / 6.0)
 
     def test_window_sizes(self):
-        assert airy_sampler._window(400, 24) == 245
-        assert airy_sampler._window(800, 24) == 309
+        assert airy_sampler._window(400, 24) == 214
+        assert airy_sampler._window(800, 24) == 281
+
+    def test_window_tends_to_row_margin(self):
+        # far from the band's curvature the WKB decay is that of _WINDOW_MARGIN scaled rows past |a_m|
+        n, a_24 = 10**6, abs(special.ai_zeros(24)[0][-1])
+        linear = n ** (1.0 / 3.0) * (a_24 + airy_sampler._WINDOW_MARGIN)
+        assert abs(airy_sampler._window(n, 24) / linear - 1.0) < 1e-3
 
     def test_too_small_window_falls_back(self, monkeypatch):
         # a block of m + 4 rows misses the top eigenvalues by far more than delta
@@ -158,11 +166,54 @@ class TestCertificate:
         eigs = [eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)]
         shifts = rng.uniform(-4.0, 4.0, size=(3, 7))
         expected = [[np.count_nonzero(ev > x) for x in row] for ev, row in zip(eigs, shifts)]
-        np.testing.assert_array_equal(airy_sampler._sturm_above(diag, off, shifts), expected)
+        np.testing.assert_array_equal(airy_sampler._sturm_above(diag, off, shifts, np.empty_like(diag)), expected)
+
+    @staticmethod
+    def sampler_chunk(n, seed, replicas=64, m=24):
+        """A chunk as sample_airy_points certifies it: the draws and the shifts lambda_j -/+ delta of each block."""
+        window = airy_sampler._window(n, m)
+        dof = np.arange(n - 1, 0, -1).astype(float)
+        diag, off, top = np.empty((replicas, n)), np.empty((replicas, n - 1)), np.empty((replicas, m))
+        for r in range(replicas):
+            rng = airy_sampler._replica_rng(seed, r)
+            diag[r] = rng.normal(size=n)
+            off[r] = np.sqrt(rng.gamma(shape=dof))
+            top[r] = airy_sampler._dsterf(diag[r, :window], off[r, : window - 1])[0][-m:][::-1]
+        return diag, off, np.hstack([top - airy_sampler._CERT_TOL, top + airy_sampler._CERT_TOL])
+
+    @pytest.mark.parametrize("n", [400, 800])
+    @pytest.mark.parametrize("case", ["sampler", "perturbed", "lower_edge"])
+    def test_early_stop_matches_full_pass(self, n, case):
+        diag, off, shifts = self.sampler_chunk(n, seed=n + 1)
+        if case == "perturbed":
+            # shifts off the eigenvalues by N(0, 0.3^2): some certificates fail
+            shifts = shifts + np.random.default_rng(n).normal(0.0, 0.3, size=shifts.shape)
+        elif case == "lower_edge":
+            # at the bottom of the spectrum every row's Gershgorin edge reaches the shift: the full pass
+            shifts = -shifts
+            assert np.any(diag[:, -1] + off[:, -1] >= shifts.min(axis=1))
+        scratch = np.empty((len(diag) + 3, n))  # a chunk may be shorter than its buffer
+        np.testing.assert_array_equal(
+            airy_sampler._sturm_above(diag, off, shifts, scratch), sturm_above_full(diag, off, shifts)
+        )
+
+    def test_early_stop_checks_the_pivot(self):
+        # rows 2.. settle by Gershgorin (edges -3.5 and -4 < x = 0), but the pivot q_1 = 0.999 - 1/1 = -0.001
+        # is above -|e_1| = -1, so q_2 = -5 + 1/0.001 > 0 and row 2 still counts above x
+        n = 12
+        diag = np.array([[1.0, 0.999] + [-5.0] * (n - 2)])
+        off = np.array([[1.0, 1.0] + [0.5] * (n - 3)])
+        diag = np.vstack([diag, diag + 0.25])  # and a second replica, 0.25 higher
+        off = np.vstack([off, off])
+        shifts = np.array([[0.0, 0.1], [0.0, 0.1]])
+        counts = airy_sampler._sturm_above(diag, off, shifts, np.empty_like(diag))
+        np.testing.assert_array_equal(counts, sturm_above_full(diag, off, shifts))
+        eigs = [eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)]
+        np.testing.assert_array_equal(counts, [[np.count_nonzero(ev > x) for x in row] for ev, row in zip(eigs, shifts)])
 
 
 class TestDsterfBinding:
-    @pytest.mark.parametrize("n", [1, 2, 245, 309])
+    @pytest.mark.parametrize("n", [1, 2, 214, 245, 281, 309])
     def test_matches_f2py_wrapper(self, n):
         rng = np.random.default_rng(n)
         d = rng.normal(size=n)

@@ -106,7 +106,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("u,t", [("1e-300", "1e-6"), ("1e-3", "1e-6")])
     def test_fredholm_cutoff_below_airy_window_refused(self, u, t):
-        # the left cutoff -10 - 2 log(1/u)/C falls below -600; it is refused before its nodes (2.8M at u = 1e-300) are built
+        # the left cutoff falls far below -600 at C = 0.008; it is refused before its nodes are built
         code, out, err = run_quiet(["airy", "fredholm", "--u", u, "--t", t])
         assert code == 1
         assert out == ""
