@@ -3,6 +3,8 @@
 Ai and Ai' come from scipy.special.airy, restricted to the window
 [-600, 200]; the tests check it there against 30-digit mpmath, to 1e-11 in the
 scale of the oscillation amplitude (|x|^{-1/4} for Ai, |x|^{1/4} for Ai').
+scipy.special is imported on the first Airy or Fredholm call, not with this
+module: R(c) by Gauss-Hermite and the residue sums need numpy only.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .chunks import _run_chunks, _usable_cores
 from .combinatorics import Partition, enumerate_partitions, multiplicity_factor
@@ -47,7 +48,9 @@ def _ai_both(x) -> tuple[np.ndarray, np.ndarray]:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((x >= _X_MIN) & (x <= _X_MAX)):
         raise ValueError(f"Airy argument outside supported window [{_X_MIN}, {_X_MAX}]")
-    return special.airy(x)[:2]
+    from scipy.special import airy
+
+    return airy(x)[:2]
 
 
 def _kernel_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -275,8 +278,10 @@ def fredholm_multiplicative(u: float, cfg: AiryConfig) -> float:
         raise ValueError(
             f"u = {u:g} at T = {cfg.T:g} needs the left cutoff {lo:.6g}, below the Airy window [{_X_MIN}, {_X_MAX}]"
         )
+    from scipy.special import expit
+
     x, w = gauss_legendre_panels(lo, 14.0, 2.0, 16)
-    return _fredholm_det(x, w, special.expit(C * x + math.log(u)))
+    return _fredholm_det(x, w, expit(C * x + math.log(u)))
 
 
 def moment_from_airy(k: int, cfg: AiryConfig) -> float:

@@ -15,16 +15,16 @@ j - 1 eigenvalues above, for every j.  That places the full matrix's j-th
 eigenvalue within delta = 1e-11 of lambda_j (unscaled) and leaves no eigenvalue
 the block missed.  The count stops at the row past which Gershgorin's bound
 proves every pivot negative (_sturm_above), about 40% and 53% of the rows at
-N = 800 and 400.  A replica that fails the count is redone on the full matrix,
-bit-identical to sampling without the window; so is every replica when
-n_eff >= N.
+N = 800 and 400.  A replica that fails the count is redone by dsterf on the
+full matrix, as is every replica when n_eff >= N.
 
 The replicas run in equal chunks of at most _CHUNK, whose count is a multiple
-of the usable cores, on one worker thread per core.  ``dsterf`` is called
-through scipy's Cython LAPACK table by ctypes, which releases the GIL, so the
-chunks' LAPACK calls run at the same time.  The Sturm count is elementwise
-per replica, so the points do not depend on the replica count, the chunk size
-or the worker count.
+of the usable cores, on one worker thread per core.  ``dsterf``, the one
+eigenvalue routine, is called through scipy's Cython LAPACK table by ctypes,
+which releases the GIL, so the chunks' LAPACK calls run at the same time.  It
+is bound on the first sampling call, not at import, so that importing this
+module loads no scipy.  The Sturm count is elementwise per replica, so the
+points do not depend on the replica count, the chunk size or the worker count.
 
 Functionals estimated here:
   * series_moment_mc  -- moments of S = sum_p E_p e^{C a_p} with i.i.d. Exp(1)
@@ -37,14 +37,13 @@ Functionals estimated here:
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
 
 from .airy import edge_scale
 from .chunks import _run_chunks, _usable_cores
@@ -122,6 +121,8 @@ _CHUNK = 128  # most replicas per chunk; bounds the Sturm count's memory
 
 def _bind_dsterf():
     """LAPACK dsterf from scipy.linalg.cython_lapack's table, as a ctypes function: the call drops the GIL."""
+    from scipy.linalg import cython_lapack
+
     capsule = cython_lapack.__pyx_capi__["dsterf"]
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
     signature = name.decode()
@@ -135,7 +136,10 @@ def _bind_dsterf():
     return ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p)(pointer)
 
 
-_DSTERF = _bind_dsterf()
+@functools.cache
+def _dsterf_handle():
+    """The bound dsterf, made on the first call; a refused signature is raised again on the next."""
+    return _bind_dsterf()
 
 
 def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
@@ -148,7 +152,7 @@ def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
     if d.ndim != 1 or e.shape != (max(len(d) - 1, 0),):
         raise ValueError("dsterf needs a diagonal of length n and an off-diagonal of length n - 1")
     n, info = ctypes.c_int(len(d)), ctypes.c_int()
-    _DSTERF(ctypes.byref(n), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+    _dsterf_handle()(ctypes.byref(n), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
     return d, info.value
 
 
@@ -164,8 +168,10 @@ def _window(n: int, m: int) -> int:
     the block ends where it reaches (2/3) _WINDOW_MARGIN^(3/2): the decay over
     _WINDOW_MARGIN scaled rows of the linear band edge of the n -> oo limit.
     """
+    from scipy.special import ai_zeros
+
     N = n ** (2.0 / 3.0)
-    s_0 = 1.0 - abs(special.ai_zeros(m)[0][-1]) / (2.0 * N)
+    s_0 = 1.0 - abs(ai_zeros(m)[0][-1]) / (2.0 * N)
     t = np.clip(s_0 - np.sqrt(1.0 - np.arange(n + 1) / n), 0.0, None)
     decay = (2.0 * N) ** 1.5 * t**1.5 * (2.0 / 3.0 * s_0 - 0.4 * t)
     reached = np.flatnonzero(decay >= 2.0 / 3.0 * _WINDOW_MARGIN**1.5)
@@ -240,8 +246,9 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
 
     Each chunk draws its replicas, certifies them, redoes its own fallbacks
     and writes its own rows of the result, so the points are bit-identical
-    for any worker count.
+    for any worker count.  dsterf is bound here, before the chunks start.
     """
+    _dsterf_handle()
     n = config.matrix_size
     m = config.top_points
     replicas = config.replicas
@@ -272,7 +279,10 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
         else:
             top, ok = np.empty((len(rows), m)), np.zeros(len(rows), dtype=bool)
         for i in np.flatnonzero(~ok):
-            top[i] = eigvalsh_tridiagonal(diag[i], off[i], select="i", select_range=(n - m, n - 1))[::-1]
+            vals, info = _dsterf(diag[i], off[i])
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dsterf did not converge on replica {rows[i]} (info = {info})")
+            top[i] = vals[n - m :][::-1]
         out[start : rows.stop] = scale * (top - center)
 
     _run_chunks(run_chunk, starts, buffer_sets)

@@ -5,7 +5,8 @@ the request, and compares each pair.
 
 Exit codes: 0 success (and cross-check pass), 2 cross-check tolerance failure
 or an xcheck that is not cross-validated (one route only), 1 usage or
-configuration error (including a k beyond a route's range), or a numeric
+configuration error (including a k beyond a route's range, and a scipy that
+is missing or whose LAPACK table the sampler refuses), or a numeric
 failure: an overflow, an estimate whose value or error is not finite, a
 contour estimate whose trapezoid step aliases the phase of the integrand or
 that is not positive beyond its error bar, or a failed internal consistency or
@@ -310,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as exc:

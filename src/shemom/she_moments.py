@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .airy import _R_GH_ORDER, edge_scale, laplace_R, laplace_R_mc, residue_sum
 from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for callers of this module
@@ -218,6 +217,8 @@ def erfc_reduction_oracle(T: float) -> float:
 
     Uses E[1/(1 + a G^2)] = sqrt(pi/2a) e^{1/2a} erfc(1/sqrt(2a)) with G standard normal.
     """
+    from scipy.special import erfc  # not math.erfc, which differs in the last bits
+
     lam2 = math.exp(T / 4.0) / (2.0 * math.sqrt(math.pi * T))
     lam11 = 1.0 / (2.0 * math.pi * T) - math.exp(T / 4.0) * erfc(math.sqrt(T) / 2.0) / (
         4.0 * math.sqrt(math.pi * T)

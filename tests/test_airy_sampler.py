@@ -23,8 +23,12 @@ from shemom.airy_sampler import (
 )
 
 
-def full_matrix_points(cfg):
-    """Reference: every replica's top points from the full n x n tridiagonal, one LAPACK call each."""
+def full_matrix_points(cfg, select=False):
+    """Reference: every replica's top points from the full n x n tridiagonal, one LAPACK call each.
+
+    By f2py's lapack.dsterf, the sampler's full-matrix path, or with select=True by
+    eigvalsh_tridiagonal's bisection for the top m alone, which is independent of it.
+    """
     n, m = cfg.matrix_size, cfg.top_points
     dof = np.arange(n - 1, 0, -1).astype(float)
     out = np.empty((cfg.replicas, m))
@@ -32,7 +36,12 @@ def full_matrix_points(cfg):
         rng = airy_sampler._replica_rng(cfg.seed, r)
         diag = rng.normal(size=n)
         off = np.sqrt(rng.gamma(shape=dof))
-        top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - m, n - 1))
+        if select:
+            top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - m, n - 1))
+        else:
+            vals, info = lapack.dsterf(diag, off)
+            assert info == 0
+            top = vals[n - m :]
         out[r] = n ** (1.0 / 6.0) * (top[::-1] - 2.0 * math.sqrt(n))
     return out
 
@@ -135,10 +144,12 @@ class TestCertificate:
         ref = full_matrix_points(cfg)
         assert sam.window == airy_sampler._window(n, m)
         assert sam.full_matrix_fallbacks == 0
+        tol = airy_sampler._CERT_TOL * n ** (1.0 / 6.0)
         if sam.window >= n:
             np.testing.assert_array_equal(sam.points, ref)  # no block: the full-matrix call itself
         else:
-            assert np.abs(sam.points - ref).max() <= airy_sampler._CERT_TOL * n ** (1.0 / 6.0)
+            assert np.abs(sam.points - ref).max() <= tol
+        assert np.abs(sam.points - full_matrix_points(cfg, select=True)).max() <= tol
 
     def test_window_sizes(self):
         assert airy_sampler._window(400, 24) == 214
@@ -158,6 +169,7 @@ class TestCertificate:
         assert sam.window == 12
         assert sam.full_matrix_fallbacks == cfg.replicas
         np.testing.assert_array_equal(sam.points, full_matrix_points(cfg))
+        assert np.abs(sam.points - full_matrix_points(cfg, select=True)).max() <= airy_sampler._CERT_TOL * 300 ** (1 / 6)
 
     def test_sturm_count(self):
         rng = np.random.default_rng(0)

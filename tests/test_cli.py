@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -103,6 +104,18 @@ class TestExitCodes:
             assert code == 1
             assert out == ""
             assert message in err
+
+    def test_refused_dsterf_signature_is_config_error(self, monkeypatch):
+        # dgtsv's capsule under dsterf's name: sampling refuses it by its signature, and no other command binds it
+        from scipy.linalg import cython_lapack
+
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsterf", cython_lapack.__pyx_capi__["dgtsv"])
+        airy_sampler._dsterf_handle.cache_clear()
+        code, out, err = run_quiet(["sample", "airy", "--matrix-size", "100", "--replicas", "20"])
+        assert (code, out) == (1, "")
+        assert "error: scipy.linalg.cython_lapack dsterf has signature 'void (int *, int *, " in err
+        assert "Traceback" not in err
+        assert run_quiet(["xcheck", "--k", "1", "--t", "1"])[0] == 0
 
     @pytest.mark.parametrize("u,t", [("1e-300", "1e-6"), ("1e-3", "1e-6")])
     def test_fredholm_cutoff_below_airy_window_refused(self, u, t):
@@ -539,3 +552,49 @@ class TestReportContract:
                 assert math.isfinite(e["value"]) and math.isfinite(e["err"])
         else:
             assert out == "" and "error:" in err
+
+
+class TestStartup:
+    """scipy loads on the first use of an Airy function or of the sampler's LAPACK, not at import."""
+
+    @staticmethod
+    def run_fresh(argvs: list) -> list:
+        """Every argv through cli.main in one fresh interpreter; returns the scipy modules it then holds."""
+        script = textwrap.dedent(
+            f"""
+            import json, os, sys
+            from shemom import cli
+            for argv in {argvs!r}:
+                assert cli.main(argv + ["--output", os.devnull]) == 0, argv
+            print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        return json.loads(done.stdout)
+
+    def test_moment_routes_load_no_scipy(self):
+        argvs = [
+            line.split()
+            for line in (
+                "xcheck --k 2 --t 1",
+                "xcheck --k 6 --t 1",
+                "moment partition --k 8 --t 0.5",
+                "moment contour --k 4 --t 1",
+                "polymer limit --k 2 --t 1",
+                "polymer simulate --levels 2 --time 1 --steps 20 --replicas 50",
+            )
+        ]
+        assert self.run_fresh(argvs) == []
+
+    def test_airy_and_sample_load_scipy_on_first_use(self):
+        argvs = [
+            line.split()
+            for line in (
+                "airy kernel --x 0 --y 0",
+                "airy fredholm --u 1 --t 2",
+                "sample airy --matrix-size 100 --replicas 20",
+            )
+        ]
+        assert {"scipy.special", "scipy.linalg"} <= set(self.run_fresh(argvs))
