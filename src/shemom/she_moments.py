@@ -10,7 +10,10 @@ correct digit.
 The last two routes are the same sum over partitions, airy.residue_sum, and
 differ only in how each Laplace transform R is evaluated (airy.moment_from_airy
 is the same sum unscaled, on the same Gauss-Hermite orders as the partition
-route, so it is not a third estimate).  All routes target the same quantity
+route, so it is not a third estimate).  The partition route draws no random
+number: a partition of length >= 5 enters as the midpoint of its Fischer
+enclosure [0, B], so its report does not depend on the seed; only gaussian_mc
+samples R.  All routes target the same quantity
 and are cross-checked against each other and against closed-form oracles in
 the test suite.
 """
@@ -23,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .airy import _R_GH_ORDER, edge_scale, laplace_R, laplace_R_mc, residue_sum
+from .airy import _R_GH_ORDER, _fischer_enclosure, edge_scale, laplace_R, laplace_R_mc, residue_sum
 from .combinatorics import enumerate_partitions  # noqa: F401  re-exported for callers of this module
 from .quadrature import check_nested, contour_cross, default_halfwidth, pairwise_tensor_sum
 
@@ -172,20 +175,31 @@ def moment_partition(
     mc_samples: int = 200_000,
     seed: int = 0,
 ) -> MomentEstimate:
-    """E[Z(T,0)^k] by the partition/determinant residue expansion.
+    """E[Z(T,0)^k] by the partition/determinant residue expansion, without Monte Carlo.
 
     The residue of partition lambda is k! e^{-kT/24} R(C lambda) / prod m_i!
     (see airy.residue_sum).  R is integrated on tensor Gauss-Hermite grids for
     lengths <= 4 (the integrand carries an exact Gaussian envelope on the
-    imaginary axis); longer partitions fall back to Gaussian Monte Carlo.
+    imaginary axis).  A partition of length >= 5 is enclosed instead: R lies
+    in [0, B], with B its Fischer bound (airy._fischer_enclosure, memoised for
+    this call only), and enters the sum as B/2 +- B/2; meta["tail_bound"] is
+    the scaled sum of those B.  The bar covers the truth only where every
+    Gauss-Hermite bar covers its R, which holds at T in {0.5, 1, 2} but not at
+    T <~ 1e-2, where the value reads low: 3.35e7 +- 74% at k = 5, T = 1e-4,
+    against gaussian_mc's 1.10e8 (ROADMAP item 10).
+
+    ``mc_samples`` and ``seed`` are inert: nothing here draws a random number.
+    They stay for perfbench's readers of the old signature until ROADMAP
+    item 2 deletes them with those reads.
     """
     if k > ROUTES["partition"]:
         raise ValueError(f"moment_partition supports k <= {ROUTES['partition']}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    enclosure = _fischer_enclosure(gh_order)
 
     def R(c):
         if len(c) > 4:
-            return laplace_R_mc(c, mc_samples, rng)
+            bound = enclosure(c)
+            return bound / 2.0, bound / 2.0
         return laplace_R(c, order=gh_order, with_err=True)
 
     total, terms = residue_sum(k, edge_scale(T), R)
@@ -194,8 +208,7 @@ def moment_partition(
     err = scale * sum(e for _, e in terms.values()) + _ERR_FLOOR_REL * abs(value)
     meta = {
         "gh_order": gh_order,
-        "mc_samples": mc_samples,
-        "seed": seed,
+        "tail_bound": scale * sum(2.0 * v for lam, (v, _) in terms.items() if lam.length > 4),
         "terms": {str(lam.parts): scale * v for lam, (v, _) in terms.items()},
     }
     return MomentEstimate(value, float(err), "partition", meta)
@@ -247,7 +260,11 @@ def moment_gaussian_mc(k: int, T: float, samples: int = 100_000, seed: int = 0) 
 
 
 def moment(req: MomentRequest, method: str, seed: int, samples: int | None) -> MomentEstimate:
-    """E[Z(T,X)^k] by the route ``method`` of ROUTES; ``samples`` reaches gaussian_mc only.
+    """E[Z(T,X)^k] by the route ``method`` of ROUTES; ``seed`` and ``samples`` reach gaussian_mc only.
+
+    The partition route takes no seed, as it draws no random number; see
+    moment_partition for where its enclosure of the partitions of length
+    >= 5 is rigorous.
 
     The residue-sum routes run at X = 0 and are shifted to req.X by
     reduce_to_origin's factor, recorded as meta["shift_factor"].  A factor
@@ -259,7 +276,7 @@ def moment(req: MomentRequest, method: str, seed: int, samples: int | None) -> M
     if factor == 0.0:
         raise FloatingPointError(f"shift factor exp(-kX^2/2T) underflows to 0 at T={req.T}, X={req.X}")
     if method == "partition":
-        est = moment_partition(origin.k, origin.T, seed=seed)
+        est = moment_partition(origin.k, origin.T)
     elif method == "gaussian_mc":
         est = moment_gaussian_mc(origin.k, origin.T, samples=samples, seed=seed)
     else:

@@ -1,13 +1,13 @@
 """Cross-checks of the heat-equation moment routes against oracles and each other."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from oracles import spawned_normals
-from shemom.airy import AiryConfig, moment_from_airy
+from shemom.airy import AiryConfig, _fischer_enclosure, edge_scale, laplace_R, laplace_R_mc, moment_from_airy
 from shemom.combinatorics import enumerate_partitions, multiplicity_factor
 from shemom.she_moments import (
     InconsistencyError,
@@ -155,7 +155,7 @@ class TestFrontDoor:
         factor, _ = reduce_to_origin(req)
         est = moment(req, "partition", 0, None)
         assert est.meta["shift_factor"] == factor
-        assert est.value == factor * moment_partition(2, 1.5, seed=0).value
+        assert est.value == factor * moment_partition(2, 1.5).value
 
     def test_unknown_route_refused(self):
         with pytest.raises(ValueError, match="unknown moment route 'gaussian-mc'"):
@@ -232,27 +232,35 @@ class TestPartitionInternals:
     @pytest.mark.parametrize("k", [4, 5])
     def test_matches_lu_determinants(self, k):
         # the residue sum with every Cauchy determinant taken by LU of the
-        # explicit matrix, on the same nodes and the same random draws
-        T, order, samples, seed = 1.3, 10, 20_000, 4
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        nodes, weights = hermgauss(order)
+        # explicit matrix on the same nodes; lambda = (1^5) enters as B/2,
+        # B the smallest product of (Gauss-Hermite value + order-halving bar)
+        # over its splits into blocks of <= 4 ones
+        T, order = 1.3, 10
+
+        def gauss_hermite(parts, n):
+            nodes, weights = hermgauss(n)
+            decay = T * parts / 2.0
+            norm = math.exp(float(np.sum((T / 2.0) * (parts**3 - parts) / 12.0))) / (2.0 * math.pi) ** len(parts)
+            grids = np.meshgrid(*(nodes / np.sqrt(d) for d in decay), indexing="ij")
+            ys = np.stack([g.ravel() for g in grids], axis=-1)
+            wgrids = np.meshgrid(*(weights / np.sqrt(d) for d in decay), indexing="ij")
+            w = np.prod([g.ravel() for g in wgrids], axis=0)
+            return norm * float(np.sum(w * np.linalg.det(_lu_matrix(ys, parts)).real))
+
+        def block(m):
+            ones = np.ones(m)
+            value = gauss_hermite(ones, order)
+            return value + abs(value - gauss_hermite(ones, max(8, order // 2)))
+
         total = 0.0
         for lam in enumerate_partitions(k):
-            parts = np.asarray(lam.parts, dtype=float)
-            decay = T * parts / 2.0
-            norm = math.exp(float(np.sum((T / 2.0) * (parts**3 - parts) / 12.0))) / (2.0 * math.pi) ** lam.length
             if lam.length <= 4:
-                grids = np.meshgrid(*(nodes / np.sqrt(d) for d in decay), indexing="ij")
-                ys = np.stack([g.ravel() for g in grids], axis=-1)
-                wgrids = np.meshgrid(*(weights / np.sqrt(d) for d in decay), indexing="ij")
-                w = np.prod([g.ravel() for g in wgrids], axis=0)
-                term = norm * float(np.sum(w * np.linalg.det(_lu_matrix(ys, parts)).real))
+                term = gauss_hermite(np.asarray(lam.parts, dtype=float), order)
             else:
-                ys = spawned_normals(rng, samples, lam.length) / np.sqrt(2.0 * decay)
-                envelope = float(np.prod(np.sqrt(math.pi / decay)))
-                term = norm * envelope * float(np.mean(np.linalg.det(_lu_matrix(ys, parts)).real))
+                assert lam.parts == (1,) * 5
+                term = min(math.prod(block(m) for m in mu.parts) for mu in enumerate_partitions(5) if mu.parts[0] <= 4) / 2
             total += multiplicity_factor(lam) * term
-        est = moment_partition(k, T, gh_order=order, mc_samples=samples, seed=seed)
+        est = moment_partition(k, T, gh_order=order)
         assert est.value == pytest.approx(total, rel=1e-12)
 
     @pytest.mark.parametrize("T", [0.5, 2.0])
@@ -264,15 +272,35 @@ class TestPartitionInternals:
         scaled = math.factorial(k) * math.exp(-k * T / 24.0) * airy_value
         assert moment_partition(k, T).value == pytest.approx(scaled, rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("mc_samples", [0, 1])
-    def test_refuses_too_few_mc_samples(self, mc_samples):
-        # lambda = (1^5) is the first partition past laplace_R's n <= 4
-        with pytest.raises(ValueError, match="samples"):
-            moment_partition(5, 1.0, mc_samples=mc_samples)
-
     def test_error_bounds_truth_k2(self):
         est = moment_partition(2, 1.0)
         assert abs(est.value - erfc_reduction_oracle(1.0)) <= 10.0 * est.err
+
+
+class TestFischerEnclosure:
+    @pytest.mark.parametrize("T", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("lam", [(1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1), (3, 2, 1), (2, 2, 1, 1)])
+    def test_fischer_premise(self, lam, T):
+        # R(c_{A u B}) <= R(c_A) R(c_B) for every split into two blocks
+        c = edge_scale(T) * np.asarray(lam, dtype=float)
+        whole = laplace_R(c)
+        for size in range(1, len(c)):
+            for a in itertools.combinations(range(len(c)), size):
+                b = [i for i in range(len(c)) if i not in a]
+                assert whole <= laplace_R(c[list(a)]) * laplace_R(c[b])
+
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    def test_contains_monte_carlo(self, T):
+        c = edge_scale(T) * np.ones(5)
+        bound = _fischer_enclosure()(c)
+        mc, se = laplace_R_mc(c, 2_000_000, np.random.default_rng(3))
+        assert 0.0 < mc - 3.0 * se and mc + 3.0 * se < bound
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_seed_independent(self, k):
+        a, b = moment_partition(k, 0.5, seed=1), moment_partition(k, 0.5, seed=2)
+        assert (a.value, a.err, a.meta) == (b.value, b.err, b.meta)
+        assert 0.0 < a.meta["tail_bound"] / 2.0 <= a.err
 
 
 class TestDominantTerm:
