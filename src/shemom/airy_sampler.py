@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import edge_scale
-from .chunks import _run_chunks, _usable_cores
+from .chunks import _equal_chunks, _run_chunks, _usable_cores
 from .combinatorics import h_complete
 
 __all__ = [
@@ -260,14 +260,11 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     dof = np.arange(n - 1, 0, -1).astype(float)
     workers = min(_usable_cores(), replicas)
     # a multiple of the worker count of equal chunks, so every worker gets the same share
-    chunk = math.ceil(replicas / (workers * math.ceil(replicas / (workers * _CHUNK))))
-    starts = range(0, replicas, chunk)
-    buffer_sets = [
-        (np.empty((chunk, n)), np.empty((chunk, n - 1)), np.empty((chunk, n))) for _ in range(min(workers, len(starts)))
-    ]
+    chunks = _equal_chunks(replicas, workers, _CHUNK)
+    chunk = len(chunks[0])
+    buffer_sets = [(np.empty((chunk, n)), np.empty((chunk, n - 1)), np.empty((chunk, n))) for _ in range(workers)]
 
-    def run_chunk(start: int, diag_buf, off_buf, scratch) -> None:
-        rows = range(start, min(start + chunk, replicas))
+    def run_chunk(rows: range, diag_buf, off_buf, scratch) -> None:
         diag, off = diag_buf[: len(rows)], off_buf[: len(rows)]
         for i, r in enumerate(rows):
             rng = _replica_rng(config.seed, r)
@@ -275,7 +272,7 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
             off[i] = np.sqrt(rng.gamma(shape=dof))
         if window < n:
             top, ok = _certified_top(diag, off, window, m, scratch)
-            failed[start : rows.stop] = ~ok
+            failed[rows.start : rows.stop] = ~ok
         else:
             top, ok = np.empty((len(rows), m)), np.zeros(len(rows), dtype=bool)
         for i in np.flatnonzero(~ok):
@@ -283,9 +280,9 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
             if info != 0:
                 raise np.linalg.LinAlgError(f"dsterf did not converge on replica {rows[i]} (info = {info})")
             top[i] = vals[n - m :][::-1]
-        out[start : rows.stop] = scale * (top - center)
+        out[rows.start : rows.stop] = scale * (top - center)
 
-    _run_chunks(run_chunk, starts, buffer_sets)
+    _run_chunks(run_chunk, chunks, buffer_sets)
     return AirySampleSet(config, out, window, int(np.count_nonzero(failed)))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -297,10 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process (a build takes a few ms).
+
+    ``set_defaults(run=…)`` binds the run_* functions at build time, so a
+    run_* function rebound after the first ``main`` call is not the one
+    ``main`` runs; ``run_xcheck`` is looked up on every call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "xcheck":
             payload, code = run_xcheck(args)
         else:

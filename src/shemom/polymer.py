@@ -11,8 +11,12 @@ with Zt_k(0) = 1{k=1}, so E[Zt(t, N)] = t^{N-1}/(N-1)! exactly.
 alternates the exact noise multiply with the exact flow of the drift, so its
 mean is exact at any step count, on antithetic pairs of paths (+dB, -dB)
 that share one column of normals; ``coarsen`` reruns the same paths at a
-longer step to measure the time-step error.  Its independent chunks of pairs
-run on the usable cores, and its results are the same for any core count.
+longer step to measure the time-step error.  Its pairs run in six equal
+chunks (or a multiple of six) on the usable cores, and its results are the
+same for any core count.  Each chunk draws from its own SFC64 generator,
+whose normals cost about a fifth less than those of numpy's default PCG64;
+the residue-sum Monte Carlo and the GUE edge sampler, where draws are a
+small part of the work, keep PCG64.
 
 Integer moments admit nested contour integrals over circles around the origin
 with radii separated by more than one; under the scaling t = sqrt(NT) + X and
@@ -30,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chunks import _run_chunks, _usable_cores
+from .chunks import _equal_chunks, _run_chunks, _usable_cores
 from .quadrature import check_nested, contour_cross, pairwise_tensor_sum
 
 __all__ = [
@@ -96,17 +100,20 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     mirror is discarded, is a unit of its own; a single pair falls back to the
     spread of its two paths, which overstates the error).
 
-    Pairs run in chunks, each with its own generator seeded by (seed, first
-    path).  A chunk's state is one (levels, paths) array, the + paths before
-    the - paths.  The generator fills a buffer for a block of steps at a time
-    in (step, level, pair) order, so a fine run draws exactly the normals, in
-    the same order, that one (levels, pairs) draw per step would, whatever
-    the block size.  The chunks run at the same time on a thread pool, one
-    worker per usable core (``taskset`` limits them) up to the chunk count;
-    each writes its own rows of the result, so values and errors are
-    bit-identical for any worker count.  The caller allocates one buffer set
-    per worker, and the draws and the +- multipliers of all workers together
-    take at most ``_BUFFER_DOUBLES`` doubles (at least one step's worth each).
+    Pairs run in equal chunks, six of them or a multiple of six, each within
+    the draw budget below, so one, two or three workers are evenly loaded.
+    Each chunk has its own SFC64 generator seeded by (seed, first path), so
+    the chunk rule must not, and does not, read the worker count.  A chunk's
+    state is one (levels, paths) array, the + paths before the - paths.  The
+    generator fills a buffer for a block of steps at a time in (step, level,
+    pair) order, so a fine run draws exactly the normals, in the same order,
+    that one (levels, pairs) draw per step would, whatever the block size.
+    The chunks run at the same time on a thread pool, one worker per usable
+    core (``taskset`` limits them) up to the chunk count; each writes its own
+    rows of the result, so values and errors are bit-identical for any worker
+    count.  The caller allocates one buffer set per worker, and the draws and
+    the +- multipliers of all workers together take at most
+    ``_BUFFER_DOUBLES`` doubles (at least one step's worth each).
 
     ``coarsen`` > 1 runs steps/coarsen steps on the same paths: each coarse
     increment is the sum of the coarsen fine increments of its pair and
@@ -125,17 +132,18 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     full, half = _drift_flow(n, h), _drift_flow(n, h / 2.0)
     pairs = (paths + 1) // 2
     vals = np.empty((2, pairs, max_moment))  # top level^k of the + and the - paths
-    chunk = min(pairs, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
-    starts = range(0, pairs, chunk)
-    workers = min(_usable_cores(), len(starts))
+    # 6 = lcm(1, 2, 3): one, two or three workers get equal shares
+    chunks = _equal_chunks(pairs, 6, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
+    chunk = len(chunks[0])
+    workers = min(_usable_cores(), len(chunks))
     # the chunks in flight share one budget: each worker's draws and +- multipliers take 1/workers of it
     block = min(coarse_steps, max(1, _BUFFER_DOUBLES // workers // ((coarsen + 2) * n * chunk)))
     sizes = (block * coarsen * n * chunk, block * n * 2 * chunk, 2 * n * 2 * chunk)  # draws, +- multipliers, state
     buffer_sets = [tuple(np.empty(size) for size in sizes) for _ in range(workers)]
 
-    def run_chunk(start: int, draw_buf, mult_buf, state) -> None:
-        c = min(chunk, pairs - start)
-        rng = _chunk_rng(config.seed, 2 * start)
+    def run_chunk(rows: range, draw_buf, mult_buf, state) -> None:
+        c = len(rows)
+        rng = _chunk_rng(config.seed, 2 * rows.start)
         draws = draw_buf[: block * coarsen * n * c].reshape(block, coarsen, n, c)
         mult = mult_buf[: block * n * 2 * c].reshape(block, n, 2 * c)
         z, drifted = state[: 2 * n * 2 * c].reshape(2, n, 2 * c)
@@ -162,9 +170,9 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
             left -= b
         top = (half[-1] @ z).reshape(2, c)
         for k in range(1, max_moment + 1):
-            vals[:, start : start + c, k - 1] = top**k
+            vals[:, rows.start : rows.stop, k - 1] = top**k
 
-    _run_chunks(run_chunk, starts, buffer_sets)
+    _run_chunks(run_chunk, chunks, buffer_sets)
     plus, minus = vals[0], vals[1, : paths - pairs]
     means = (plus.sum(axis=0) + minus.sum(axis=0)) / paths
     units = plus - means  # each unit's summed residual
@@ -178,7 +186,7 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
 
 
 def _chunk_rng(seed: int, first_path: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, first_path)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, first_path))))
 
 
 def _drift_flow(levels: int, h: float) -> np.ndarray:
@@ -216,6 +224,8 @@ def polymer_moment_contour(
         raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
     if not (math.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
+    if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
+        raise ValueError(f"nodes must be a positive integer, got {nodes!r}")
     if radii is None:
         radii = _default_radii(k, levels, t)
     radii = check_nested(radii, k, "radii")

@@ -1,4 +1,4 @@
-"""The chunk runner shared by the polymer, GUE edge and residue-sum Monte Carlo routes."""
+"""The chunk rule and the chunk runner shared by the polymer, GUE edge and residue-sum Monte Carlo routes."""
 
 import itertools
 import sys
@@ -10,6 +10,38 @@ import numpy as np
 import pytest
 
 from shemom import chunks
+
+
+class TestEqualChunks:
+    @pytest.mark.parametrize(
+        "total,multiple,cap",
+        [
+            (15_000, 6, 10_001),  # the polymer benchmark's N = 1 call: six chunks of 2_500 pairs
+            (15_000, 6, 3_334),  # and its N = 3 call, the same six
+            (13, 6, 100),  # a ceiling-sized rule would leave 3 + 3 + 3 + 3 + 1
+            (4_000, 6, 626),  # twelve chunks: six would exceed the cap
+            (4, 6, 100_001),  # fewer items than the multiple: one chunk each
+            (2_000, 2, 128),
+            (1, 3, 5),
+            (36_013, 6, 3_001),
+        ],
+    )
+    def test_rule(self, total, multiple, cap):
+        parts = chunks._equal_chunks(total, multiple, cap)
+        lengths = [len(rows) for rows in parts]
+        assert [i for rows in parts for i in rows] == list(range(total))  # in order, each item once
+        assert max(lengths) <= cap and max(lengths) - min(lengths) <= 1
+        assert lengths == sorted(lengths, reverse=True)
+        if total >= multiple:
+            assert len(parts) % multiple == 0
+            assert len(parts) == multiple or -(-total // (len(parts) - multiple)) > cap  # no fewer chunks would do
+        else:
+            assert lengths == [1] * total
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_sampler_shape(self, cores):
+        # the GUE edge sampler's 400 replicas, chunks of at most 128 in a multiple of the cores
+        assert [len(rows) for rows in chunks._equal_chunks(400, cores, 128)] == [100] * 4
 
 
 class TestRunChunks:

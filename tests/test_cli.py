@@ -235,7 +235,7 @@ class TestDeterminism:
             ["moment", "gaussian-mc", "--k", "2", "--t", "1", "--samples", "5000", "--seed", "3"],
             ["airy", "laplace-r", "--c", "1.0", "0.8"],
             ["sample", "hk", "--k", "2", "--t", "1", "--matrix-size", "200", "--top-points", "8", "--replicas", "30"],
-            # three chunks of pairs, run on every usable core
+            # six chunks of pairs (4 x 1_667 + 2 x 1_666), run on every usable core
             ["polymer", "simulate", "--levels", "3", "--time", "1", "--steps", "500", "--replicas", "20000", "--seed", "3"],
         ],
     )
@@ -245,6 +245,27 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert strip_timestamp(first) == strip_timestamp(second)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["xcheck", "--k", "2"], ["moment", "contour", "--k", "2", "--t", "1", "--samples", "5"], ["polymer", "nope"]],
+        ids=["missing --t", "option of another subcommand", "unknown method"],
+    )
+    def test_parser_reused_after_usage_error(self, tmp_path, bad, capsys):
+        # main parses with one parser per process: a usage error must leave nothing behind in it
+        argv = ["xcheck", "--k", "2", "--t", "1", "--seed", "3"]
+        assert main(bad) == 1
+        reused, fresh = tmp_path / "reused.json", tmp_path / "fresh.json"
+        main(argv + ["--output", str(reused)])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "shemom.cli", *argv, "--output", str(fresh)], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert done.returncode in (0, 2), done.stderr
+        reports = [json.loads(path.read_text()) for path in (reused, fresh)]
+        for report in reports:
+            report.pop("metadata")
+        assert reports[0] == reports[1]
 
     def test_partition_independent_of_blas_threads(self):
         # the Gauss-Hermite sums of R are BLAS matrix products: the report must not depend on BLAS's thread count

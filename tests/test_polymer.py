@@ -42,8 +42,12 @@ class TestConfig:
             (lambda: simulate_polymer(PolymerConfig(levels=1, time=1.0), max_moment=0), "max_moment must be >= 1"),
             (lambda: polymer_moment_contour(2, 0, 1.0), "levels must be in"),
             (lambda: polymer_moment_contour(2, MAX_LEVELS + 1, 1.0), "levels must be in"),
+            # these once returned 0.0: the trapezoid sum over no nodes
+            (lambda: polymer_moment_contour(2, 3, 1.0, nodes=0), "nodes must be a positive integer"),
+            (lambda: polymer_moment_contour(2, 3, 1.0, nodes=-4), "nodes must be a positive integer"),
+            (lambda: polymer_moment_contour(2, 3, 1.0, nodes=64.0), "nodes must be a positive integer"),
         ],
-        ids=["replicas=1", "max_moment=0", "contour levels=0", "contour levels=65"],
+        ids=["replicas=1", "max_moment=0", "contour levels=0", "contour levels=65", "nodes=0", "nodes=-4", "nodes=64.0"],
     )
     def test_guards_refuse_by_name(self, call, message):
         with pytest.raises(ValueError, match=message):
@@ -152,10 +156,12 @@ class TestSimulation:
     @pytest.mark.parametrize(
         "levels,steps,replicas",
         [
-            (1, 11, 7),  # all steps in one draw block, odd step and path counts
-            (1, 501, 20_050),  # two chunks (10_001 + 24 pairs)
-            (3, 641, 5_600),  # two chunks (2_778 + 22 pairs), a partial last block
-            (8, 64, 300),  # many levels, a partial last block
+            (1, 11, 7),  # all steps in one draw block, odd step and path counts, four chunks of one pair
+            (1, 501, 20_050),  # six chunks (5 x 1_671 + 1_670 pairs)
+            (3, 641, 5_600),  # six chunks (4 x 467 + 2 x 466 pairs), a partial last block
+            (8, 64, 300),  # many levels, a partial last block, six chunks of 25 pairs
+            (8, 1_000, 8_000),  # twelve chunks (4 x 334 + 8 x 333 pairs): six would exceed the 626-pair cap
+            (1, 500, 30_000),  # the benchmark's shape: six chunks of 2_500 pairs
         ],
     )
     def test_bit_identical_to_per_step_loop(self, levels, steps, replicas):
@@ -168,9 +174,9 @@ class TestSimulation:
     @pytest.mark.parametrize(
         "levels,steps,replicas,coarsen",
         [
-            (1, 501, 20_050, 1),  # two chunks
-            (3, 641, 5_600, 1),  # two chunks
-            (2, 500, 20_010, 2),  # three chunks (5_001 + 5_001 + 3 pairs)
+            (1, 501, 20_050, 1),  # six chunks (5 x 1_671 + 1_670 pairs)
+            (3, 641, 5_600, 1),  # six chunks (4 x 467 + 2 x 466 pairs)
+            (2, 500, 20_010, 2),  # six chunks (3 x 1_668 + 3 x 1_667 pairs)
             (2, 500, 20_010, 5),
             (2, 500, 20_011, 1),  # odd: the last path's mirror is dropped
         ],
@@ -181,17 +187,23 @@ class TestSimulation:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more workers than cores, switching often: shared buffers would show
         try:
-            for workers in (1, 3):
+            for workers in (1, 2, 3):
                 monkeypatch.setattr(polymer, "_usable_cores", lambda w=workers: w)
                 runs.append(simulate_polymer(cfg, max_moment=3, coarsen=coarsen))
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(runs[0].values, runs[1].values)
-        assert np.array_equal(runs[0].stderrs, runs[1].stderrs)
+        for run in runs[1:]:
+            assert np.array_equal(runs[0].values, run.values)
+            assert np.array_equal(runs[0].stderrs, run.stderrs)
 
 
 def _per_step_reference(config: PolymerConfig, max_moment: int):
-    """The simulation one step at a time: one (N, pairs) draw per step for a pair of paths, same chunks."""
+    """The simulation one step at a time: one (N, pairs) draw per step for a pair of paths, same chunks.
+
+    The chunks are six, or the least multiple of six that keeps each within
+    the draw budget, of equal length up to one pair, longer ones first; each
+    draws from SFC64 seeded by (seed, first path).
+    """
     n, t, fine, paths = config.levels, config.time, config.steps, config.replicas
     h = t / fine
     # exp(hD), the exact flow of dZt_l = Zt_{l-1} dt, and its half step
@@ -200,12 +212,13 @@ def _per_step_reference(config: PolymerConfig, max_moment: int):
         for s in (h, h / 2.0)
     )
     pairs = (paths + 1) // 2
-    chunk = min(pairs, 200_000 // max(1, fine // 50) // (2 * n) + 1)
+    cap = 200_000 // max(1, fine // 50) // (2 * n) + 1
+    count = min(pairs, 6 * math.ceil(pairs / (6 * cap)))
     plus, minus = [], []
     done = 0
-    while done < pairs:
-        c = min(chunk, pairs - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 2 * done)))
+    for i in range(count):
+        c = pairs // count + (i < pairs % count)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((config.seed, 2 * done))))
         z = np.zeros((n, 2 * c))
         z[0] = 1.0
         for step in range(fine):
