@@ -1,7 +1,7 @@
 """The thread pool that runs the Monte Carlo routes' independent chunks.
 
 ``simulate_polymer``, ``sample_airy_points`` and ``airy.laplace_R_mc`` split
-their work into chunks that each draw from their own generator and write
+their work into chunks that each draw from their own generators and write
 disjoint rows of one result, so running the chunks at the same time leaves
 every value unchanged.  Most of the time goes to numpy and LAPACK calls that
 release the GIL, so plain threads reach every core, and all memory stays in

@@ -13,10 +13,15 @@ mean is exact at any step count, on antithetic pairs of paths (+dB, -dB)
 that share one column of normals; ``coarsen`` reruns the same paths at a
 longer step to measure the time-step error.  Its pairs run in six equal
 chunks (or a multiple of six) on the usable cores, and its results are the
-same for any core count.  Each chunk draws from its own SFC64 generator,
-whose normals cost about a fifth less than those of numpy's default PCG64;
-the residue-sum Monte Carlo and the GUE edge sampler, where draws are a
-small part of the work, keep PCG64.
+same for any core count.  Each chunk draws from two SFC64 generators, whose
+normals cost about a fifth less than those of numpy's default PCG64; the
+residue-sum Monte Carlo and the GUE edge sampler, where draws are a small
+part of the work, keep PCG64.  The two streams give each pair of fine
+steps (2j, 2j+1) a sum S_j and a difference D_j, and the steps take
+(S_j +- D_j)/sqrt(2): an orthogonal map, so the increments stay i.i.d.
+N(0, 1) in law.  A fine run draws one normal per (step, level, pair of
+paths), as one stream would; a run with an even ``coarsen`` needs only the
+sums, sqrt(2) times their total over a coarse step, and draws half as many.
 
 Integer moments admit nested contour integrals over circles around the origin
 with radii separated by more than one; under the scaling t = sqrt(NT) + X and
@@ -62,6 +67,8 @@ class PolymerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("levels", "steps", "replicas"):
+            _check_integer(name, getattr(self, name))
         if not 1 <= self.levels <= MAX_LEVELS:
             raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
         if not (math.isfinite(self.time) and self.time > 0):
@@ -70,6 +77,12 @@ class PolymerConfig:
             raise ValueError("steps must be >= 10")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas for a standard error")
+
+
+def _check_integer(name: str, value) -> None:
+    # a float or a bool would otherwise pass the range checks and fail later inside numpy, or blame another field
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,33 +115,52 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
 
     Pairs run in equal chunks, six of them or a multiple of six, each within
     the draw budget below, so one, two or three workers are evenly loaded.
-    Each chunk has its own SFC64 generator seeded by (seed, first path), so
+    Each chunk has its own two SFC64 generators, the sum stream and the
+    difference stream, spawned from the seed sequence (seed, first path), so
     the chunk rule must not, and does not, read the worker count.  A chunk's
-    state is one (levels, paths) array, the + paths before the - paths.  The
-    generator fills a buffer for a block of steps at a time in (step, level,
-    pair) order, so a fine run draws exactly the normals, in the same order,
-    that one (levels, pairs) draw per step would, whatever the block size.
-    The chunks run at the same time on a thread pool, one worker per usable
-    core (``taskset`` limits them) up to the chunk count; each writes its own
-    rows of the result, so values and errors are bit-identical for any worker
-    count.  The caller allocates one buffer set per worker, and the draws and
-    the +- multipliers of all workers together take at most
-    ``_BUFFER_DOUBLES`` doubles (at least one step's worth each).
+    state is one (2, levels, pairs) array: the + paths, then the - paths.
+    Each pair of fine steps (2j, 2j+1) takes a sum S_j from the first stream
+    and a difference D_j from the second, and its increments are
+    (S_j + D_j)/sqrt(2) and (S_j - D_j)/sqrt(2) times sqrt(t/steps); with an
+    odd step count the last step stands alone and takes sqrt(t/steps) S only.
+    Each generator fills a buffer for a block of whole step pairs at a time
+    in (pair, level, path) order, so a run draws exactly the normals, in the
+    same order, that one (levels, pairs) draw per pair and stream would,
+    whatever the block size.  A fine run draws steps * levels * pairs
+    normals: ceil(steps/2) rows from the sum stream, floor(steps/2) from the
+    difference stream.  The chunks run at the same time on a thread pool, one
+    worker per usable core (``taskset`` limits them) up to the chunk count;
+    each writes its own rows of the result, so values and errors are
+    bit-identical for any worker count.  The caller allocates one buffer set
+    per worker, and the +- multipliers, the draws and the fine increments of
+    all workers together take at most ``_BUFFER_DOUBLES`` doubles (at least
+    one block's worth each: one coarse step for an even ``coarsen``, two for
+    an odd one).  Up to ``coarsen`` = 2 a block draws as many rows as it has
+    - multipliers, so the draws land in the - half of the multiplier buffer
+    and the multipliers are written over them, and a block takes two rows
+    of the budget per step, not three.
 
     ``coarsen`` > 1 runs steps/coarsen steps on the same paths: each coarse
     increment is the sum of the coarsen fine increments of its pair and
     level, so the coarse-minus-fine gap is the time-step error alone (at
-    N = 1, where the scheme is exact, the two runs agree to round-off).
+    N = 1, where the scheme is exact, the two runs agree to round-off).  An
+    even ``coarsen`` covers whole step pairs, whose increments sum to
+    sqrt(2) S_j sqrt(t/steps), so it draws only from the sum stream, half
+    the normals of the fine run; an odd one builds the fine increments from
+    S and D and sums them in groups, drawing all of them.
     """
+    _check_integer("max_moment", max_moment)
     if max_moment < 1:
         raise ValueError("max_moment must be >= 1")
-    if not (isinstance(coarsen, numbers.Integral) and coarsen >= 1) or config.steps % coarsen:
+    _check_integer("coarsen", coarsen)
+    if coarsen < 1 or config.steps % coarsen:
         raise ValueError("coarsen must be a positive integer that divides steps")
     n, t, paths = config.levels, config.time, config.replicas
     fine = config.steps
     coarse_steps = fine // coarsen
     h = t / fine * coarsen
-    scale = math.sqrt(t / fine)
+    step_scale = math.sqrt(t / fine)  # a lone step's S
+    pair_scale = math.sqrt(t / fine / 2.0)  # S and D of a step pair
     full, half = _drift_flow(n, h), _drift_flow(n, h / 2.0)
     pairs = (paths + 1) // 2
     vals = np.empty((2, pairs, max_moment))  # top level^k of the + and the - paths
@@ -136,39 +168,76 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     chunks = _equal_chunks(pairs, 6, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
     chunk = len(chunks[0])
     workers = min(_usable_cores(), len(chunks))
-    # the chunks in flight share one budget: each worker's draws and +- multipliers take 1/workers of it
-    block = min(coarse_steps, max(1, _BUFFER_DOUBLES // workers // ((coarsen + 2) * n * chunk)))
-    sizes = (block * coarsen * n * chunk, block * n * 2 * chunk, 2 * n * 2 * chunk)  # draws, +- multipliers, state
+    odd = coarsen % 2
+    unit = 1 + odd  # coarse steps per block unit: whole step pairs and whole coarse steps
+    draw_rows = coarsen if odd else coarsen // 2  # per coarse step: S and D, or S alone for an even coarsen
+    # up to coarsen = 2 a block's draws are as many rows as its - multipliers, and are written over by them
+    spill = coarsen > 2
+    # per coarse step and (level, pair): the +- multipliers, and any draws and fine increments that do not fit in them
+    per_step = 2 + spill * (draw_rows + odd * coarsen)
+    # the chunks in flight share one budget: each worker's buffers take 1/workers of it
+    block = min(coarse_steps, unit * max(1, _BUFFER_DOUBLES // workers // (per_step * n * chunk) // unit))
+    sizes = (
+        2 * block * n * chunk,  # the +- multipliers, (+-, step, level, pair)
+        spill * block * draw_rows * n * chunk,  # the draws, D before S so that one multiply scales both
+        spill * odd * block * coarsen * n * chunk,  # the fine increments
+        2 * 2 * n * chunk,  # the state and its drifted copy, (+-, level, pair)
+    )
     buffer_sets = [tuple(np.empty(size) for size in sizes) for _ in range(workers)]
 
-    def run_chunk(rows: range, draw_buf, mult_buf, state) -> None:
+    def run_chunk(rows: range, mult_buf, draw_buf, inc_buf, state) -> None:
         c = len(rows)
-        rng = _chunk_rng(config.seed, 2 * rows.start)
-        draws = draw_buf[: block * coarsen * n * c].reshape(block, coarsen, n, c)
-        mult = mult_buf[: block * n * 2 * c].reshape(block, n, 2 * c)
-        z, drifted = state[: 2 * n * 2 * c].reshape(2, n, 2 * c)
+        sum_rng, diff_rng = _chunk_rngs(config.seed, 2 * rows.start)
+        mults = mult_buf[: 2 * block * n * c].reshape(2, block, n, c)
+        z, drifted = state[: 2 * 2 * n * c].reshape(2, 2, n, c)
         z.fill(0.0)
-        z[0] = 1.0
+        z[:, 0] = 1.0
         src = drifted if n > 1 else z  # at N = 1 the flow is the identity
         flow = half
-        left = coarse_steps
+        left = fine
         while left:
-            b = min(left, block)
-            rng.standard_normal(out=draws[:b])
-            g = draws[:b, 0]
-            for j in range(1, coarsen):
-                g += draws[:b, j]
-            g *= scale
-            np.subtract(g, h / 2.0, out=mult[:b, :, :c])
-            np.subtract(-h / 2.0, g, out=mult[:b, :, c:])
-            np.exp(mult[:b], out=mult[:b])
-            for row in mult[:b]:
+            span = min(left, block * coarsen)  # fine steps
+            b = span // coarsen
+            both = span // 2  # step pairs; the last block of an odd step count ends on a lone step
+            mult = mults[:, :b]
+            plus = mult[0]
+            count = (1 + odd) * both + span % 2
+            draws = draw_buf[: count * n * c].reshape(count, n, c) if spill else mult[1]
+            d, s = draws[: odd * both], draws[odd * both :]
+            sum_rng.standard_normal(out=s)
+            if odd:
+                diff_rng.standard_normal(out=d)
+                inc = inc_buf[: span * n * c].reshape(span, n, c) if spill else plus
+                # the fine increments less their h/2, which a coarse step's sum turns into its own h/2
+                shift = h / coarsen / 2.0
+                draws[: 2 * both] *= pair_scale
+                s[:both] -= shift
+                np.add(s[:both], d, out=inc[0 : 2 * both : 2])
+                np.subtract(s[:both], d, out=inc[1 : 2 * both : 2])
+                if span % 2:  # the lone last step takes S only
+                    np.multiply(s[both], step_scale, out=inc[-1])
+                    inc[-1] -= shift
+                if spill:
+                    group = inc.reshape(b, coarsen, n, c)
+                    np.add(group[:, 0], group[:, 1], out=plus)
+                    for j in range(2, coarsen):
+                        plus += group[:, j]
+            else:
+                group = s.reshape(b, coarsen // 2, n, c)
+                g = group[:, 0]
+                for j in range(1, coarsen // 2):
+                    g += group[:, j]
+                np.multiply(g, 2.0 * pair_scale, out=plus)
+                plus -= h / 2.0
+            np.subtract(-h, plus, out=mult[1])
+            np.exp(mult, out=mult)
+            for i in range(b):
                 if n > 1:
                     np.matmul(flow, z, out=drifted)
-                np.multiply(src, row, out=z)
+                np.multiply(src, mult[:, i], out=z)
                 flow = full
-            left -= b
-        top = (half[-1] @ z).reshape(2, c)
+            left -= span
+        top = half[-1] @ z
         for k in range(1, max_moment + 1):
             vals[:, rows.start : rows.stop, k - 1] = top**k
 
@@ -185,8 +254,9 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     return PolymerMoments(means, errs, config)
 
 
-def _chunk_rng(seed: int, first_path: int) -> np.random.Generator:
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, first_path))))
+def _chunk_rngs(seed: int, first_path: int) -> list[np.random.Generator]:
+    # the chunk's sum stream and difference stream
+    return [np.random.Generator(np.random.SFC64(seq)) for seq in np.random.SeedSequence((seed, first_path)).spawn(2)]
 
 
 def _drift_flow(levels: int, h: float) -> np.ndarray:

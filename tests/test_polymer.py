@@ -1,6 +1,7 @@
 """Polymer moments: contour vs closed forms vs simulation, and the disorder limit."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -52,6 +53,27 @@ class TestConfig:
     def test_guards_refuse_by_name(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("levels", 2.5), ("levels", True), ("steps", 100.5), ("steps", np.float64(100.0)), ("replicas", 1000.5), ("replicas", False)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # steps = 100.5 was blamed on coarsen; the other floats failed inside numpy
+        # with "'float' object cannot be interpreted as an integer"
+        fields = {"levels": 2, "time": 1.0, "steps": 100, "replicas": 1000, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            PolymerConfig(**fields)
+
+    @pytest.mark.parametrize("max_moment", [2.5, 2.0, True])
+    def test_max_moment_must_be_an_integer(self, max_moment):
+        cfg = PolymerConfig(levels=2, time=1.0, steps=20, replicas=10)
+        with pytest.raises(ValueError, match=re.escape(f"max_moment must be an integer, got {max_moment!r}")):
+            simulate_polymer(cfg, max_moment=max_moment)
+
+    def test_numpy_integers_accepted(self):
+        cfg = PolymerConfig(levels=np.int64(2), time=1.0, steps=np.int32(20), replicas=np.int64(10))
+        assert simulate_polymer(cfg, max_moment=np.int64(2)).values.shape == (2,)
 
 
 class TestContourMoments:
@@ -140,16 +162,44 @@ class TestSimulation:
     def test_coarsen_shares_increments(self):
         # at N = 1 the update is exact, so a coarse run on the fine run's own
         # increments equals it to round-off; an independent coarse path would not
-        cfg = PolymerConfig(levels=1, time=1.0, steps=100, replicas=2_000, seed=9)
-        fine = simulate_polymer(cfg)
-        for coarsen in (2, 4, 5):
-            coarse = simulate_polymer(cfg, coarsen=coarsen)
-            np.testing.assert_allclose(coarse.values, fine.values, rtol=1e-12, atol=0)
+        for steps, coarsens in ((100, (2, 4, 5)), (505, (5,))):
+            # at 505 steps the step pairs straddle the coarse steps and the last step stands alone
+            cfg = PolymerConfig(levels=1, time=1.0, steps=steps, replicas=2_000, seed=9)
+            fine = simulate_polymer(cfg)
+            for coarsen in coarsens:
+                coarse = simulate_polymer(cfg, coarsen=coarsen)
+                np.testing.assert_allclose(coarse.values, fine.values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("steps,coarsen,share", [(100, 2, 0.5), (100, 4, 0.5), (100, 5, 1.0), (505, 5, 1.0)])
+    def test_coarse_draw_count(self, monkeypatch, steps, coarsen, share):
+        # an even coarsen needs only the sum stream: half the fine run's normals
+        drawn = {}
+
+        class Counted:
+            def __init__(self, rng, stream):
+                self.rng, self.stream = rng, stream
+
+            def standard_normal(self, out):
+                drawn[self.stream] = drawn.get(self.stream, 0) + out.size
+                return self.rng.standard_normal(out=out)
+
+        chunk_rngs = polymer._chunk_rngs
+        monkeypatch.setattr(
+            polymer, "_chunk_rngs", lambda *a: [Counted(rng, i) for i, rng in enumerate(chunk_rngs(*a))]
+        )
+        cfg = PolymerConfig(levels=3, time=1.0, steps=steps, replicas=2_001, seed=9)
+        simulate_polymer(cfg)
+        fine = dict(drawn)
+        assert fine == {0: (steps + 1) // 2 * 3 * 1_001, 1: steps // 2 * 3 * 1_001}
+        drawn.clear()
+        simulate_polymer(cfg, coarsen=coarsen)
+        assert sum(drawn.values()) == share * sum(fine.values())
+        assert drawn.get(1, 0) == (0 if share < 1 else fine[1])
 
     def test_coarsen_must_divide(self):
         # a non-positive coarsen once returned [1, 1] +- [0, 0] (or raised ZeroDivisionError)
         cfg = PolymerConfig(levels=3, time=1.0, steps=100, replicas=10, seed=0)
-        for coarsen in (3, 0, -1, -100, 2.0):
+        for coarsen in (3, 0, -1, -100, 2.0, True):
             with pytest.raises(ValueError, match="coarsen"):
                 simulate_polymer(cfg, coarsen=coarsen)
 
@@ -179,6 +229,8 @@ class TestSimulation:
             (2, 500, 20_010, 2),  # six chunks (3 x 1_668 + 3 x 1_667 pairs)
             (2, 500, 20_010, 5),
             (2, 500, 20_011, 1),  # odd: the last path's mirror is dropped
+            (2, 505, 20_010, 5),  # pairs straddle the coarse steps, and the last step stands alone
+            (2, 505, 20_010, 1),
         ],
     )
     def test_independent_of_worker_count(self, monkeypatch, levels, steps, replicas, coarsen):
@@ -198,11 +250,14 @@ class TestSimulation:
 
 
 def _per_step_reference(config: PolymerConfig, max_moment: int):
-    """The simulation one step at a time: one (N, pairs) draw per step for a pair of paths, same chunks.
+    """The simulation one step at a time: one (N, pairs) draw per step pair and stream, same chunks.
 
     The chunks are six, or the least multiple of six that keeps each within
     the draw budget, of equal length up to one pair, longer ones first; each
-    draws from SFC64 seeded by (seed, first path).
+    draws from two SFC64 streams spawned from (seed, first path).  A step
+    pair takes S from the first and D from the second and runs the
+    increments (S +- D) sqrt(t/steps/2); an odd step count's last step takes
+    S sqrt(t/steps) alone.
     """
     n, t, fine, paths = config.levels, config.time, config.steps, config.replicas
     h = t / fine
@@ -218,16 +273,25 @@ def _per_step_reference(config: PolymerConfig, max_moment: int):
     done = 0
     for i in range(count):
         c = pairs // count + (i < pairs % count)
-        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((config.seed, 2 * done))))
-        z = np.zeros((n, 2 * c))
-        z[0] = 1.0
-        for step in range(fine):
-            g = rng.standard_normal((n, c)) * math.sqrt(t / fine)
-            growth = np.hstack([np.exp(g - h / 2.0), np.exp(-h / 2.0 - g)])
+        sums, diffs = (
+            np.random.Generator(np.random.SFC64(seq))
+            for seq in np.random.SeedSequence((config.seed, 2 * done)).spawn(2)
+        )
+        z = np.zeros((2, n, c))  # the + paths, then the - paths
+        z[:, 0] = 1.0
+        increments = []  # each less h/2
+        for _ in range(fine // 2):
+            s = sums.standard_normal((n, c)) * math.sqrt(t / fine / 2.0) - h / 2.0
+            d = diffs.standard_normal((n, c)) * math.sqrt(t / fine / 2.0)
+            increments += [s + d, s - d]
+        if fine % 2:
+            increments.append(sums.standard_normal((n, c)) * math.sqrt(t / fine) - h / 2.0)
+        for step, g in enumerate(increments):
+            growth = np.stack([np.exp(g), np.exp(-h - g)])
             z = ((half if step == 0 else full) @ z) * growth
         top = half[-1] @ z
-        plus.append(np.stack([top[:c] ** k for k in range(1, max_moment + 1)], axis=1))
-        minus.append(np.stack([top[c:] ** k for k in range(1, max_moment + 1)], axis=1))
+        plus.append(np.stack([top[0] ** k for k in range(1, max_moment + 1)], axis=1))
+        minus.append(np.stack([top[1] ** k for k in range(1, max_moment + 1)], axis=1))
         done += c
     plus, minus = np.concatenate(plus), np.concatenate(minus)[: paths - pairs]
     means = (plus.sum(axis=0) + minus.sum(axis=0)) / paths
