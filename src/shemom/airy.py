@@ -40,8 +40,8 @@ __all__ = [
 _X_MIN = -600.0
 _X_MAX = 200.0
 
-# rows per laplace_R_mc chunk; each worker's buffers take 2n + 2 doubles a row
-# (1.2 MB at n = 8), and larger chunks were no faster.  Each chunk draws from
+# rows per laplace_R_mc chunk; each worker's buffers take n + 1 doubles a row
+# (0.6 MB at n = 8), and larger chunks were no faster.  Each chunk draws from
 # its own spawned generator, so this size is part of the random stream.
 _MC_CHUNK = 8192
 
@@ -173,43 +173,82 @@ def _fischer_enclosure(order: int | None = None):
     return lambda c: bound(tuple(sorted(np.asarray(c, dtype=float).tolist(), reverse=True)))
 
 
+def _difference_factor(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factor L of the covariance of D_i = Z_i - Z_n, i < n, as (diagonal, below).
+
+    With Z_i independent N(0, 1/(2 c_i)), Cov D = diag(1/(2 c_i)) + J/(2 c_n),
+    J all ones.  A diagonal plus a constant has a factor that is constant
+    below the diagonal in each column: L[i, i] = diagonal[i] and
+    L[i, k] = below[k] for i > k, from the recurrence t_0 = 1/(2 c_n),
+    L[k, k]^2 = 1/(2 c_k) + t_k, below[k] = t_k / L[k, k],
+    t_{k+1} = t_k - below[k]^2.  The last entry of below multiplies no row.
+    """
+    var = 0.5 / c[:-1]
+    diagonal, below = np.empty(len(var)), np.empty(len(var))
+    t = 0.5 / float(c[-1])
+    for k, v in enumerate(var):
+        diagonal[k] = math.sqrt(v + t)
+        below[k] = t / diagonal[k]
+        t = t * v / (v + t)  # t - below[k]^2, without the cancellation
+    return diagonal, below
+
+
 def laplace_R_mc(c, samples: int, rng: np.random.Generator) -> tuple[float, float]:
     """R(c_1..c_n) via the Gaussian-expectation form; returns (mean, stderr).
 
     R(c) = e^{sum c^3/12} prod_i (2 sqrt(pi) c_i^{3/2})^{-1}
            * E prod_{i<j} [(Z_i-Z_j)^2 + (c_i-c_j)^2/4] / [(Z_i-Z_j)^2 + (c_i+c_j)^2/4]
     with Z_i independent N(0, 1/(2 c_i)).  The constants are pinned by the
-    n=1 closed form, which needs no draws.
+    n=1 closed form, which needs no draws.  The pair ratios read only the
+    differences, so each sample draws n - 1 standard normals G and takes
+    D = L G, L the factor of ``_difference_factor``, for Z_i - Z_n: the
+    same law as n draws, so the same estimate in law and the same variance.
+    L is applied by elementwise multiply-adds in a fixed order, never BLAS,
+    so no estimate depends on the BLAS thread count.
 
     The samples run in chunks of ``_MC_CHUNK`` rows on the shared thread
-    pool.  Chunk i takes its normals from ``rng.spawn(chunks)[i]``, so the
-    estimate is bit-identical for any worker count, and the next call on
-    the same ``rng`` spawns fresh streams; ``rng``'s own state is not used.
-    Raises FloatingPointError when e^{sum c^3/12} overflows.
+    pool.  Chunk i draws its (n - 1, rows) normals from an SFC64 generator
+    seeded with the i-th of ``rng.bit_generator.seed_seq.spawn(chunks)``, as
+    many children as ``rng.spawn`` would take, so the estimate is
+    bit-identical for any worker count, and the next call on the same
+    ``rng`` spawns fresh streams; ``rng``'s own state is not used.  Raises
+    ValueError for a part that is not positive and finite and
+    FloatingPointError when e^{sum c^3/12} overflows.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
-    c = np.asarray(c, dtype=float)
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if not np.all(np.isfinite(c) & (c > 0)):
+        raise ValueError("all c_i must be positive and finite")
     n = len(c)
     # the Cauchy determinant carries prod_i 1/c_i; pref holds the rest
     pref = _exp_cubes(float(np.sum(c**3) / 12.0), c) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
     if n == 1:
         return pref / float(c[0]), 0.0
-    sigma = 1.0 / np.sqrt(2.0 * c)
+    m = n - 1
+    diagonal, below = _difference_factor(c)
     dets = np.empty(samples)
     starts = range(0, samples, _MC_CHUNK)
-    streams = rng.spawn(len(starts))
-    # one set per worker: the draws, their scaled transpose and the determinant's two pair factors
-    sizes = (_MC_CHUNK * n, n * _MC_CHUNK, _MC_CHUNK, _MC_CHUNK)
+    streams = rng.bit_generator.seed_seq.spawn(len(starts))
+    # one set per worker: the draws, turned into the differences in place, and two rows
+    # that hold the factor's running sum and then the determinant's two pair factors
+    sizes = (m * _MC_CHUNK, _MC_CHUNK, _MC_CHUNK)
     buffer_sets = [tuple(np.empty(size) for size in sizes) for _ in range(min(_usable_cores(), len(starts)))]
 
-    def run_chunk(start: int, draw_buf, z_buf, d2, den) -> None:
+    def run_chunk(start: int, draw_buf, row_a, row_b) -> None:
         rows = min(_MC_CHUNK, samples - start)
-        draws = draw_buf[: rows * n].reshape(rows, n)
-        streams[start // _MC_CHUNK].standard_normal(out=draws)
-        zs = z_buf[: n * rows].reshape(n, rows)
-        np.multiply(draws.T, sigma[:, None], out=zs)
-        cauchy_pair_det(zs, c, out=dets[start : start + rows], work=(d2[:rows], den[:rows]))
+        d = draw_buf[: m * rows].reshape(m, rows)
+        np.random.Generator(np.random.SFC64(streams[start // _MC_CHUNK])).standard_normal(out=d)
+        # D_i = L[i, i] G_i + sum_{k<i} below[k] G_k, the sum carried in acc
+        acc, term = row_a[:rows], row_b[:rows]
+        np.multiply(d[0], below[0], out=acc)
+        d[0] *= diagonal[0]
+        for i in range(1, m):
+            np.multiply(d[i], below[i], out=term)
+            d[i] *= diagonal[i]
+            d[i] += acc
+            acc += term
+        cauchy_pair_det([*d, 0.0], c, out=dets[start : start + rows], work=(row_a[:rows], row_b[:rows]))
 
     _run_chunks(run_chunk, starts, buffer_sets)
     mean = float(np.mean(dets))

@@ -12,6 +12,12 @@ the calling process.
 1, 2 and 3 workers, because its chunks' streams are seeded by their first
 paths and so must not depend on the worker count; ``sample_airy_points``,
 whose replicas are seeded one by one, asks for a multiple of the usable cores.
+
+``_run_chunks`` runs them on one thread pool for the whole process, made on
+the first call that needs more than one worker and replaced by a larger one
+only when a call asks for more workers than it has; a forked child drops its
+parent's pool and makes its own.  A chunk must not call ``_run_chunks``:
+it would wait for workers that are all busy with the chunks of its caller.
 """
 
 from __future__ import annotations
@@ -19,8 +25,34 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import queue
+import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+_pool: ThreadPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _shared_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's chunk pool, with at least ``workers`` workers."""
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool_workers < workers:
+            if _pool is not None:
+                _pool.shutdown(wait=False)  # its idle threads end; work already queued there still runs
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="shemom-chunk")
+            _pool_workers = workers
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's workers do not exist here, so the next call makes a new pool."""
+    global _pool, _pool_workers, _pool_lock
+    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _usable_cores() -> int:
@@ -47,34 +79,43 @@ def _run_chunks(run_chunk, chunks, buffer_sets: list) -> None:
 
     A chunk is whatever run_chunk takes, a first row or a range of rows.
     The caller allocates the buffer sets: buffers allocated in the workers
-    would stay in their malloc arenas after the call.  Each running chunk
-    holds a set that no other running chunk holds.  With one set the chunks
-    run inline, in order.  Each chunk runs in a copy of the caller's context,
-    so it sees the caller's np.errstate.  The first chunk to raise ends the
-    call with its exception, and so does an interrupt of the caller; either
-    way the chunks not yet started are cancelled.
+    would stay in their malloc arenas after the call.  Each worker holds one
+    set and takes the chunks in order, the next one free, until none is
+    left.  With one set the chunks run inline, in order.  Each worker runs in
+    a copy of the caller's context, so its chunks see the caller's
+    np.errstate.  The first chunk to raise ends the call with its exception,
+    and so does an interrupt of the caller; either way no chunk starts after
+    it and the call returns once the running chunks are done.
     """
     if len(buffer_sets) == 1:
         for chunk in chunks:
             run_chunk(chunk, *buffer_sets[0])
         return
-    free = queue.SimpleQueue()  # never empty when a chunk starts: there are as many sets as workers
-    for buffers in buffer_sets:
-        free.put(buffers)
+    todo = iter(chunks)
+    todo_lock = threading.Lock()
+    stop = threading.Event()
 
-    def run_with_buffers(chunk) -> None:
-        buffers = free.get()
-        try:
-            run_chunk(chunk, *buffers)
-        finally:
-            free.put(buffers)
+    def work(buffers) -> None:
+        while not stop.is_set():
+            with todo_lock:
+                chunk = next(todo, None)
+            if chunk is None:
+                return
+            try:
+                run_chunk(chunk, *buffers)
+            except BaseException:
+                stop.set()
+                raise
 
-    pool = ThreadPoolExecutor(len(buffer_sets), thread_name_prefix="shemom-chunk")
+    pool = _shared_pool(len(buffer_sets))
+    futures = [pool.submit(contextvars.copy_context().run, work, buffers) for buffers in buffer_sets]
     try:
-        futures = [pool.submit(contextvars.copy_context().run, run_with_buffers, chunk) for chunk in chunks]
         finished, _ = wait(futures, return_when=FIRST_EXCEPTION)
         for future in futures:
             if future in finished:
                 future.result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        stop.set()
+        for future in futures:
+            future.cancel()
+        wait(futures)

@@ -14,12 +14,12 @@ that share one column of normals; ``coarsen`` reruns the same paths at a
 longer step to measure the time-step error.  Its pairs run in six equal
 chunks (or a multiple of six) on the usable cores, and its results are the
 same for any core count.  Each chunk draws from two SFC64 generators, whose
-normals cost about a fifth less than those of numpy's default PCG64; the
-residue-sum Monte Carlo and the GUE edge sampler, where draws are a small
-part of the work, keep PCG64.  The two streams give each pair of fine
-steps (2j, 2j+1) a sum S_j and a difference D_j, and the steps take
-(S_j +- D_j)/sqrt(2): an orthogonal map, so the increments stay i.i.d.
-N(0, 1) in law.  A fine run draws one normal per (step, level, pair of
+normals cost about a fifth less than those of numpy's default PCG64, as
+do the chunks of the residue-sum Monte Carlo; the GUE edge sampler, where
+draws are a small part of the work, keeps PCG64.  The two streams give
+each pair of fine steps (2j, 2j+1) a sum S_j and a difference D_j, and the
+steps take (S_j +- D_j)/sqrt(2): an orthogonal map, so the increments stay
+i.i.d. N(0, 1) in law.  A fine run draws one normal per (step, level, pair of
 paths), as one stream would; a run with an even ``coarsen`` needs only the
 sums, sqrt(2) times their total over a coarse step, and draws half as many.
 

@@ -110,11 +110,16 @@ def laplace_R_two_part(c1: float, c2: float) -> float:
     return math.exp((c1**3 + c2**3) / 12.0) / (2.0 * math.pi) ** 2 * math.sqrt(math.pi / S) / (c1 * c2) * bracket
 
 
-def spawned_normals(rng: np.random.Generator, samples: int, n: int) -> np.ndarray:
-    """laplace_R_mc's (samples, n) standard normals in one serial pass: chunk i from rng.spawn(chunks)[i]."""
-    children = rng.spawn(-(-samples // _MC_CHUNK))
-    rows = [min(_MC_CHUNK, samples - i * _MC_CHUNK) for i in range(len(children))]
-    return np.concatenate([child.normal(0.0, 1.0, size=(r, n)) for child, r in zip(children, rows)])
+def spawned_normals(rng: np.random.Generator, samples: int, m: int) -> np.ndarray:
+    """laplace_R_mc's (m, samples) standard normals in one serial pass.
+
+    Chunk i is drawn in (m, rows) order from SFC64 seeded with the i-th child
+    of rng's seed sequence.
+    """
+    seeds = rng.bit_generator.seed_seq.spawn(-(-samples // _MC_CHUNK))
+    rows = [min(_MC_CHUNK, samples - i * _MC_CHUNK) for i in range(len(seeds))]
+    chunks = [np.random.Generator(np.random.SFC64(s)).normal(0.0, 1.0, size=(m, r)) for s, r in zip(seeds, rows)]
+    return np.hstack(chunks)
 
 
 def sturm_above_full(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:

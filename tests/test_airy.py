@@ -166,13 +166,32 @@ class TestLaplaceRMC:
         with pytest.raises(ValueError, match="samples"):
             laplace_R_mc([1.0, 0.8], samples, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("c", [[1.0, -1.0], [1.0, math.nan], [math.inf, 1.0], [1.0, 0.0], [-2.0]])
+    def test_refuses_bad_c(self, c):
+        with pytest.raises(ValueError, match="all c_i must be positive and finite"):
+            laplace_R_mc(c, 1000, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_difference_factor_reproduces_covariance(self, n):
+        # Cov(Z_i - Z_n) for Z_i independent N(0, 1/(2 c_i)), at unequal parts
+        c = np.random.default_rng(n).uniform(0.3, 4.0, n)
+        diagonal, below = airy._difference_factor(c)
+        L = np.diag(diagonal) + np.tril(np.broadcast_to(below, (n - 1, n - 1)), -1)
+        cov = np.diag(0.5 / c[:-1]) + 0.5 / c[-1]
+        np.testing.assert_allclose(L @ L.T, cov, rtol=1e-14)
+        np.testing.assert_allclose(L, np.linalg.cholesky(cov), rtol=1e-13)
+
     @pytest.mark.parametrize("n", [2, 5, 8])
     @pytest.mark.parametrize("samples", [1000, 2 * airy._MC_CHUNK + 5, 200_000])
     def test_matches_serial_route_for_any_worker_count(self, monkeypatch, n, samples):
         c = np.linspace(0.6, 1.8, n)
-        # the serial route: each chunk's normals from its own spawned child, every determinant in one call
-        zs = spawned_normals(np.random.default_rng(11), samples, n) * (1.0 / np.sqrt(2.0 * c))[None, :]
-        dets = cauchy_pair_det(zs.T, c)
+        # the serial route: each chunk's normals from its own spawned child, the differences
+        # D_i = L[i, i] G_i + sum_{k<i} L[i, k] G_k by one cumulative sum, every determinant in one call
+        g = spawned_normals(np.random.default_rng(11), samples, n - 1)
+        diagonal, below = airy._difference_factor(c)
+        d = diagonal[:, None] * g
+        d[1:] += np.cumsum(below[:-1, None] * g[:-1], axis=0)
+        dets = cauchy_pair_det([*d, 0.0], c)
         pref = math.exp(float(np.sum(c**3) / 12.0)) / float(np.prod(2.0 * math.sqrt(math.pi) * np.sqrt(c)))
         ref = (pref * float(np.mean(dets)), pref * float(np.std(dets, ddof=1) / math.sqrt(samples)))
         interval = sys.getswitchinterval()

@@ -1,7 +1,10 @@
 """The chunk rule and the chunk runner shared by the polymer, GUE edge and residue-sum Monte Carlo routes."""
 
 import itertools
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import warnings
@@ -79,10 +82,12 @@ class TestRunChunks:
         lock = threading.Lock()
         clock = itertools.count()
         spans = []  # (set id, thread, entered, left) per chunk
+        ran = []
 
         def run_chunk(start, buffer):
             with lock:
                 entered = next(clock)
+                ran.append(start)
             time.sleep(start % 4 * 1e-3)  # uneven, so the chunks finish out of order
             with lock:
                 spans.append((id(buffer), threading.get_ident(), entered, next(clock)))
@@ -94,7 +99,69 @@ class TestRunChunks:
         finally:
             sys.setswitchinterval(interval)
         assert len(spans) == 20
+        assert sorted(ran) == list(range(20))  # the workers share one list of chunks: each taken once
         assert {s for s, *_ in spans} <= {id(b) for (b,) in buffer_sets}
         for (set_a, _, in_a, out_a), (set_b, _, in_b, out_b) in itertools.combinations(spans, 2):
             assert set_a != set_b or out_a < in_b or out_b < in_a  # one set, never two chunks in flight
         assert len({thread for _, thread, *_ in spans}) <= 3
+
+
+
+def run_child(script: str) -> str:
+    """Run ``script`` in a fresh interpreter with a timeout, so that a stuck pool fails instead of hanging."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    return done.stdout
+
+
+# two workers on the process pool, five chunks of samples; prints the estimate
+SETUP = "import os\nimport numpy as np\nfrom shemom import airy, chunks\nairy._usable_cores = lambda: 2\n"
+CALL = "print(repr(airy.laplace_R_mc([1.0, 0.8, 0.6], 4 * airy._MC_CHUNK + 1, np.random.default_rng(0))))\n"
+
+
+class TestPoolLifetime:
+    """The process keeps one pool; a failed call or a fork must leave it usable."""
+
+    def test_call_after_a_failing_chunk(self):
+        failing = textwrap.dedent(
+            """
+            import time
+
+            def run_chunk(start):
+                if start == 1:
+                    raise ArithmeticError("chunk 2 of 20")
+                time.sleep(0.01)
+
+            try:
+                chunks._run_chunks(run_chunk, range(20), [()] * 2)
+            except ArithmeticError as exc:
+                print(exc)
+            """
+        )
+        fresh = run_child(SETUP + CALL)
+        assert run_child(SETUP + failing + CALL) == "chunk 2 of 20\n" + fresh
+
+    def test_forked_child_runs_a_call(self):
+        # the parent's workers are not copied into the child, so a pool kept across the fork would never run
+        fork = textwrap.dedent(
+            f"""
+            import sys
+            import warnings
+
+            warnings.simplefilter("ignore", DeprecationWarning)  # Python >= 3.12 warns on a fork beside threads
+            sys.stdout.flush()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    {CALL.strip()}
+                    code = 0
+                finally:
+                    sys.stdout.flush()
+                    os._exit(code)
+            print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """
+        )
+        first, child, status = run_child(SETUP + CALL + fork).splitlines()
+        assert (child, status) == (first, "0")

@@ -559,7 +559,7 @@ class TestReportContract:
     @settings(max_examples=30, deadline=None)
     @given(
         method=st.sampled_from(["partition", "contour", "gaussian-mc"]),
-        k=st.integers(1, 5),
+        k=st.integers(1, 8),
         t=st.floats(1e-3, 1e4),
         x=st.floats(-50.0, 50.0),
     )
@@ -568,6 +568,8 @@ class TestReportContract:
         code, out, err = run_quiet(["moment", method, "--k", str(k), "--t", repr(t), "--x", repr(x), *samples])
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+        if k > she_moments.ROUTES[method.replace("-", "_")]:
+            assert code == 1  # the route's k guard, or an earlier refusal: a configuration error either way
         if code == 0:
             for e in strict_json(out)["estimates"]:
                 assert math.isfinite(e["value"]) and math.isfinite(e["err"])

@@ -167,6 +167,15 @@ class TestCauchyPairDet:
         closed = float(cauchy_pair_det(ys, parts))
         assert abs(mpmath.mpf(closed) - exact) <= 1e-12 * abs(exact)
 
+    @settings(max_examples=200, deadline=None)
+    @given(parts=scaled_parts(), shift=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_one_common_shift_changes_nothing(self, parts, shift, seed):
+        # the Monte Carlo R draws only the differences from the last row and passes 0 for that row
+        ys = np.random.default_rng(seed).normal(0.0, 1.0, size=(len(parts), 16)) / np.sqrt(2.0 * parts)[:, None]
+        base = cauchy_pair_det(ys, parts)
+        shifted = cauchy_pair_det(ys + shift, parts)
+        assert np.max(np.abs(shifted - base)) <= 1e-12 * np.max(np.abs(base))
+
     def test_sparse_axes_match_dense(self):
         parts = np.array([3.0, 1.0, 2.0])
         axes = [np.linspace(-2.0, 2.0, 5) * (j + 1) for j in range(3)]
