@@ -18,13 +18,14 @@ proves every pivot negative (_sturm_above), about 40% and 53% of the rows at
 N = 800 and 400.  A replica that fails the count is redone by dsterf on the
 full matrix, as is every replica when n_eff >= N.
 
-The replicas run in equal chunks of at most _CHUNK, whose count is a multiple
-of the usable cores, on one worker thread per core.  ``dsterf``, the one
-eigenvalue routine, is called through scipy's Cython LAPACK table by ctypes,
-which releases the GIL, so the chunks' LAPACK calls run at the same time.  It
-is bound on the first sampling call, not at import, so that importing this
+Block b of _DRAW_BLOCK replicas fills its diagonals and off-diagonals, row by
+row, from two SFC64 streams spawned from SeedSequence((seed, b, 1)), and the
+blocks run in equal chunks of at most _CHUNK replicas, a multiple of the usable
+cores of them, one worker thread per core.  The draws and ``dsterf``, the one
+eigenvalue routine, release the GIL; dsterf is called through scipy's Cython
+LAPACK table by ctypes, bound on the first sampling call so that importing this
 module loads no scipy.  The Sturm count is elementwise per replica, so the
-points do not depend on the replica count, the chunk size or the worker count.
+points depend on neither the replica count nor the chunk size or worker count.
 
 Functionals estimated here:
   * series_moment_mc  -- moments of S = sum_p E_p e^{C a_p} with i.i.d. Exp(1)
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import edge_scale
-from .chunks import _equal_chunks, _run_chunks, _usable_cores
+from .chunks import _equal_chunks, _run_chunks, _stream_pair, _usable_cores
 from .combinatorics import h_complete
 
 __all__ = [
@@ -107,16 +108,13 @@ class MCEstimate:
     replicas: int
 
 
-def _replica_rng(seed: int, replica: int, component: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, replica, component)))
-
-
 # the block's decay, in scaled rows of the limit's linear band edge (_window).  Of 10 000
 # replicas, none fell back to the full matrix at (n, m) = (400, 24) or (800, 24), 5 at (800, 1)
 # and 1 at (800, 8); the linear rule n^(1/3)(|a_m| + 7) left 6 of 20 at (800, 1)
 _WINDOW_MARGIN = 9.0
 _CERT_TOL = 1e-11  # delta: absolute, on the unscaled eigenvalues
 _CHUNK = 128  # most replicas per chunk; bounds the Sturm count's memory
+_DRAW_BLOCK = 25  # replicas per pair of draw streams, part of the random stream; 400 replicas are 4 chunks of 100
 
 
 def _bind_dsterf():
@@ -154,6 +152,16 @@ def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
     n, info = ctypes.c_int(len(d)), ctypes.c_int()
     _dsterf_handle()(ctypes.byref(n), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
     return d, info.value
+
+
+def _draw(seed: int, first_block: int, diag: np.ndarray, off: np.ndarray) -> None:
+    """Rows of diag ~ N(0, 1) and off ~ sqrt(Gamma(n - i)) = chi_{2(n - i)} / sqrt(2), from block first_block on."""
+    dof = np.arange(diag.shape[1] - 1, 0, -1, dtype=float)
+    for i in range(0, len(diag), _DRAW_BLOCK):
+        normal, gamma = _stream_pair(seed, first_block + i // _DRAW_BLOCK, 1)
+        normal.standard_normal(out=diag[i : i + _DRAW_BLOCK])
+        gamma.standard_gamma(dof, out=off[i : i + _DRAW_BLOCK])
+    np.sqrt(off, out=off)
 
 
 def _window(n: int, m: int) -> int:
@@ -257,19 +265,17 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     window = _window(n, m)
     out = np.empty((replicas, m))
     failed = np.zeros(replicas, dtype=bool)
-    dof = np.arange(n - 1, 0, -1).astype(float)
-    workers = min(_usable_cores(), replicas)
-    # a multiple of the worker count of equal chunks, so every worker gets the same share
-    chunks = _equal_chunks(replicas, workers, _CHUNK)
-    chunk = len(chunks[0])
+    blocks = math.ceil(replicas / _DRAW_BLOCK)
+    workers = min(_usable_cores(), blocks)
+    # a multiple of the worker count of equal chunks of whole blocks, so every worker runs as many chunks
+    chunks = _equal_chunks(blocks, workers, _CHUNK // _DRAW_BLOCK)
+    chunk = len(chunks[0]) * _DRAW_BLOCK
     buffer_sets = [(np.empty((chunk, n)), np.empty((chunk, n - 1)), np.empty((chunk, n))) for _ in range(workers)]
 
-    def run_chunk(rows: range, diag_buf, off_buf, scratch) -> None:
+    def run_chunk(block_range: range, diag_buf, off_buf, scratch) -> None:
+        rows = range(block_range.start * _DRAW_BLOCK, min(block_range.stop * _DRAW_BLOCK, replicas))
         diag, off = diag_buf[: len(rows)], off_buf[: len(rows)]
-        for i, r in enumerate(rows):
-            rng = _replica_rng(config.seed, r)
-            diag[i] = rng.normal(size=n)
-            off[i] = np.sqrt(rng.gamma(shape=dof))
+        _draw(config.seed, block_range.start, diag, off)
         if window < n:
             top, ok = _certified_top(diag, off, window, m, scratch)
             failed[rows.start : rows.stop] = ~ok
@@ -286,13 +292,13 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     return AirySampleSet(config, out, window, int(np.count_nonzero(failed)))
 
 
-def _weights_exp(sample: AirySampleSet, C: float, k: int) -> np.ndarray:
-    """e^{C a_p} per replica, with a truncation-bias warning when the cut matters.
+def _hk(k: int, T: float, sample: AirySampleSet) -> np.ndarray:
+    """h_k(e^{C a_1}, e^{C a_2}, ...) per replica, with a truncation-bias warning when the cut matters.
 
     The discarded points sit below the m-th one, so their total contribution to
     sum e^{C a_p} is controlled by the smallest retained term.
     """
-    ex = np.exp(C * sample.points)
+    ex = np.exp(edge_scale(T) * sample.points)
     tail = ex[:, -1].mean()
     if tail > 1e-3 * max(ex[:, 0].mean(), 1e-300) * k:
         warnings.warn(
@@ -300,42 +306,33 @@ def _weights_exp(sample: AirySampleSet, C: float, k: int) -> np.ndarray:
             f"(smallest retained weight {tail:.3e}); increase top_points",
             RuntimeWarning,
         )
-    return ex
+    return h_complete(k, ex.T)  # elementwise over the columns
+
+
+def _mean(vals: np.ndarray) -> MCEstimate:
+    return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))
 
 
 def series_moment_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
     """E[S^k] for S = sum_p E_p e^{C a_p}, E_p i.i.d. Exp(1); equals e^{kT/24} E[Z(T,0)^k].
 
-    The exponential weights are resampled per replica with a sub-stream of the
-    replica generator, keeping the estimate reproducible.
+    Each replica contributes E[S^k | points] = k! h_k(e^{C a}) (Rao-Blackwell):
+    the mean of S^k over fresh weights, with a smaller variance and no draws.
     """
     if not 1 <= k <= 2:
         raise ValueError("series_moment_mc supports k in {1, 2}; variance explodes beyond")
-    C = edge_scale(T)
-    ex = _weights_exp(sample, C, k)
-    nrep, m = ex.shape
-    vals = np.empty(nrep)
-    for r in range(nrep):
-        e = _replica_rng(sample.config.seed, r, component=1).exponential(size=m)
-        vals[r] = np.sum(e * ex[r]) ** k
-    return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(nrep)), nrep)
+    return _mean(math.factorial(k) * _hk(k, T, sample))
 
 
 def hk_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:
     """E[h_k(e^{C a_1}, e^{C a_2}, ...)], the partition-summed Laplace functional."""
     if not 1 <= k <= 3:
         raise ValueError("hk_mc supports k <= 3")
-    C = edge_scale(T)
-    ex = _weights_exp(sample, C, k)
-    vals = h_complete(k, ex.T)  # one h_k per replica, elementwise over the columns
-    return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))
+    return _mean(_hk(k, T, sample))
 
 
 def conditional_laplace_mc(u: float, T: float, sample: AirySampleSet) -> MCEstimate:
     """E prod_p (1 + u e^{C a_p})^{-1}; the sampling counterpart of the Fredholm determinant."""
     if not (math.isfinite(u) and u > 0):
         raise ValueError("u must be positive and finite")
-    C = edge_scale(T)
-    logs = np.log1p(u * np.exp(C * sample.points)).sum(axis=1)
-    vals = np.exp(-logs)
-    return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))
+    return _mean(np.exp(-np.log1p(u * np.exp(edge_scale(T) * sample.points)).sum(axis=1)))

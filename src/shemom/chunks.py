@@ -11,7 +11,7 @@ the calling process.
 ``simulate_polymer`` asks for a multiple of 6, the least common multiple of
 1, 2 and 3 workers, because its chunks' streams are seeded by their first
 paths and so must not depend on the worker count; ``sample_airy_points``,
-whose replicas are seeded one by one, asks for a multiple of the usable cores.
+whose blocks of replicas are seeded by index, asks for a multiple of the cores.
 
 ``_run_chunks`` runs them on one thread pool for the whole process, made on
 the first call that needs more than one worker and replaced by a larger one
@@ -27,6 +27,8 @@ import math
 import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+import numpy as np
 
 _pool: ThreadPoolExecutor | None = None
 _pool_workers = 0
@@ -72,6 +74,11 @@ def _equal_chunks(total: int, multiple: int, cap: int) -> list[range]:
     size, longer = divmod(total, count)
     bounds = [i * size + min(i, longer) for i in range(count + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _stream_pair(*entropy: int) -> list[np.random.Generator]:
+    """SFC64 generators from SeedSequence(entropy).spawn(2); the sampler's third word 1 parts them from polymer's."""
+    return [np.random.Generator(np.random.SFC64(seq)) for seq in np.random.SeedSequence(entropy).spawn(2)]
 
 
 def _run_chunks(run_chunk, chunks, buffer_sets: list) -> None:

@@ -128,7 +128,7 @@ def run_xcheck(args) -> tuple[dict, int]:
             denom = max(abs(a.value), abs(b.value), 1e-300)
             rel_gap = abs(a.value - b.value) / denom
             if "gaussian_mc" in (a.method, b.method):
-                tol = 3.0 * math.sqrt(a.err**2 + b.err**2) / denom
+                tol = 3.0 * math.hypot(a.err, b.err) / denom
             else:
                 tol = args.tol or (1e-6 if req.k <= 2 else 1e-3)
             ok = bool(rel_gap <= tol)
@@ -181,6 +181,7 @@ def run_sample(args) -> tuple[dict, list]:
             "weight_mean": 1.0,
             "printed_weight_mean": 2.0,
             "printed_scale_deviation": 2.0 ** args.k,
+            "estimator": "rao_blackwell",  # the mean of k! h_k(e^{C a}) = E[S^k | points]
         }
     else:
         mc = airy_sampler.hk_mc(args.k, args.t, sam)

@@ -15,8 +15,8 @@ longer step to measure the time-step error.  Its pairs run in six equal
 chunks (or a multiple of six) on the usable cores, and its results are the
 same for any core count.  Each chunk draws from two SFC64 generators, whose
 normals cost about a fifth less than those of numpy's default PCG64, as
-do the chunks of the residue-sum Monte Carlo; the GUE edge sampler, where
-draws are a small part of the work, keeps PCG64.  The two streams give
+do the chunks of the residue-sum Monte Carlo and the blocks of the GUE edge
+sampler.  The two streams give
 each pair of fine steps (2j, 2j+1) a sum S_j and a difference D_j, and the
 steps take (S_j +- D_j)/sqrt(2): an orthogonal map, so the increments stay
 i.i.d. N(0, 1) in law.  A fine run draws one normal per (step, level, pair of
@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chunks import _equal_chunks, _run_chunks, _usable_cores
+from .chunks import _equal_chunks, _run_chunks, _stream_pair, _usable_cores
 from .quadrature import check_nested, contour_cross, pairwise_tensor_sum
 
 __all__ = [
@@ -187,7 +187,7 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
 
     def run_chunk(rows: range, mult_buf, draw_buf, inc_buf, state) -> None:
         c = len(rows)
-        sum_rng, diff_rng = _chunk_rngs(config.seed, 2 * rows.start)
+        sum_rng, diff_rng = _stream_pair(config.seed, 2 * rows.start)
         mults = mult_buf[: 2 * block * n * c].reshape(2, block, n, c)
         z, drifted = state[: 2 * 2 * n * c].reshape(2, 2, n, c)
         z.fill(0.0)
@@ -252,11 +252,6 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     count = len(units)
     errs = np.sqrt(count / (count - 1) * (units**2).sum(axis=0)) / paths
     return PolymerMoments(means, errs, config)
-
-
-def _chunk_rngs(seed: int, first_path: int) -> list[np.random.Generator]:
-    # the chunk's sum stream and difference stream
-    return [np.random.Generator(np.random.SFC64(seq)) for seq in np.random.SeedSequence((seed, first_path)).spawn(2)]
 
 
 def _drift_flow(levels: int, h: float) -> np.ndarray:

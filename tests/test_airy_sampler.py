@@ -12,7 +12,7 @@ from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, lapack
 
 from oracles import sturm_above_full
 from shemom import airy_sampler
-from shemom.airy import AiryConfig, fredholm_multiplicative, laplace_R
+from shemom.airy import AiryConfig, edge_scale, fredholm_multiplicative, laplace_R
 from shemom.airy_sampler import (
     AirySampleSet,
     EnsembleConfig,
@@ -21,6 +21,14 @@ from shemom.airy_sampler import (
     hk_mc,
     series_moment_mc,
 )
+from shemom.combinatorics import h_complete
+
+
+def draws(seed, replicas, n):
+    """The tridiagonals (diag, off) of replicas 0 .. replicas - 1, as the sampler draws them."""
+    diag, off = np.empty((replicas, n)), np.empty((replicas, n - 1))
+    airy_sampler._draw(seed, 0, diag, off)
+    return diag, off
 
 
 def full_matrix_points(cfg, select=False):
@@ -30,12 +38,8 @@ def full_matrix_points(cfg, select=False):
     eigvalsh_tridiagonal's bisection for the top m alone, which is independent of it.
     """
     n, m = cfg.matrix_size, cfg.top_points
-    dof = np.arange(n - 1, 0, -1).astype(float)
     out = np.empty((cfg.replicas, m))
-    for r in range(cfg.replicas):
-        rng = airy_sampler._replica_rng(cfg.seed, r)
-        diag = rng.normal(size=n)
-        off = np.sqrt(rng.gamma(shape=dof))
+    for r, (diag, off) in enumerate(zip(*draws(cfg.seed, cfg.replicas, n))):
         if select:
             top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - m, n - 1))
         else:
@@ -88,17 +92,34 @@ class TestSampling:
         b = sample_airy_points(cfg)
         np.testing.assert_array_equal(a.points, b.points)
 
-    def test_replica_extension_consistent(self):
-        # replica r depends only on (seed, r), not on the total count or the chunk it falls in
-        small = sample_airy_points(EnsembleConfig(100, 4, 5, seed=3))
-        for large in (9, airy_sampler._CHUNK + 2):
-            big = sample_airy_points(EnsembleConfig(100, 4, large, seed=3))
-            np.testing.assert_array_equal(small.points, big.points[:5])
+    def test_replica_extension_consistent(self, monkeypatch):
+        # replica r depends only on (seed, r), not on the total count, the chunk it falls in or the
+        # worker count: a short last block is a prefix of a full one
+        block = airy_sampler._DRAW_BLOCK
+        counts = (1, block - 1, block + 1, 37)
+        diag, off = draws(3, 100, 100)
+        for count in counts:
+            np.testing.assert_array_equal(np.hstack(draws(3, count, 100)), np.hstack([diag, off])[:count])
+        big = sample_airy_points(EnsembleConfig(100, 4, 100, seed=3)).points
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(airy_sampler, "_usable_cores", lambda w=workers: w)
+            for count in (2, *counts[1:]):  # a sample needs 2 replicas
+                points = sample_airy_points(EnsembleConfig(100, 4, count, seed=3)).points
+                np.testing.assert_array_equal(points, big[:count])
+
+    def test_streams_apart_from_polymer(self):
+        # one seed gives the sampler's block b and the polymer's chunk at path b different streams
+        for block in (0, 5):
+            diag, off = np.empty((1, 50)), np.empty((1, 49))
+            airy_sampler._draw(3, block, diag, off)
+            normal, gamma = airy_sampler._stream_pair(3, block)
+            assert not np.any(diag[0] == normal.standard_normal(50))
+            assert not np.any(off[0] == np.sqrt(gamma.standard_gamma(np.arange(49, 0, -1.0))))
 
     def test_chunk_split_invariant(self, monkeypatch):
-        cfg = EnsembleConfig(100, 4, 11, seed=3)
+        cfg = EnsembleConfig(100, 4, 3 * airy_sampler._DRAW_BLOCK + 5, seed=3)
         whole = sample_airy_points(cfg)
-        monkeypatch.setattr(airy_sampler, "_CHUNK", 3)
+        monkeypatch.setattr(airy_sampler, "_CHUNK", airy_sampler._DRAW_BLOCK)  # a chunk of one block
         np.testing.assert_array_equal(sample_airy_points(cfg).points, whole.points)
 
     @pytest.mark.parametrize(
@@ -112,18 +133,19 @@ class TestSampling:
     def test_independent_of_worker_count(self, monkeypatch, n, m, window):
         if window is not None:
             monkeypatch.setattr(airy_sampler, "_window", window)
-        cfg = EnsembleConfig(n, m, 2 * airy_sampler._CHUNK + 5, seed=7)  # not a multiple of any chunk
+        cfg = EnsembleConfig(n, m, 2 * airy_sampler._CHUNK + 5, seed=7)  # not a multiple of the block or of any chunk
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more workers than cores, switching often: shared buffers would show
         try:
-            for workers in (1, 3):
+            for workers in (1, 2, 3):
                 monkeypatch.setattr(airy_sampler, "_usable_cores", lambda w=workers: w)
                 runs.append(sample_airy_points(cfg))
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(runs[0].points, runs[1].points)
-        assert runs[0].full_matrix_fallbacks == runs[1].full_matrix_fallbacks
+        for run in runs[1:]:
+            assert np.array_equal(runs[0].points, run.points)
+            assert runs[0].full_matrix_fallbacks == run.full_matrix_fallbacks
         assert runs[0].full_matrix_fallbacks == (cfg.replicas if window is not None else 0)
 
     def test_top_point_tracy_widom(self, sample):
@@ -184,13 +206,8 @@ class TestCertificate:
     def sampler_chunk(n, seed, replicas=64, m=24):
         """A chunk as sample_airy_points certifies it: the draws and the shifts lambda_j -/+ delta of each block."""
         window = airy_sampler._window(n, m)
-        dof = np.arange(n - 1, 0, -1).astype(float)
-        diag, off, top = np.empty((replicas, n)), np.empty((replicas, n - 1)), np.empty((replicas, m))
-        for r in range(replicas):
-            rng = airy_sampler._replica_rng(seed, r)
-            diag[r] = rng.normal(size=n)
-            off[r] = np.sqrt(rng.gamma(shape=dof))
-            top[r] = airy_sampler._dsterf(diag[r, :window], off[r, : window - 1])[0][-m:][::-1]
+        diag, off = draws(seed, replicas, n)
+        top = np.array([airy_sampler._dsterf(d[:window], e[: window - 1])[0][-m:][::-1] for d, e in zip(diag, off)])
         return diag, off, np.hstack([top - airy_sampler._CERT_TOL, top + airy_sampler._CERT_TOL])
 
     @pytest.mark.parametrize("n", [400, 800])
@@ -286,13 +303,25 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             series_moment_mc(3, 1.0, sample)
 
-    def test_hk_k1_matches_series_mean(self, sample):
-        # h_1 = sum of weights, so hk and the exponential series share a mean
-        T = 1.0
-        h = hk_mc(1, T, sample)
-        s = series_moment_mc(1, T, sample)
-        combined = math.hypot(h.stderr, s.stderr)
-        assert abs(h.value - s.value) <= 4.0 * combined
+    def test_series_is_factorial_times_hk(self, sample):
+        # E[S^k | points] = k! h_k(e^{C a}) per replica, and k! = 1, 2 scales the mean and bar exactly
+        for k in (1, 2):
+            h = hk_mc(k, 1.0, sample)
+            s = series_moment_mc(k, 1.0, sample)
+            scale = math.factorial(k)
+            assert (s.value, s.stderr, s.replicas) == (scale * h.value, scale * h.stderr, h.replicas)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_series_matches_drawn_weights(self, sample, k):
+        # the estimator Rao-Blackwell replaces: (sum_p E_p e^{C a_p})^k over Exp(1) weights drawn
+        # afresh, 100 draws a replica, differs from k! h_k(e^{C a}) by noise alone, averaged over the replicas
+        ex = np.exp(edge_scale(1.0) * sample.points)
+        rng = np.random.default_rng(17)
+        drawn = np.mean([((rng.exponential(size=ex.shape) * ex).sum(axis=1)) ** k for _ in range(100)], axis=0)
+        rao_blackwell = math.factorial(k) * h_complete(k, ex.T)
+        gap = drawn - rao_blackwell
+        assert abs(gap.mean()) <= 4.0 * gap.std(ddof=1) / math.sqrt(len(gap))
+        assert series_moment_mc(k, 1.0, sample).value == pytest.approx(rao_blackwell.mean(), rel=1e-12)
 
     def test_hk_k2_vs_laplace(self, sample):
         T = 1.0

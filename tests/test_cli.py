@@ -154,6 +154,15 @@ class TestExitCodes:
         assert out == ""
         assert f"numeric failure: R overflowed at c = {parts}: e^(sum c^3/12) = e^" in err
 
+    @pytest.mark.parametrize("argv", [["xcheck", "--k", "5", "--t", "100"], ["xcheck", "--k", "6", "--t", "60"]])
+    def test_huge_error_bars_do_not_overflow_the_tolerance(self, argv):
+        # bars above 1e154 overflow err**2; partition reports 6.0e216 +- 6.0e205 at k = 5, T = 100
+        code, out, err = run_quiet(argv)
+        assert code == 0, err
+        payload = strict_json(out)
+        assert payload["pass"] is True
+        assert max(e["err"] for e in payload["estimates"]) > 1e160
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time_is_config_error(self, capsys, t):
         assert main(["xcheck", "--k", "2", "--t", t]) == 1
@@ -385,6 +394,7 @@ class TestSubcommands:
         meta = payload["estimates"][0]["meta"]
         assert meta["weight_convention"] == "exponential(1)"
         assert meta["printed_weight_mean"] == 2.0
+        assert meta["estimator"] == "rao_blackwell"
         # the leading block's rows, and the replicas redone on the full matrix
         assert meta["window"] == airy_sampler._window(100, 8) < 100
         assert meta["full_matrix_fallbacks"] == 0

@@ -183,9 +183,9 @@ class TestSimulation:
                 drawn[self.stream] = drawn.get(self.stream, 0) + out.size
                 return self.rng.standard_normal(out=out)
 
-        chunk_rngs = polymer._chunk_rngs
+        stream_pair = polymer._stream_pair
         monkeypatch.setattr(
-            polymer, "_chunk_rngs", lambda *a: [Counted(rng, i) for i, rng in enumerate(chunk_rngs(*a))]
+            polymer, "_stream_pair", lambda *a: [Counted(rng, i) for i, rng in enumerate(stream_pair(*a))]
         )
         cfg = PolymerConfig(levels=3, time=1.0, steps=steps, replicas=2_001, seed=9)
         simulate_polymer(cfg)

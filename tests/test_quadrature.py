@@ -184,7 +184,7 @@ class TestCauchyPairDet:
         assert sparse.shape == (5, 5, 5)
         np.testing.assert_allclose(sparse.ravel(), cauchy_pair_det(dense.T, parts), rtol=1e-15)
 
-    @pytest.mark.parametrize("layout", ["contiguous", "strided", "sparse", "scalar"])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "sparse", "scalar", "zero_last"])
     def test_bits_match_pair_ratio_expression(self, layout):
         # the in-place loop must give the bits of the plain expression, on every layout its callers pass
         parts = np.array([2.4, 0.9, 1.7, 0.9, 3.1])
@@ -195,15 +195,17 @@ class TestCauchyPairDet:
             ys = draws.T
         elif layout == "sparse":
             ys = np.meshgrid(*(draws[:6, j] for j in range(len(parts))), indexing="ij", sparse=True)
-        else:
+        elif layout == "scalar":
             ys = draws[0]
+        else:  # the Monte Carlo R's rows: the differences D_i, then the scalar 0 of the last part
+            ys = [*np.ascontiguousarray(draws.T[:-1]), 0.0]
         ref = np.full(np.broadcast_shapes(*(np.shape(y) for y in ys)), 1.0 / float(np.prod(parts)))
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 d2 = (ys[i] - ys[j]) ** 2
                 ref *= (d2 + 0.25 * (parts[i] - parts[j]) ** 2) / (d2 + 0.25 * (parts[i] + parts[j]) ** 2)
         np.testing.assert_array_equal(cauchy_pair_det(ys, parts), ref)
-        if layout in ("contiguous", "strided"):  # rows of one length: the caller's buffers serve every pair
+        if layout in ("contiguous", "strided", "zero_last"):  # rows of one length: the caller's buffers serve all pairs
             out, work = np.empty(ref.shape), (np.empty(ref.shape), np.empty(ref.shape))
             assert cauchy_pair_det(ys, parts, out=out, work=work) is out
             np.testing.assert_array_equal(out, ref)
