@@ -108,9 +108,10 @@ class MCEstimate:
     replicas: int
 
 
-# the block's decay, in scaled rows of the limit's linear band edge (_window).  Of 10 000
-# replicas, none fell back to the full matrix at (n, m) = (400, 24) or (800, 24), 5 at (800, 1)
-# and 1 at (800, 8); the linear rule n^(1/3)(|a_m| + 7) left 6 of 20 at (800, 1)
+# the block's decay, in scaled rows of the limit's linear band edge (_window).  About 2e-5 of
+# the replicas fall back to the full matrix: 1 of 40 000 at (n, m) = (400, 24) (seeds 1000-1019,
+# 2000 replicas each) and 1 of the 2000 of `sample airy --matrix-size 800 --seed 3` at (800, 24).
+# A margin of 7 left 149 and 178 of those 2000 at n = 400 and 800
 _WINDOW_MARGIN = 9.0
 _CERT_TOL = 1e-11  # delta: absolute, on the unscaled eigenvalues
 _CHUNK = 128  # most replicas per chunk; bounds the Sturm count's memory

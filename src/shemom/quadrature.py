@@ -55,42 +55,82 @@ def check_nested(positions, k: int, name: str) -> np.ndarray:
     return p
 
 
-def contour_cross(zs: Sequence[np.ndarray]) -> Callable[[int, int], np.ndarray]:
+def contour_cross(zs: Sequence[np.ndarray]) -> Callable[[int, int, slice], np.ndarray]:
     """The pair factor of the nested-contour integrand on the nodes zs[a] of each axis, for pairwise_tensor_sum.
 
-    pair(a, b) is the matrix (z_a - z_b) / (z_a - z_b - 1) over the nodes of axes a and b.
+    pair(a, b, rows) is the matrix (z_a - z_b) / (z_a - z_b - 1) over the
+    nodes zs[a][rows] of axis a and all nodes of axis b.
     """
 
-    def pair(a: int, b: int) -> np.ndarray:
-        d = zs[a][:, None] - zs[b][None, :]
-        return d / (d - 1.0)
+    def pair(a: int, b: int, rows: slice) -> np.ndarray:
+        d = zs[a][rows, None] - zs[b][None, :]
+        return np.divide(d, d - 1.0, out=d)
 
     return pair
 
 
-def pairwise_tensor_sum(ws: Sequence[np.ndarray], pair: Callable[[int, int], np.ndarray]):
+# most elements in one temporary of a block: 512 KB of complex, so a block's few temporaries stay in a
+# core's L2 cache; chosen by timing every caller at budgets of 8192 to 65536 (CHANGES.md)
+_BLOCK_ELEMENTS = 32768
+
+
+def _row_blocks(rows: int, per_row: int):
+    """Slices of range(rows), each of as many rows as fit per_row elements a row into _BLOCK_ELEMENTS, at least one."""
+    step = max(1, _BLOCK_ELEMENTS // per_row)
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _pair_matrix(pair, a: int, b: int, n: Sequence[int], w=1.0) -> np.ndarray:
+    """pair(a, b) over every node of axis a, times the weights w of axis b, filled one block of rows at a time."""
+    out = None
+    for r in _row_blocks(n[a], n[b]):
+        block = pair(a, b, r)
+        if out is None:
+            out = np.empty((n[a], n[b]), np.result_type(block, w))
+        np.multiply(block, w, out=out[r])
+    return out
+
+
+def pairwise_tensor_sum(ws: Sequence[np.ndarray], pair: Callable[[int, int, slice], np.ndarray]):
     """sum over the tensor grid of prod_a ws[a] prod_{a<b} pair(a, b), for k = len(ws) <= 4 axes.
 
-    ws[a] are the weights of the nodes of axis a; pair(a, b), for a < b,
-    returns the matrix of the pair factor between the nodes of axes a (rows)
-    and b (columns).  The grid is summed by matrix products; no
-    k-dimensional array is built.  At k = 4 each node of axis 0 folds its
-    pair factors into the weights of a k = 3 sum, so the work is N^4 and the
-    memory N^2.  Returns a numpy scalar of the weights' dtype.
+    ws[a] are the weights of the nodes of axis a; pair(a, b, rows), for a < b,
+    returns the matrix of the pair factor between the nodes ws[a][rows] of
+    axis a (rows) and all nodes of axis b (columns).  The grid is summed by
+    matrix products, one block of axis-0 nodes at a time, against the whole
+    pair matrices of the later axes; no k-dimensional array and no N x N pair
+    matrix of axis 0 is built.  A block holds as many nodes as keep each of
+    its temporaries within _BLOCK_ELEMENTS (N elements a node at k = 2 and 3,
+    N^2 at k = 4), and at least one, so they stay in cache; the matrices of
+    the later axes are filled a block of rows at a time too.  At k = 4 the
+    nodes i of a block share one matrix product, x_i = p12 diag(u2_i) p23
+    with u_a = ws[a] pair(0, a), and node i adds ws[0]_i u1_i^T (p13 * x_i) u3_i:
+    the work is N^4, the memory six N x N matrices and the block's
+    temporaries.  Returns a numpy scalar of the weights' dtype.
     """
     k = len(ws)
     if not 1 <= k <= 4:
         raise ValueError("pairwise_tensor_sum needs 1 to 4 axes")
-    if k == 4:
-        p12, p13, p23 = pair(1, 2), pair(1, 3), pair(2, 3)
-        u1, u2, u3 = (ws[a] * pair(0, a) for a in (1, 2, 3))
-        return sum(w0 * np.sum(u1[i][:, None] * p13 * ((p12 * u2[i]) @ (p23 * u3[i]))) for i, w0 in enumerate(ws[0]))
     if k == 1:
         return np.sum(ws[0])
-    p01 = pair(0, 1)
+    n = [len(w) for w in ws]
     if k == 2:
-        return ws[0] @ p01 @ ws[1]
-    return np.sum(ws[0][:, None] * pair(0, 2) * ((p01 * ws[1]) @ (pair(1, 2) * ws[2])))
+        return sum(ws[0][r] @ pair(0, 1, r) @ ws[1] for r in _row_blocks(n[0], n[1]))
+    if k == 3:
+        m12 = _pair_matrix(pair, 1, 2, n, ws[2])
+        return sum(
+            np.sum(ws[0][r, None] * pair(0, 2, r) * ((pair(0, 1, r) * ws[1]) @ m12))
+            for r in _row_blocks(n[0], max(n[1], n[2]))
+        )
+    p12, p13, p23 = (_pair_matrix(pair, a, b, n) for a, b in ((1, 2), (1, 3), (2, 3)))
+    u1, u2, u3 = (_pair_matrix(pair, 0, a, n, ws[a]) for a in (1, 2, 3))
+    total = 0
+    for r in _row_blocks(n[0], n[1] * max(n[2], n[3])):
+        # x[i] = p12 diag(u2[i]) p23 for every node i of the block, in one matrix product
+        x = ((p12 * u2[r, None, :]).reshape(-1, n[2]) @ p23).reshape(-1, n[1], n[3])
+        x *= p13
+        total += ws[0][r] @ (u1[r, None, :] @ x @ u3[r, :, None])[:, 0, 0]
+    return total
 
 
 def _cauchy_ratio(ya, yb, pa, pb, out=None, work=None):
@@ -137,7 +177,7 @@ def gauss_hermite_cauchy(scales, parts, order: int) -> float:
     parts = np.asarray(parts, dtype=float)
     ys = [nodes / s for s in scales]
 
-    def pair(a: int, b: int) -> np.ndarray:
-        return _cauchy_ratio(ys[a][:, None], ys[b][None, :], parts[a], parts[b])
+    def pair(a: int, b: int, rows: slice) -> np.ndarray:
+        return _cauchy_ratio(ys[a][rows, None], ys[b][None, :], parts[a], parts[b])
 
     return float(pairwise_tensor_sum([weights / s for s in scales], pair)) / float(np.prod(parts))

@@ -183,6 +183,13 @@ class TestCertificate:
         linear = n ** (1.0 / 3.0) * (a_24 + airy_sampler._WINDOW_MARGIN)
         assert abs(airy_sampler._window(n, 24) / linear - 1.0) < 1e-3
 
+    def test_short_margin_shows_as_fallbacks(self, monkeypatch):
+        # the fallback count detects a block too short for its n: two scaled rows short, about 7% of replicas fall back
+        cfg = EnsembleConfig(400, 24, 200, seed=3)
+        assert sample_airy_points(cfg).full_matrix_fallbacks <= 1
+        monkeypatch.setattr(airy_sampler, "_WINDOW_MARGIN", 7.0)
+        assert sample_airy_points(cfg).full_matrix_fallbacks >= 6
+
     def test_too_small_window_falls_back(self, monkeypatch):
         # a block of m + 4 rows misses the top eigenvalues by far more than delta
         monkeypatch.setattr(airy_sampler, "_window", lambda n, m: m + 4)

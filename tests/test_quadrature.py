@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
+from shemom import quadrature
 from shemom.combinatorics import enumerate_partitions
 from shemom.quadrature import (
     _rule,
@@ -90,6 +91,31 @@ def gauss_hermite_dense(scales, parts, order):
     return float(np.sum(integrand))
 
 
+def dense_cases(rng, sizes):
+    """Two tensor sums on axes of these sizes, each (ws, pair, the sum over the dense grid).
+
+    The first has the contour pair factor and complex weights, the second
+    random positive pair matrices and weights.
+    """
+    k = len(sizes)
+    # contour pair factor: nodes on vertical lines whose real parts differ by more than 1, as the routes use
+    zs = [1.5 * (k - a) + rng.uniform(-0.2, 0.2, n) + 1j * rng.normal(0.0, 2.0, n) for a, n in enumerate(sizes)]
+    ws = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in sizes]
+    grid = np.meshgrid(*zs, indexing="ij")
+    dense = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0)
+    for a in range(k):
+        for b in range(a + 1, k):
+            dense = dense * (grid[a] - grid[b]) / (grid[a] - grid[b] - 1.0)
+    contour = (ws, contour_cross(zs), complex(np.sum(dense)))
+    # any pair factor: positive random matrices, as the Cauchy pair ratios of Gauss-Hermite are
+    ws = [rng.uniform(0.1, 1.0, n) for n in sizes]
+    pairs = {(a, b): rng.uniform(0.1, 1.0, (sizes[a], sizes[b])) for a in range(k) for b in range(a + 1, k)}
+    dense = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0)
+    for (a, b), p in pairs.items():
+        dense = dense * np.expand_dims(p, [c for c in range(k) if c not in (a, b)])
+    return contour, (ws, lambda a, b, rows: pairs[a, b][rows], float(np.sum(dense)))
+
+
 class TestPairwiseTensorSum:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -101,26 +127,18 @@ class TestPairwiseTensorSum:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_dense_grid(self, sizes, seed):
-        rng = np.random.default_rng(seed)
-        k = len(sizes)
-        # contour pair factor: nodes on vertical lines whose real parts differ by more than 1, as the routes use
-        zs = [1.5 * (k - a) + rng.uniform(-0.2, 0.2, n) + 1j * rng.normal(0.0, 2.0, n) for a, n in enumerate(sizes)]
-        ws = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in sizes]
-        grid = np.meshgrid(*zs, indexing="ij")
-        dense = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0)
-        for a in range(k):
-            for b in range(a + 1, k):
-                dense = dense * (grid[a] - grid[b]) / (grid[a] - grid[b] - 1.0)
-        expected = complex(np.sum(dense))
-        assert abs(complex(pairwise_tensor_sum(ws, contour_cross(zs))) - expected) <= 1e-12 * abs(expected)
-        # any pair factor: positive random matrices, as the Cauchy pair ratios of Gauss-Hermite are
-        ws = [rng.uniform(0.1, 1.0, n) for n in sizes]
-        pairs = {(a, b): rng.uniform(0.1, 1.0, (sizes[a], sizes[b])) for a in range(k) for b in range(a + 1, k)}
-        dense = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0)
-        for (a, b), p in pairs.items():
-            dense = dense * np.expand_dims(p, [c for c in range(k) if c not in (a, b)])
-        expected = float(np.sum(dense))
-        assert float(pairwise_tensor_sum(ws, lambda a, b: pairs[a, b])) == pytest.approx(expected, rel=1e-13)
+        (ws, pair, expected), (pws, ppair, pexpected) = dense_cases(np.random.default_rng(seed), sizes)
+        assert abs(complex(pairwise_tensor_sum(ws, pair)) - expected) <= 1e-12 * abs(expected)
+        assert float(pairwise_tensor_sum(pws, ppair)) == pytest.approx(pexpected, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("budget", [1, 10**9], ids=["row-blocks", "one-block"])
+    def test_independent_of_block_budget(self, monkeypatch, budget, k):
+        # a budget of one element gives one axis-0 node a block; 10^9 puts every node in one block
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", budget)
+        (ws, pair, expected), (pws, ppair, pexpected) = dense_cases(np.random.default_rng(k), [9, 7, 8, 6][:k])
+        assert abs(complex(pairwise_tensor_sum(ws, pair)) - expected) <= 1e-13 * abs(expected)
+        assert float(pairwise_tensor_sum(pws, ppair)) == pytest.approx(pexpected, rel=1e-13)
 
     def test_axis_count_guard(self):
         z = np.zeros(5, dtype=complex)
