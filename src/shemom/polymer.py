@@ -11,7 +11,11 @@ with Zt_k(0) = 1{k=1}, so E[Zt(t, N)] = t^{N-1}/(N-1)! exactly.
 alternates the exact noise multiply with the exact flow of the drift, so its
 mean is exact at any step count, on antithetic pairs of paths (+dB, -dB)
 that share one column of normals; ``coarsen`` reruns the same paths at a
-longer step to measure the time-step error.  Its pairs run in six equal
+longer step to measure the time-step error.  It draws the lower levels
+1..N-1 only: no level feeds the top level, whose noise is integrated out
+exactly (conditional Monte Carlo; Glasserman 2004), so each path
+carries the top level's conditional moments instead of one draw of it, and
+at N = 1 the moments are exact.  Its pairs run in six equal
 chunks (or a multiple of six) on the usable cores, and its results are the
 same for any core count.  Each chunk draws from two SFC64 generators, whose
 normals cost about a fifth less than those of numpy's default PCG64, as
@@ -19,9 +23,10 @@ do the chunks of the residue-sum Monte Carlo and the blocks of the GUE edge
 sampler.  The two streams give
 each pair of fine steps (2j, 2j+1) a sum S_j and a difference D_j, and the
 steps take (S_j +- D_j)/sqrt(2): an orthogonal map, so the increments stay
-i.i.d. N(0, 1) in law.  A fine run draws one normal per (step, level, pair of
-paths), as one stream would; a run with an even ``coarsen`` needs only the
-sums, sqrt(2) times their total over a coarse step, and draws half as many.
+i.i.d. N(0, 1) in law.  A fine run draws one normal per (step, lower level,
+pair of paths), as one stream would; a run with an even ``coarsen`` needs
+only the sums, sqrt(2) times their total over a coarse step, and draws half
+as many.
 
 Integer moments admit nested contour integrals over circles around the origin
 with radii separated by more than one; under the scaling t = sqrt(NT) + X and
@@ -53,7 +58,7 @@ __all__ = [
 ]
 
 MAX_LEVELS = 64
-_BUFFER_DOUBLES = 200_000  # normals per draw buffer; also sets the replica chunk
+_BUFFER_DOUBLES = 400_000  # doubles of all buffers in flight; also sets the replica chunk
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,7 @@ class PolymerMoments:
 
 
 def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 1) -> PolymerMoments:
-    """Antithetic split-step simulation of the compensated hierarchy.
+    """Antithetic split-step simulation of the compensated hierarchy, its top level integrated out.
 
     The split step (Strang) alternates the exact flows of the two parts of
     the hierarchy: half a drift step, then per step of length h the noise
@@ -103,47 +108,75 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     half step.  The noise multiplies level l by exp(dB_l - h/2), which keeps
     the state positive; the drift flow exp(hD) is the lower-triangular
     Toeplitz matrix of h^j/j!, so E[Zt] = t^{N-1}/(N-1)! for any step count.
-    At N = 1 there is no drift and the top level is exact in distribution.
+
+    Only the lower levels 1..N-1 are drawn.  No level feeds the top level
+    Y = Zt_N, and its noise only multiplies it by m = exp(dB_N - h/2), with
+    E[m^j] = e^{a_j}, a_j = j(j-1)h/2; so a path carries the top level's
+    conditional moments M_j = E[Y^j | lower levels], j <= ``max_moment``,
+    instead of a draw of Y (conditional Monte Carlo, Rao-Blackwell: the same
+    mean, no more variance).  A step's drift adds to Y the lower levels'
+    share c of the flow's top row, and then Y' = (c + Y) m, so
+
+        M_j' = e^{a_j} (M_j + P_j),   P_j = sum_{r<j} C(j, r) c^{j-r} M_r,   M_0 = 1,
+
+    and the last half drift's c_f gives path k the value
+    sum_r C(k, r) c_f^{k-r} M_r.  With no lower level (N = 1) c = 0: no
+    normal is drawn, every path reports e^{k(k-1)t/2}, and the standard
+    error is exactly 0.
 
     Each column of normals drives an antithetic pair of paths, one with
-    increments +dB and one with -dB.  The top level is nondecreasing in every
-    increment, so the two paths of a pair are negatively correlated and a
-    path costs half a draw.  The mean is over paths; the standard error is
-    over the independent units, the pairs (an odd count's last path, whose
-    mirror is discarded, is a unit of its own; a single pair falls back to the
+    increments +dB and one with -dB.  Every level, and so every M_j, is
+    nondecreasing in every increment, so the two paths of a pair are
+    negatively correlated and a path costs half a draw.  The mean is over
+    paths, taken about the first path's values; the standard error is over
+    the independent units, the pairs (an odd count's last path, whose mirror
+    is discarded, is a unit of its own; a single pair falls back to the
     spread of its two paths, which overstates the error).
 
     Pairs run in equal chunks, six of them or a multiple of six, each within
-    the draw budget below, so one, two or three workers are evenly loaded.
+    the buffer budget below, so one, two or three workers are evenly loaded.
     Each chunk has its own two SFC64 generators, the sum stream and the
     difference stream, spawned from the seed sequence (seed, first path), so
-    the chunk rule must not, and does not, read the worker count.  A chunk's
-    state is one (2, levels, pairs) array: the + paths, then the - paths.
-    Each pair of fine steps (2j, 2j+1) takes a sum S_j from the first stream
-    and a difference D_j from the second, and its increments are
+    the chunk rule must not, and does not, read the worker count.  Each pair
+    of fine steps (2j, 2j+1) takes a sum S_j from the first stream and a
+    difference D_j from the second, and its increments are
     (S_j + D_j)/sqrt(2) and (S_j - D_j)/sqrt(2) times sqrt(t/steps); with an
-    odd step count the last step stands alone and takes sqrt(t/steps) S only.
-    Each generator fills a buffer for a block of whole step pairs at a time
-    in (pair, level, path) order, so a run draws exactly the normals, in the
-    same order, that one (levels, pairs) draw per pair and stream would,
-    whatever the block size.  A fine run draws steps * levels * pairs
-    normals: ceil(steps/2) rows from the sum stream, floor(steps/2) from the
-    difference stream.  The chunks run at the same time on a thread pool, one
-    worker per usable core (``taskset`` limits them) up to the chunk count;
-    each writes its own rows of the result, so values and errors are
-    bit-identical for any worker count.  The caller allocates one buffer set
-    per worker, and the +- multipliers, the draws and the fine increments of
-    all workers together take at most ``_BUFFER_DOUBLES`` doubles (at least
-    one block's worth each: one coarse step for an even ``coarsen``, two for
-    an odd one).  Up to ``coarsen`` = 2 a block draws as many rows as it has
-    - multipliers, so the draws land in the - half of the multiplier buffer
-    and the multipliers are written over them, and a block takes two rows
-    of the budget per step, not three.
+    odd step count the last step stands alone and takes sqrt(t/steps) S
+    only.  Each generator fills a buffer for a block of whole step pairs at
+    a time in (pair, lower level, path) order, so a run draws exactly the
+    normals, in the same order, that one (levels - 1, pairs) draw per pair
+    and stream would, whatever the block size.  A fine run draws
+    steps * (levels - 1) * pairs normals: ceil(steps/2) rows from the sum
+    stream, floor(steps/2) from the difference stream.
+
+    A block of b steps keeps its +- multipliers in (2, b + 1, levels - 1,
+    pairs) slots, the + paths then the - paths, after the lower levels at
+    the block's start; step i writes its lower levels over its own multipliers.  Up to
+    ``coarsen`` = 2 a block draws as many rows as it has - multipliers, so
+    the draws land in the - half of the slots and the multipliers are
+    written over them.  After the steps, one product gives every step's c,
+    and the moments advance a block at a time: M_1 and, for j >= 2, the
+    scaled sums u_j = M_j e^{-a_j k}, k the step's offset in its segment,
+    take one add per step (the highest moment one reduction over the block,
+    which numpy adds in the same order), and each P_j is one product over
+    the whole block.  A segment is at most 64/a_K steps long, so no scale
+    factor leaves [e^-64, e^64], and at its end u_j is scaled back to M_j.
+    Segments start at fixed steps and every sum runs step by step, so
+    neither the block length nor the worker count changes a bit of the
+    result.  With no lower level the blocks only scale u_j at the segment
+    ends: the steps would add zeros.
+
+    The chunks run at the same time on a thread pool, one worker per usable
+    core (``taskset`` limits them) up to the chunk count; each writes its own
+    rows of the result, so values and errors are bit-identical for any
+    worker count.  The caller allocates one buffer per worker, and the
+    buffers of all workers together take at most about ``_BUFFER_DOUBLES``
+    doubles (at least one block's worth each: one coarse step for an even
+    ``coarsen``, two for an odd one).
 
     ``coarsen`` > 1 runs steps/coarsen steps on the same paths: each coarse
     increment is the sum of the coarsen fine increments of its pair and
-    level, so the coarse-minus-fine gap is the time-step error alone (at
-    N = 1, where the scheme is exact, the two runs agree to round-off).  An
+    level, so the coarse-minus-fine gap is the time-step error alone.  An
     even ``coarsen`` covers whole step pairs, whose increments sum to
     sqrt(2) S_j sqrt(t/steps), so it draws only from the sum stream, half
     the normals of the fine run; an odd one builds the fine increments from
@@ -156,14 +189,19 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     if coarsen < 1 or config.steps % coarsen:
         raise ValueError("coarsen must be a positive integer that divides steps")
     n, t, paths = config.levels, config.time, config.replicas
+    lower = n - 1  # the drawn levels
     fine = config.steps
     coarse_steps = fine // coarsen
     h = t / fine * coarsen
     step_scale = math.sqrt(t / fine)  # a lone step's S
     pair_scale = math.sqrt(t / fine / 2.0)  # S and D of a step pair
     full, half = _drift_flow(n, h), _drift_flow(n, h / 2.0)
+    # the lower levels' own flow, and the top row's lower part, which gives c
+    full_lower, half_lower = full[:lower, :lower].copy(), half[:lower, :lower].copy()
+    full_row, half_row = full[lower, :lower].copy(), half[lower, :lower].copy()
+    segment, scales, weights, coefs = _moment_tables(max_moment, h, coarse_steps)
     pairs = (paths + 1) // 2
-    vals = np.empty((2, pairs, max_moment))  # top level^k of the + and the - paths
+    vals = np.empty((2, pairs, max_moment))  # E[top level^k | lower levels] of the + and the - paths
     # 6 = lcm(1, 2, 3): one, two or three workers get equal shares
     chunks = _equal_chunks(pairs, 6, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
     chunk = len(chunks[0])
@@ -173,41 +211,44 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     draw_rows = coarsen if odd else coarsen // 2  # per coarse step: S and D, or S alone for an even coarsen
     # up to coarsen = 2 a block's draws are as many rows as its - multipliers, and are written over by them
     spill = coarsen > 2
-    # per coarse step and (level, pair): the +- multipliers, and any draws and fine increments that do not fit in them
-    per_step = 2 + spill * (draw_rows + odd * coarsen)
+    # per coarse step and pair: per lower level the +- multipliers and any draws and fine increments that do
+    # not fit in them; c, the moment sums and, from k = 3, a Horner term, each for the + and the - path
+    per_step = (2 + spill * (draw_rows + odd * coarsen)) * lower + 2 * (1 + max_moment + (max_moment > 2))
     # the chunks in flight share one budget: each worker's buffers take 1/workers of it
-    block = min(coarse_steps, unit * max(1, _BUFFER_DOUBLES // workers // (per_step * n * chunk) // unit))
-    sizes = (
-        2 * block * n * chunk,  # the +- multipliers, (+-, step, level, pair)
-        spill * block * draw_rows * n * chunk,  # the draws, D before S so that one multiply scales both
-        spill * odd * block * coarsen * n * chunk,  # the fine increments
-        2 * 2 * n * chunk,  # the state and its drifted copy, (+-, level, pair)
+    block = min(coarse_steps, unit * max(1, _BUFFER_DOUBLES // workers // (per_step * chunk) // unit))
+    shapes = (
+        (2, block + 1, lower),  # the lower levels before the block, then each step's +- multipliers and levels
+        (spill * block * draw_rows, lower),  # the draws, D before S so that one multiply scales both
+        (spill * odd * block * coarsen, lower),  # the fine increments
+        (2, lower),  # the drifted lower levels
+        (block, 2),  # c of each step
+        (max_moment, block + 1, 2),  # M_1 and the scaled sums of M_j, j >= 2, before each step and after the last
+        (block * (max_moment > 2), 2),  # a Horner term
+        (3, 2),  # the last half drift's c, and the Horner value and term of the reported moments
     )
-    buffer_sets = [tuple(np.empty(size) for size in sizes) for _ in range(workers)]
+    sizes = [math.prod(shape) * chunk for shape in shapes]
+    buffer_sets = [(np.empty(sum(sizes)),) for _ in range(workers)]
 
-    def run_chunk(rows: range, mult_buf, draw_buf, inc_buf, state) -> None:
+    def run_chunk(rows: range, buf) -> None:
         c = len(rows)
         sum_rng, diff_rng = _stream_pair(config.seed, 2 * rows.start)
-        mults = mult_buf[: 2 * block * n * c].reshape(2, block, n, c)
-        z, drifted = state[: 2 * 2 * n * c].reshape(2, 2, n, c)
-        z.fill(0.0)
-        z[:, 0] = 1.0
-        src = drifted if n > 1 else z  # at N = 1 the flow is the identity
-        flow = half
-        left = fine
-        while left:
-            span = min(left, block * coarsen)  # fine steps
-            b = span // coarsen
+        views, start = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(buf[start : start + size][: math.prod(shape) * c].reshape(*shape, c))
+            start += size
+        slots, draw_buf, inc_buf, drifted, cs, sums, term, (c_f, out, out_term) = views
+
+        def multipliers(mult, span: int, b: int) -> None:
+            """exp(g - h/2) and exp(-g - h/2), g a coarse step's increment, for the block's b coarse steps."""
             both = span // 2  # step pairs; the last block of an odd step count ends on a lone step
-            mult = mults[:, :b]
             plus = mult[0]
             count = (1 + odd) * both + span % 2
-            draws = draw_buf[: count * n * c].reshape(count, n, c) if spill else mult[1]
+            draws = draw_buf[:count] if spill else mult[1]
             d, s = draws[: odd * both], draws[odd * both :]
             sum_rng.standard_normal(out=s)
             if odd:
                 diff_rng.standard_normal(out=d)
-                inc = inc_buf[: span * n * c].reshape(span, n, c) if spill else plus
+                inc = inc_buf[:span] if spill else plus
                 # the fine increments less their h/2, which a coarse step's sum turns into its own h/2
                 shift = h / coarsen / 2.0
                 draws[: 2 * both] *= pair_scale
@@ -218,12 +259,12 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
                     np.multiply(s[both], step_scale, out=inc[-1])
                     inc[-1] -= shift
                 if spill:
-                    group = inc.reshape(b, coarsen, n, c)
+                    group = inc.reshape(b, coarsen, lower, c)
                     np.add(group[:, 0], group[:, 1], out=plus)
                     for j in range(2, coarsen):
                         plus += group[:, j]
             else:
-                group = s.reshape(b, coarsen // 2, n, c)
+                group = s.reshape(b, coarsen // 2, lower, c)
                 g = group[:, 0]
                 for j in range(1, coarsen // 2):
                     g += group[:, j]
@@ -231,19 +272,44 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
                 plus -= h / 2.0
             np.subtract(-h, plus, out=mult[1])
             np.exp(mult, out=mult)
-            for i in range(b):
-                if n > 1:
-                    np.matmul(flow, z, out=drifted)
-                np.multiply(src, mult[:, i], out=z)
-                flow = full
+
+        slots[:, 0] = 0.0
+        slots[:, 0, :1] = 1.0  # Zt_1(0) = 1, where level 1 is drawn
+        sums[:, 0] = float(lower == 0)  # M_j(0) = Zt_N(0)^j = 1{N = 1}
+        flow = half_lower
+        done = 0  # coarse steps before the block
+        left = fine
+        while left:
+            span = min(left, block * coarsen)  # fine steps
+            b = span // coarsen
+            if lower:  # with none, c = 0 and a step adds nothing to M_1 or to any u_j
+                multipliers(slots[:, 1 : b + 1], span, b)
+                for i in range(b):  # step i's levels overwrite its multipliers
+                    src = slots[:, i]
+                    if lower > 1:  # level 1 takes no drift, so below N = 3 the lower flow is the identity
+                        np.matmul(flow, src, out=drifted)
+                        src = drifted
+                    np.multiply(src, slots[:, i + 1], out=slots[:, i + 1])
+                    flow = full_lower
+                _row_product(full_row, slots[:, :b], cs[:b].transpose(1, 0, 2))
+                if not done:  # the run's first step drifts by half a step
+                    _row_product(half_row, slots[:, 0], cs[0])
+                slots[:, 0] = slots[:, b]
+            _advance_moments(sums[:, : b + 1], cs[:b] if lower else None, term, done, segment, weights, coefs, scales)
+            sums[:, 0] = sums[:, b]
+            done += b
             left -= span
-        top = half[-1] @ z
+        _row_product(half_row, slots[:, 0], c_f)
+        moments = sums[:, 0]
+        for j in range(2, max_moment + 1):
+            moments[j - 1] *= scales[j][coarse_steps % segment]
         for k in range(1, max_moment + 1):
-            vals[:, rows.start : rows.stop, k - 1] = top**k
+            vals[:, rows.start : rows.stop, k - 1] = _shifted_moment(k, moments, c_f, out, out_term)
 
     _run_chunks(run_chunk, chunks, buffer_sets)
     plus, minus = vals[0], vals[1, : paths - pairs]
-    means = (plus.sum(axis=0) + minus.sum(axis=0)) / paths
+    first = plus[0]  # sums of residuals about one path: exact zeros where every path agrees, as at N = 1
+    means = first + ((plus - first).sum(axis=0) + (minus - first).sum(axis=0)) / paths
     units = plus - means  # each unit's summed residual
     if pairs > 1:
         units[: len(minus)] += minus - means
@@ -252,6 +318,103 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     count = len(units)
     errs = np.sqrt(count / (count - 1) * (units**2).sum(axis=0)) / paths
     return PolymerMoments(means, errs, config)
+
+
+def _moment_tables(max_moment: int, h: float, steps: int):
+    """The segment length and, per j, the tables of the scaled moment sums.
+
+    M_j = e^{a_j k} u_j at offset k of a segment, a_j = j(j-1)h/2, so a step
+    adds e^{-a_j k} P to u_j.  A segment is at most 64/a_K steps long, so no
+    factor leaves [e^-64, e^64]; at its end u_j is multiplied back to M_j.
+    coefs[j][r][k] = C(j, r) e^{a_r k} turns u_r into the C(j, r) M_r of the
+    Horner sum.
+    """
+    rates = [j * (j - 1) * h / 2.0 for j in range(max_moment + 1)]
+    segment = steps if max_moment < 2 else min(steps, max(1, int(64.0 / rates[-1])))
+    offsets = np.arange(segment + 1)
+    scales = [np.exp(rate * offsets) for rate in rates]
+    weights = [np.exp(-rate * offsets) for rate in rates]
+    coefs = [[math.comb(j, r) * scales[r] for r in range(j)] for j in range(max_moment + 1)]
+    return segment, scales, weights, coefs
+
+
+def _row_product(row: np.ndarray, levels: np.ndarray, out: np.ndarray) -> None:
+    """row @ levels over their level axis: c, the lower levels' share of the top level's drift."""
+    if len(row) == 1:  # matmul's one-term product runs a slow loop
+        np.multiply(levels[..., 0, :], row[0], out=out)
+    else:
+        np.matmul(row, levels, out=out)
+
+
+def _advance_moments(sums, cs, term, done, segment, weights, coefs, scales) -> None:
+    """Carry M_1 and the scaled sums u_j over a block of steps, from sums[:, 0] to sums[:, -1].
+
+    Step i adds c_i to M_1 and e^{-a_j k} P_j(i) to u_j, where k is the
+    step's offset in its segment and P_j(i) = sum_{r<j} C(j, r) c_i^{j-r} M_r
+    (Horner's rule in c_i), so M_j' = e^{a_j} (M_j + P_j).  The P_j of a
+    block are whole-block products; the sums add them one step after the
+    other (one add a step, or one reduction over the step axis, which numpy
+    adds in order), so the block length does not change a bit of them.
+    sums[j - 1, m] holds the sum before the block's step m where a higher
+    moment needs it, and the last row always ends as the sum after the block.
+    """
+    max_moment, b = sums.shape[0], sums.shape[1] - 1
+    if cs is None:  # no lower level: c = 0, so only the segment ends change the sums
+        sums[0, -1] = sums[0, 0]
+    elif max_moment == 1:
+        sums[0, 1:] = cs
+        np.add.reduce(sums[0], axis=0, out=sums[0, -1])
+    else:
+        for m in range(b):
+            np.add(sums[0, m], cs[m], out=sums[0, m + 1])
+    m0 = 0
+    while m0 < b:  # pieces of the block within one segment
+        k0 = (done + m0) % segment
+        m1 = min(b, m0 + segment - k0)
+        k1 = k0 + m1 - m0
+        for j in range(2, max_moment + 1):
+            run = sums[j - 1, m0 : m1 + 1]
+            if cs is None:
+                run[-1] = run[0]
+            else:
+                c, p = cs[m0:m1], run[1:]
+                # c + j M_1 = (j - 1) M_1 + M_1', M_1' = M_1 + c the sum after the step
+                if j == 2:
+                    np.add(sums[0, m0:m1], sums[0, m0 + 1 : m1 + 1], out=p)
+                else:
+                    np.multiply(sums[0, m0:m1], j - 1, out=p)
+                    p += sums[0, m0 + 1 : m1 + 1]
+                for r in range(2, j):
+                    p *= c
+                    np.multiply(sums[r - 1, m0:m1], coefs[j][r][k0:k1, None, None], out=term[m0:m1])
+                    p += term[m0:m1]
+                p *= c
+                p *= weights[j][k0:k1, None, None]
+                if j < max_moment:  # the sums before each step, for the higher moments
+                    for m in range(m1 - m0):
+                        run[m + 1] += run[m]
+                else:
+                    np.add.reduce(run, axis=0, out=run[-1])
+            if k1 == segment:  # back to M_j, which starts the next segment
+                run[-1] *= scales[j][segment]
+        m0 = m1
+
+
+def _shifted_moment(j: int, moments: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """E[(c + Y)^j] = sum_r C(j, r) c^{j-r} M_r into out, from M_r = moments[r - 1] = E[Y^r] and M_0 = 1.
+
+    Horner's rule in c: (((c + j M_1) c + C(j, 2) M_2) c + ...) c + M_j.
+    """
+    np.multiply(moments[0], j, out=out)
+    out += c
+    for r in range(2, j + 1):
+        out *= c
+        if r < j:
+            np.multiply(moments[r - 1], math.comb(j, r), out=tmp)
+            out += tmp
+        else:
+            out += moments[j - 1]
+    return out
 
 
 def _drift_flow(levels: int, h: float) -> np.ndarray:

@@ -587,6 +587,27 @@ class TestReportContract:
             assert out == "" and "error:" in err
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=st.integers(1, 8),
+        steps=st.integers(10, 60),
+        replicas=st.integers(2, 60),
+        max_moment=st.integers(1, 4),
+        t=st.floats(1e-3, 50.0),
+    )
+    def test_any_polymer_simulation_exits_cleanly(self, levels, steps, replicas, max_moment, t):
+        code, out, err = run_quiet(
+            ["polymer", "simulate", "--levels", str(levels), "--time", repr(t), "--steps", str(steps),
+             "--replicas", str(replicas), "--max-moment", str(max_moment)]
+        )
+        assert "Traceback" not in err
+        if code == 0:
+            for e in strict_json(out)["estimates"]:
+                assert math.isfinite(e["value"]) and math.isfinite(e["err"])
+        else:
+            assert code == 1 and out == "" and "error:" in err
+
+
 class TestStartup:
     """scipy loads on the first use of an Airy function or of the sampler's LAPACK, not at import."""
 

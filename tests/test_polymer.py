@@ -112,12 +112,50 @@ class TestContourMoments:
 
 
 class TestSimulation:
-    def test_mean_exact_n1(self):
-        # for N=1 the drift is the identity and the noise multiply is exact in distribution
-        cfg = PolymerConfig(levels=1, time=1.0, steps=50, replicas=20_000, seed=2)
-        sim = simulate_polymer(cfg, max_moment=2)
-        assert abs(sim.values[0] - 1.0) <= 4.0 * sim.stderrs[0]
-        assert abs(sim.values[1] - math.exp(1.0)) <= 4.0 * sim.stderrs[1]
+    def test_mean_exact_n1(self, monkeypatch):
+        # with no lower level the top level's moments are exact: E[Zt(t, 1)^k] = e^{k(k-1)t/2},
+        # with no normal drawn and a standard error of exactly 0, for any step count and coarsening
+        class NoDraws:
+            def standard_normal(self, out):
+                assert out.size == 0
+
+        monkeypatch.setattr(polymer, "_stream_pair", lambda *a: [NoDraws(), NoDraws()])
+        t = 1.3
+        for steps, coarsens in ((10, (1, 2, 5)), (500, (1, 2, 5)), (501, (1, 3))):
+            for coarsen in coarsens:
+                cfg = PolymerConfig(levels=1, time=t, steps=steps, replicas=20_001, seed=2)
+                sim = simulate_polymer(cfg, max_moment=4, coarsen=coarsen)
+                exact = [math.exp(k * (k - 1) * t / 2.0) for k in range(1, 5)]
+                np.testing.assert_allclose(sim.values, exact, rtol=1e-12, atol=0)
+                assert np.array_equal(sim.stderrs, np.zeros(4))
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_top_level_moments_are_conditional(self, levels):
+        # one pair's lower levels fixed, its top level redrawn 200 000 times: the reported
+        # moments are the pair's mean E[top^k | lower levels], for every k <= 4
+        t, steps, seed, draws = 0.4, 20, 21, 200_000
+        sim = simulate_polymer(PolymerConfig(levels, t, steps, replicas=2, seed=seed), max_moment=4)
+        h = t / steps
+        full, half = (polymer._drift_flow(levels, s) for s in (h, h / 2.0))
+        # the pair's lower increments as the simulator draws them: one chunk, streams of (seed, 0)
+        sums, diffs = (np.random.Generator(np.random.SFC64(q)) for q in np.random.SeedSequence((seed, 0)).spawn(2))
+        increments = []
+        for _ in range(steps // 2):
+            s = sums.standard_normal((levels - 1, 1)) * math.sqrt(h / 2.0)
+            d = diffs.standard_normal((levels - 1, 1)) * math.sqrt(h / 2.0)
+            increments += [s + d, s - d]
+        rng = np.random.default_rng(8)
+        z = np.zeros((2, levels, draws))  # the + path, then the - path
+        z[:, 0] = 1.0
+        for step, g in enumerate(increments):
+            z = (half if step == 0 else full) @ z
+            z[:, :-1] *= np.exp(np.stack([g, -g]) - h / 2.0)
+            z[:, -1] *= np.exp(rng.standard_normal((2, draws)) * math.sqrt(h) - h / 2.0)
+        top = (half @ z)[:, -1]
+        for k in range(1, 5):
+            per_draw = (top[0] ** k + top[1] ** k) / 2.0
+            stderr = per_draw.std(ddof=1) / math.sqrt(draws)
+            assert abs(sim.values[k - 1] - per_draw.mean()) <= 4.0 * stderr, k
 
     def test_against_contour_n3(self):
         cfg = PolymerConfig(levels=3, time=1.0, steps=400, replicas=20_000, seed=4)
@@ -133,12 +171,25 @@ class TestSimulation:
         sim = simulate_polymer(cfg, max_moment=1)
         assert abs(sim.values[0] - 1.0 / 6.0) <= 4.0 * sim.stderrs[0]
 
-    def test_antithetic_pair(self):
-        # at N = 1 the pair's paths are e^{+-B_t - t/2}, so z+ z- = e^{-t}
-        # and 2 mean^2 - (second moment) = z+ z- for the one pair
-        t = 1.3
-        sim = simulate_polymer(PolymerConfig(levels=1, time=t, steps=40, replicas=2, seed=5), max_moment=2)
-        assert 2.0 * sim.values[0] ** 2 - sim.values[1] == pytest.approx(math.exp(-t), abs=1e-12)
+    def test_antithetic_pair(self, monkeypatch):
+        # the - path of a pair runs on -dB: negating every normal swaps the pair's two paths,
+        # which leaves the pair's mean and its spread as they were
+        cfg = PolymerConfig(levels=2, time=1.3, steps=40, replicas=2, seed=5)
+        sim = simulate_polymer(cfg, max_moment=3)
+
+        class Negated:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                np.negative(out, out=out)
+
+        stream_pair = polymer._stream_pair
+        monkeypatch.setattr(polymer, "_stream_pair", lambda *a: [Negated(rng) for rng in stream_pair(*a)])
+        mirrored = simulate_polymer(cfg, max_moment=3)
+        np.testing.assert_allclose(mirrored.values, sim.values, rtol=1e-13)
+        np.testing.assert_allclose(mirrored.stderrs, sim.stderrs, rtol=1e-12)
         assert np.all(np.isfinite(sim.stderrs)) and np.all(sim.stderrs > 0)
 
     def test_stderr_calibrated(self):
@@ -160,15 +211,16 @@ class TestSimulation:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_coarsen_shares_increments(self):
-        # at N = 1 the update is exact, so a coarse run on the fine run's own
-        # increments equals it to round-off; an independent coarse path would not
+        # at N = 2 the lower level is exact at any step, so a coarse run on the fine run's own
+        # increments differs from it by the top level's time-step error alone: under a tenth of
+        # the standard error here (0.004-0.07), where a run on other paths differs by about one
         for steps, coarsens in ((100, (2, 4, 5)), (505, (5,))):
             # at 505 steps the step pairs straddle the coarse steps and the last step stands alone
-            cfg = PolymerConfig(levels=1, time=1.0, steps=steps, replicas=2_000, seed=9)
-            fine = simulate_polymer(cfg)
+            cfg = PolymerConfig(levels=2, time=1.0, steps=steps, replicas=2_000, seed=9)
+            fine = simulate_polymer(cfg, max_moment=2)
             for coarsen in coarsens:
-                coarse = simulate_polymer(cfg, coarsen=coarsen)
-                np.testing.assert_allclose(coarse.values, fine.values, rtol=1e-12, atol=0)
+                coarse = simulate_polymer(cfg, max_moment=2, coarsen=coarsen)
+                assert np.all(np.abs(coarse.values - fine.values) <= 0.1 * fine.stderrs), coarsen
 
     @pytest.mark.parametrize("steps,coarsen,share", [(100, 2, 0.5), (100, 4, 0.5), (100, 5, 1.0), (505, 5, 1.0)])
     def test_coarse_draw_count(self, monkeypatch, steps, coarsen, share):
@@ -190,7 +242,8 @@ class TestSimulation:
         cfg = PolymerConfig(levels=3, time=1.0, steps=steps, replicas=2_001, seed=9)
         simulate_polymer(cfg)
         fine = dict(drawn)
-        assert fine == {0: (steps + 1) // 2 * 3 * 1_001, 1: steps // 2 * 3 * 1_001}
+        # the two lower levels only: the top level is never drawn
+        assert fine == {0: (steps + 1) // 2 * 2 * 1_001, 1: steps // 2 * 2 * 1_001}
         drawn.clear()
         simulate_polymer(cfg, coarsen=coarsen)
         assert sum(drawn.values()) == share * sum(fine.values())
@@ -210,7 +263,8 @@ class TestSimulation:
             (1, 501, 20_050),  # six chunks (5 x 1_671 + 1_670 pairs)
             (3, 641, 5_600),  # six chunks (4 x 467 + 2 x 466 pairs), a partial last block
             (8, 64, 300),  # many levels, a partial last block, six chunks of 25 pairs
-            (8, 1_000, 8_000),  # twelve chunks (4 x 334 + 8 x 333 pairs): six would exceed the 626-pair cap
+            (8, 1_000, 8_000),  # six chunks of 667 and 666 pairs, within the 1_251-pair cap
+            (8, 2_000, 8_000),  # twelve chunks (4 x 334 + 8 x 333 pairs): six would exceed the 626-pair cap
             (1, 500, 30_000),  # the benchmark's shape: six chunks of 2_500 pairs
         ],
     )
@@ -220,6 +274,27 @@ class TestSimulation:
         values, stderrs = _per_step_reference(cfg, max_moment=3)
         assert np.array_equal(sim.values, values)
         assert np.array_equal(sim.stderrs, stderrs)
+
+    @pytest.mark.parametrize(
+        "levels,time,steps,replicas,max_moment",
+        [
+            (3, 1.3, 21, 9, 4),  # five chunks of one pair; k = 3, 4 take the lower sums of the Horner sum
+            (2, 30.0, 20, 400, 4),  # segments of 7 steps: a_4 = 9 a step
+            (4, 25.0, 33, 2_000, 3),  # one segment of 28 steps, then 5
+            (2, 1.3, 64, 300, 1),  # M_1 alone
+        ],
+    )
+    def test_bit_identical_moments_and_segments(self, monkeypatch, levels, time, steps, replicas, max_moment):
+        # a small budget: blocks of a few steps, whose length follows the worker count and cuts the segments
+        monkeypatch.setattr(polymer, "_BUFFER_DOUBLES", 12_000)
+        cfg = PolymerConfig(levels, time, steps, replicas, seed=17)
+        values, stderrs = _per_step_reference(cfg, max_moment=max_moment)
+        assert np.all(np.isfinite(values)) and np.all(stderrs > 0)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(polymer, "_usable_cores", lambda w=workers: w)
+            sim = simulate_polymer(cfg, max_moment=max_moment)
+            assert np.array_equal(sim.values, values)
+            assert np.array_equal(sim.stderrs, stderrs)
 
     @pytest.mark.parametrize(
         "levels,steps,replicas,coarsen",
@@ -250,24 +325,34 @@ class TestSimulation:
 
 
 def _per_step_reference(config: PolymerConfig, max_moment: int):
-    """The simulation one step at a time: one (N, pairs) draw per step pair and stream, same chunks.
+    """The simulation one step at a time: one (N - 1, pairs) draw per step pair and stream, same chunks.
 
     The chunks are six, or the least multiple of six that keeps each within
     the draw budget, of equal length up to one pair, longer ones first; each
     draws from two SFC64 streams spawned from (seed, first path).  A step
     pair takes S from the first and D from the second and runs the
-    increments (S +- D) sqrt(t/steps/2); an odd step count's last step takes
-    S sqrt(t/steps) alone.
+    increments (S +- D) sqrt(t/steps/2) of the lower levels 1..N-1; an odd
+    step count's last step takes S sqrt(t/steps) alone.  The top level is
+    never drawn: a path carries M_1 = E[top | lower levels] and, for j >= 2,
+    u_j = M_j e^{-a_j k}, a_j = j(j-1)h/2, at offset k of a segment of
+    steps, and a step with drift c from the lower levels adds e^{-a_j k}
+    sum_{r<j} C(j, r) c^{j-r} M_r to u_j (from all the sums before the step),
+    and c to M_1.
     """
     n, t, fine, paths = config.levels, config.time, config.steps, config.replicas
+    lower = n - 1
     h = t / fine
     # exp(hD), the exact flow of dZt_l = Zt_{l-1} dt, and its half step
     full, half = (
         np.array([[s**(l - m) / math.factorial(l - m) if l >= m else 0.0 for m in range(n)] for l in range(n)])
         for s in (h, h / 2.0)
     )
+    rates = [j * (j - 1) * h / 2.0 for j in range(max_moment + 1)]
+    segment = fine if max_moment < 2 else min(fine, max(1, int(64.0 / rates[-1])))
+    scales = [np.exp(rate * np.arange(segment + 1)) for rate in rates]
+    weights = [np.exp(-rate * np.arange(segment + 1)) for rate in rates]
     pairs = (paths + 1) // 2
-    cap = 200_000 // max(1, fine // 50) // (2 * n) + 1
+    cap = polymer._BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1
     count = min(pairs, 6 * math.ceil(pairs / (6 * cap)))
     plus, minus = [], []
     done = 0
@@ -277,24 +362,47 @@ def _per_step_reference(config: PolymerConfig, max_moment: int):
             np.random.Generator(np.random.SFC64(seq))
             for seq in np.random.SeedSequence((config.seed, 2 * done)).spawn(2)
         )
-        z = np.zeros((2, n, c))  # the + paths, then the - paths
-        z[:, 0] = 1.0
+        z = np.zeros((2, lower, c))  # the + paths, then the - paths
+        z[:, :1] = 1.0
+        m = [None] + [np.full((2, c), float(n == 1)) for _ in range(max_moment)]  # M_1, then u_2..u_K
         increments = []  # each less h/2
         for _ in range(fine // 2):
-            s = sums.standard_normal((n, c)) * math.sqrt(t / fine / 2.0) - h / 2.0
-            d = diffs.standard_normal((n, c)) * math.sqrt(t / fine / 2.0)
+            s = sums.standard_normal((lower, c)) * math.sqrt(t / fine / 2.0) - h / 2.0
+            d = diffs.standard_normal((lower, c)) * math.sqrt(t / fine / 2.0)
             increments += [s + d, s - d]
         if fine % 2:
-            increments.append(sums.standard_normal((n, c)) * math.sqrt(t / fine) - h / 2.0)
+            increments.append(sums.standard_normal((lower, c)) * math.sqrt(t / fine) - h / 2.0)
         for step, g in enumerate(increments):
+            flow = half if step == 0 else full
+            k = step % segment
+            drift = flow[lower, :lower] @ z
+            after = m[1] + drift
+            new = [None, after]
+            for j in range(2, max_moment + 1):
+                p = m[1] + after if j == 2 else m[1] * (j - 1) + after
+                for r in range(2, j):
+                    p = p * drift + m[r] * (math.comb(j, r) * scales[r][k])
+                new.append(m[j] + p * drift * weights[j][k])
+                if k + 1 == segment:
+                    new[j] = new[j] * scales[j][segment]
+            m = new
             growth = np.stack([np.exp(g), np.exp(-h - g)])
-            z = ((half if step == 0 else full) @ z) * growth
-        top = half[-1] @ z
-        plus.append(np.stack([top[0] ** k for k in range(1, max_moment + 1)], axis=1))
-        minus.append(np.stack([top[1] ** k for k in range(1, max_moment + 1)], axis=1))
+            z = (flow[:lower, :lower] @ z) * growth
+        c_f = half[lower, :lower] @ z
+        moments = [None, m[1]] + [m[j] * scales[j][fine % segment] for j in range(2, max_moment + 1)]
+        tops = []
+        for k in range(1, max_moment + 1):
+            # E[(c_f + top)^k] by Horner's rule in c_f
+            v = moments[1] * k + c_f
+            for r in range(2, k + 1):
+                v = v * c_f + (moments[r] * math.comb(k, r) if r < k else moments[k])
+            tops.append(v)
+        plus.append(np.stack([v[0] for v in tops], axis=1))
+        minus.append(np.stack([v[1] for v in tops], axis=1))
         done += c
     plus, minus = np.concatenate(plus), np.concatenate(minus)[: paths - pairs]
-    means = (plus.sum(axis=0) + minus.sum(axis=0)) / paths
+    first = plus[0]
+    means = first + ((plus - first).sum(axis=0) + (minus - first).sum(axis=0)) / paths
     # one unit per pair, and an odd count's last path alone; one pair falls back to its two paths
     units = plus - means
     if pairs > 1:
