@@ -59,6 +59,7 @@ __all__ = [
 
 MAX_LEVELS = 64
 _BUFFER_DOUBLES = 400_000  # doubles of all buffers in flight; also sets the replica chunk
+_SEGMENT = 256  # the most steps between two rescalings of the moment sums
 
 
 @dataclass(frozen=True)
@@ -159,12 +160,13 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     scaled sums u_j = M_j e^{-a_j k}, k the step's offset in its segment,
     take one add per step (the highest moment one reduction over the block,
     which numpy adds in the same order), and each P_j is one product over
-    the whole block.  A segment is at most 64/a_K steps long, so no scale
-    factor leaves [e^-64, e^64], and at its end u_j is scaled back to M_j.
-    Segments start at fixed steps and every sum runs step by step, so
+    the whole block.  A segment is at most ``_SEGMENT`` steps long and at
+    most 64/a_K, so no scale factor leaves [e^-64, e^64] and the factor
+    tables stay small for any step count; at its end u_j is scaled back to
+    M_j.  Segments start at fixed steps and every sum runs step by step, so
     neither the block length nor the worker count changes a bit of the
-    result.  With no lower level the blocks only scale u_j at the segment
-    ends: the steps would add zeros.
+    result.  With no lower level the same steps run on empty levels, c is
+    0, and the sums only grow by e^{a_j} a step.
 
     The chunks run at the same time on a thread pool, one worker per usable
     core (``taskset`` limits them) up to the chunk count; each writes its own
@@ -172,7 +174,9 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     worker count.  The caller allocates one buffer per worker, and the
     buffers of all workers together take at most about ``_BUFFER_DOUBLES``
     doubles (at least one block's worth each: one coarse step for an even
-    ``coarsen``, two for an odd one).
+    ``coarsen``, two for an odd one), besides the factor tables of
+    ``_moment_tables``, (K^2 + K + 6)/2 rows of at most ``_SEGMENT`` + 1
+    doubles.
 
     ``coarsen`` > 1 runs steps/coarsen steps on the same paths: each coarse
     increment is the sum of the coarsen fine increments of its pair and
@@ -282,20 +286,19 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
         while left:
             span = min(left, block * coarsen)  # fine steps
             b = span // coarsen
-            if lower:  # with none, c = 0 and a step adds nothing to M_1 or to any u_j
-                multipliers(slots[:, 1 : b + 1], span, b)
-                for i in range(b):  # step i's levels overwrite its multipliers
-                    src = slots[:, i]
-                    if lower > 1:  # level 1 takes no drift, so below N = 3 the lower flow is the identity
-                        np.matmul(flow, src, out=drifted)
-                        src = drifted
-                    np.multiply(src, slots[:, i + 1], out=slots[:, i + 1])
-                    flow = full_lower
-                _row_product(full_row, slots[:, :b], cs[:b].transpose(1, 0, 2))
-                if not done:  # the run's first step drifts by half a step
-                    _row_product(half_row, slots[:, 0], cs[0])
-                slots[:, 0] = slots[:, b]
-            _advance_moments(sums[:, : b + 1], cs[:b] if lower else None, term, done, segment, weights, coefs, scales)
+            multipliers(slots[:, 1 : b + 1], span, b)
+            for i in range(b):  # step i's levels overwrite its multipliers
+                src = slots[:, i]
+                if lower > 1:  # level 1 takes no drift, so below N = 3 the lower flow is the identity
+                    np.matmul(flow, src, out=drifted)
+                    src = drifted
+                np.multiply(src, slots[:, i + 1], out=slots[:, i + 1])
+                flow = full_lower
+            _row_product(full_row, slots[:, :b], cs[:b].transpose(1, 0, 2))
+            if not done:  # the run's first step drifts by half a step
+                _row_product(half_row, slots[:, 0], cs[0])
+            slots[:, 0] = slots[:, b]
+            _advance_moments(sums[:, : b + 1], cs[:b], term, done, segment, weights, coefs, scales)
             sums[:, 0] = sums[:, b]
             done += b
             left -= span
@@ -324,17 +327,18 @@ def _moment_tables(max_moment: int, h: float, steps: int):
     """The segment length and, per j, the tables of the scaled moment sums.
 
     M_j = e^{a_j k} u_j at offset k of a segment, a_j = j(j-1)h/2, so a step
-    adds e^{-a_j k} P to u_j.  A segment is at most 64/a_K steps long, so no
-    factor leaves [e^-64, e^64]; at its end u_j is multiplied back to M_j.
-    coefs[j][r][k] = C(j, r) e^{a_r k} turns u_r into the C(j, r) M_r of the
-    Horner sum.
+    adds e^{-a_j k} P to u_j.  A segment is at most _SEGMENT steps long and
+    at most 64/a_K, so no factor leaves [e^-64, e^64]; at its end u_j is
+    multiplied back to M_j.  coefs[j][r][k] = C(j, r) e^{a_r k}, 2 <= r < j,
+    turns u_r into the C(j, r) M_r of the Horner sum (M_1 = u_1 needs none).
     """
     rates = [j * (j - 1) * h / 2.0 for j in range(max_moment + 1)]
-    segment = steps if max_moment < 2 else min(steps, max(1, int(64.0 / rates[-1])))
+    longest = _SEGMENT if rates[-1] * _SEGMENT <= 64.0 else max(1, int(64.0 / rates[-1]))
+    segment = min(steps, longest)
     offsets = np.arange(segment + 1)
     scales = [np.exp(rate * offsets) for rate in rates]
     weights = [np.exp(-rate * offsets) for rate in rates]
-    coefs = [[math.comb(j, r) * scales[r] for r in range(j)] for j in range(max_moment + 1)]
+    coefs = [{r: math.comb(j, r) * scales[r] for r in range(2, j)} for j in range(max_moment + 1)]
     return segment, scales, weights, coefs
 
 
@@ -353,20 +357,16 @@ def _advance_moments(sums, cs, term, done, segment, weights, coefs, scales) -> N
     step's offset in its segment and P_j(i) = sum_{r<j} C(j, r) c_i^{j-r} M_r
     (Horner's rule in c_i), so M_j' = e^{a_j} (M_j + P_j).  The P_j of a
     block are whole-block products; the sums add them one step after the
-    other (one add a step, or one reduction over the step axis, which numpy
-    adds in order), so the block length does not change a bit of them.
+    other (one add a step, and for the highest u_j, j >= 2, one reduction
+    over the step axis, which numpy adds in order), so the block length does
+    not change a bit of them.  M_1 = u_1 (a_1 = 0) takes its adds first,
+    because every P_j reads it.
     sums[j - 1, m] holds the sum before the block's step m where a higher
     moment needs it, and the last row always ends as the sum after the block.
     """
     max_moment, b = sums.shape[0], sums.shape[1] - 1
-    if cs is None:  # no lower level: c = 0, so only the segment ends change the sums
-        sums[0, -1] = sums[0, 0]
-    elif max_moment == 1:
-        sums[0, 1:] = cs
-        np.add.reduce(sums[0], axis=0, out=sums[0, -1])
-    else:
-        for m in range(b):
-            np.add(sums[0, m], cs[m], out=sums[0, m + 1])
+    for m in range(b):
+        np.add(sums[0, m], cs[m], out=sums[0, m + 1])
     m0 = 0
     while m0 < b:  # pieces of the block within one segment
         k0 = (done + m0) % segment
@@ -374,27 +374,23 @@ def _advance_moments(sums, cs, term, done, segment, weights, coefs, scales) -> N
         k1 = k0 + m1 - m0
         for j in range(2, max_moment + 1):
             run = sums[j - 1, m0 : m1 + 1]
-            if cs is None:
-                run[-1] = run[0]
-            else:
-                c, p = cs[m0:m1], run[1:]
-                # c + j M_1 = (j - 1) M_1 + M_1', M_1' = M_1 + c the sum after the step
-                if j == 2:
-                    np.add(sums[0, m0:m1], sums[0, m0 + 1 : m1 + 1], out=p)
-                else:
-                    np.multiply(sums[0, m0:m1], j - 1, out=p)
-                    p += sums[0, m0 + 1 : m1 + 1]
-                for r in range(2, j):
-                    p *= c
-                    np.multiply(sums[r - 1, m0:m1], coefs[j][r][k0:k1, None, None], out=term[m0:m1])
-                    p += term[m0:m1]
+            c, p = cs[m0:m1], run[1:]
+            # c + j M_1 = (j - 1) M_1 + M_1', M_1' = M_1 + c the sum after the step
+            np.multiply(sums[0, m0:m1], j - 1, out=p)
+            p += sums[0, m0 + 1 : m1 + 1]
+            for r in range(2, j):
                 p *= c
-                p *= weights[j][k0:k1, None, None]
-                if j < max_moment:  # the sums before each step, for the higher moments
-                    for m in range(m1 - m0):
-                        run[m + 1] += run[m]
-                else:
-                    np.add.reduce(run, axis=0, out=run[-1])
+                np.multiply(sums[r - 1, m0:m1], coefs[j][r][k0:k1, None, None], out=term[m0:m1])
+                p += term[m0:m1]
+            p *= c
+            p *= weights[j][k0:k1, None, None]
+            # the sums before each step, for the higher moments; the highest needs only its last, and one
+            # reduction in place of the adds makes a K = 2 call about 8% faster at N = 1 and N = 3
+            if j < max_moment:
+                for m in range(m1 - m0):
+                    run[m + 1] += run[m]
+            else:
+                np.add.reduce(run, axis=0, out=run[-1])
             if k1 == segment:  # back to M_j, which starts the next segment
                 run[-1] *= scales[j][segment]
         m0 = m1

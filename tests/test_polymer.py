@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,25 +277,45 @@ class TestSimulation:
         assert np.array_equal(sim.stderrs, stderrs)
 
     @pytest.mark.parametrize(
-        "levels,time,steps,replicas,max_moment",
+        "levels,time,steps,replicas,max_moment,longest",
         [
-            (3, 1.3, 21, 9, 4),  # five chunks of one pair; k = 3, 4 take the lower sums of the Horner sum
-            (2, 30.0, 20, 400, 4),  # segments of 7 steps: a_4 = 9 a step
-            (4, 25.0, 33, 2_000, 3),  # one segment of 28 steps, then 5
-            (2, 1.3, 64, 300, 1),  # M_1 alone
+            (3, 1.3, 21, 9, 4, 256),  # five chunks of one pair; k = 3, 4 take the lower sums of the Horner sum
+            (2, 30.0, 20, 400, 4, 256),  # segments of 7 steps: a_4 = 9 a step
+            (4, 25.0, 33, 2_000, 3, 256),  # one segment of 28 steps, then 5
+            (2, 1.3, 64, 300, 1, 256),  # M_1 alone
+            (3, 1.3, 64, 300, 3, 5),  # segments of 5 steps, where the cap binds before 64/a_K
+            (1, 1.3, 64, 300, 3, 5),  # no lower level: the sums only grow, and are rescaled every 5 steps
         ],
     )
-    def test_bit_identical_moments_and_segments(self, monkeypatch, levels, time, steps, replicas, max_moment):
+    def test_bit_identical_moments_and_segments(self, monkeypatch, levels, time, steps, replicas, max_moment, longest):
         # a small budget: blocks of a few steps, whose length follows the worker count and cuts the segments
         monkeypatch.setattr(polymer, "_BUFFER_DOUBLES", 12_000)
+        monkeypatch.setattr(polymer, "_SEGMENT", longest)
         cfg = PolymerConfig(levels, time, steps, replicas, seed=17)
         values, stderrs = _per_step_reference(cfg, max_moment=max_moment)
-        assert np.all(np.isfinite(values)) and np.all(stderrs > 0)
+        assert np.all(np.isfinite(values))
+        assert np.all(stderrs > 0) if levels > 1 else not stderrs.any()  # N = 1 is exact
         for workers in (1, 2, 3):
             monkeypatch.setattr(polymer, "_usable_cores", lambda w=workers: w)
             sim = simulate_polymer(cfg, max_moment=max_moment)
             assert np.array_equal(sim.values, values)
             assert np.array_equal(sim.stderrs, stderrs)
+
+    def test_memory_does_not_grow_with_steps(self, monkeypatch):
+        # the buffers come out of the budget and the moment tables stop at _SEGMENT + 1 columns,
+        # so ten times the steps take no more memory
+        monkeypatch.setattr(polymer, "_BUFFER_DOUBLES", 12_000)
+        peaks = []
+        for steps in (1_000, 10_000):
+            cfg = PolymerConfig(2, 1.0, steps, replicas=2, seed=1)
+            tracemalloc.start()
+            try:
+                simulate_polymer(cfg, max_moment=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096
+        assert peaks[1] <= 1.5 * 8 * 12_000
 
     @pytest.mark.parametrize(
         "levels,steps,replicas,coarsen",
@@ -348,7 +369,9 @@ def _per_step_reference(config: PolymerConfig, max_moment: int):
         for s in (h, h / 2.0)
     )
     rates = [j * (j - 1) * h / 2.0 for j in range(max_moment + 1)]
-    segment = fine if max_moment < 2 else min(fine, max(1, int(64.0 / rates[-1])))
+    # at most _SEGMENT steps, and at most 64/a_K, so that no factor leaves [e^-64, e^64]
+    longest = polymer._SEGMENT if rates[-1] * polymer._SEGMENT <= 64.0 else max(1, int(64.0 / rates[-1]))
+    segment = min(fine, longest)
     scales = [np.exp(rate * np.arange(segment + 1)) for rate in rates]
     weights = [np.exp(-rate * np.arange(segment + 1)) for rate in rates]
     pairs = (paths + 1) // 2
