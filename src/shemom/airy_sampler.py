@@ -5,26 +5,33 @@ N^(1/6), converge to the Airy point process.  Sampling uses the symmetric
 tridiagonal beta=2 ensemble (diagonal N(0,1), off-diagonal chi with decreasing
 degrees of freedom; Dumitriu & Edelman, J. Math. Phys. 2002).
 
-Its top eigenvectors live in the leading rows, so each replica takes its top m
-eigenvalues from the leading n_eff x n_eff block and then proves them on the
-full matrix.  The block ends where an eigenvector at the m-th Airy zero a_m has
-decayed as much as over 9 N^(1/3) rows past its turning point in the linear
-band edge of the N -> oo limit (_window): 214 rows at (N, m) = (400, 24) and
-281 at (800, 24).  A Sturm count at lambda_j -/+ delta must find exactly j and
-j - 1 eigenvalues above, for every j.  That places the full matrix's j-th
-eigenvalue within delta = 1e-11 of lambda_j (unscaled) and leaves no eigenvalue
-the block missed.  The count stops at the row past which Gershgorin's bound
-proves every pivot negative (_sturm_above), about 40% and 53% of the rows at
-N = 800 and 400.  A replica that fails the count is redone by dsterf on the
-full matrix, as is every replica when n_eff >= N.
+Its top and bottom eigenvectors live in the leading rows, so each matrix takes
+its top m and bottom m eigenvalues from one dsterf call on the leading
+n_eff x n_eff block and then proves them on the full matrix.  T has the law of
+-S T S, S = diag((-1)^i), so the negated bottom m are a second sample of the
+top m: replica 2j is matrix j's top and replica 2j + 1 its negated bottom (an
+odd count drops the last bottom).  The two edges of one matrix are
+asymptotically independent (Bianchi, Debbah & Najim, Electron. Commun. Probab.
+2010); the standard errors count a matrix as one unit all the same (_mean).
+The block ends where an eigenvector at the m-th Airy zero a_m has decayed as
+much as over 9 N^(1/3) rows past its turning point in the linear band edge of
+the N -> oo limit (_window): 214 rows at (N, m) = (400, 24) and 281 at
+(800, 24).  A Sturm count at lambda_j -/+ delta must find exactly j and j - 1
+eigenvalues above, for every j, on (diag, off) for the top and on the
+equally distributed (-diag, off) for the negated bottom.  That places the full
+matrix's j-th eigenvalue within delta = 1e-11 of lambda_j (unscaled) and
+leaves no eigenvalue the block missed.  The count stops at the row past which
+Gershgorin's bound proves every pivot negative (_sturm_above), about 40% and
+53% of the rows at N = 800 and 400.  A matrix that fails either count is redone
+by dsterf on the full matrix, both edges, as is every matrix when n_eff >= N.
 
-Block b of _DRAW_BLOCK replicas fills its diagonals and off-diagonals, row by
+Block b of _DRAW_BLOCK matrices fills its diagonals and off-diagonals, row by
 row, from two SFC64 streams spawned from SeedSequence((seed, b, 1)), and the
-blocks run in equal chunks of at most _CHUNK replicas, a multiple of the usable
+blocks run in equal chunks of at most _CHUNK matrices, a multiple of the usable
 cores of them, one worker thread per core.  The draws and ``dsterf``, the one
 eigenvalue routine, release the GIL; dsterf is called through scipy's Cython
 LAPACK table by ctypes, bound on the first sampling call so that importing this
-module loads no scipy.  The Sturm count is elementwise per replica, so the
+module loads no scipy.  The Sturm count is elementwise per matrix, so the
 points depend on neither the replica count nor the chunk size or worker count.
 
 Functionals estimated here:
@@ -83,9 +90,11 @@ class EnsembleConfig:
 class AirySampleSet:
     """Scaled edge samples: points[r, j] is the (j+1)-th highest point of replica r.
 
-    ``window`` is the leading block's row count n_eff (None when the points were
-    not drawn by sample_airy_points) and ``full_matrix_fallbacks`` the number of
-    replicas whose block failed the certificate and were redone on the full matrix.
+    Drawn by sample_airy_points, replicas 2j and 2j + 1 are the two edges of
+    matrix j.  ``window`` is the leading block's row count n_eff (None when the
+    points were not drawn by sample_airy_points) and ``full_matrix_fallbacks``
+    the number of matrices whose block failed the certificate and were redone
+    on the full matrix.
     """
 
     config: EnsembleConfig
@@ -109,13 +118,13 @@ class MCEstimate:
 
 
 # the block's decay, in scaled rows of the limit's linear band edge (_window).  About 2e-5 of
-# the replicas fall back to the full matrix: 1 of 40 000 at (n, m) = (400, 24) (seeds 1000-1019,
+# the top edges fall back to the full matrix: 1 of 40 000 at (n, m) = (400, 24) (seeds 1000-1019,
 # 2000 replicas each) and 1 of the 2000 of `sample airy --matrix-size 800 --seed 3` at (800, 24).
 # A margin of 7 left 149 and 178 of those 2000 at n = 400 and 800
 _WINDOW_MARGIN = 9.0
 _CERT_TOL = 1e-11  # delta: absolute, on the unscaled eigenvalues
-_CHUNK = 128  # most replicas per chunk; bounds the Sturm count's memory
-_DRAW_BLOCK = 25  # replicas per pair of draw streams, part of the random stream; 400 replicas are 4 chunks of 100
+_CHUNK = 128  # most matrices per chunk; bounds the Sturm count's memory
+_DRAW_BLOCK = 25  # matrices per pair of draw streams, part of the random stream; 400 replicas are 2 chunks of 100
 
 
 def _bind_dsterf():
@@ -191,7 +200,7 @@ def _sturm_above(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, scratch:
     """Eigenvalues above each shift: counts[r, s] for the tridiagonal (diag[r], off[r]).
 
     The LDL^T pivot recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1} runs over
-    the rows, for all replicas and shifts at once; the negative pivots count
+    the rows, for all matrices and shifts at once; the negative pivots count
     the eigenvalues below x.  A zero pivot makes the next one -inf, which
     counts as LAPACK's -pivmin substitution does.
 
@@ -202,7 +211,7 @@ def _sturm_above(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, scratch:
     and shifts' magnitude, is far above the recurrence's round-off, so the
     rounded pivots obey the same bound and the counts equal the full pass's.
     The pass runs to the stop row, one past the last row of the chunk whose
-    Gershgorin upper edge reaches its replica's smallest shift minus the slack,
+    Gershgorin upper edge reaches its matrix's smallest shift minus the slack,
     and on from there until the pivot condition holds.  scratch is a (chunk, n)
     array with at least as many rows as diag; it is overwritten.
     """
@@ -234,28 +243,45 @@ def _sturm_above(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, scratch:
     return n - below
 
 
-def _certified_top(
+def _edges(vals: np.ndarray, m: int, out: np.ndarray) -> None:
+    """A matrix's two replicas from its increasing eigenvalues: the top m and the bottom m negated, each decreasing."""
+    out[0] = vals[-m:][::-1]
+    np.negative(vals[:m], out=out[1])
+
+
+def _certified_edges(
     diag: np.ndarray, off: np.ndarray, window: int, m: int, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top m eigenvalues (decreasing) of each leading block, and whether the full matrix confirms them."""
-    top = np.empty((len(diag), m))
+    """Both edges of each leading block (_edges), and whether the full matrix confirms both.
+
+    The negated bottom m are the top m of (-diag, off), so they are certified
+    as a top, on diag negated in place.  Negation is exact, so diag is left
+    unchanged.
+    """
+    edges = np.empty((len(diag), 2, m))
     ok = np.empty(len(diag), dtype=bool)
     for i in range(len(diag)):
         vals, info = _dsterf(diag[i, :window], off[i, : window - 1])
-        top[i] = vals[window - m :][::-1]
+        _edges(vals, m, edges[i])
         ok[i] = info == 0
-    above = _sturm_above(diag, off, np.hstack([top - _CERT_TOL, top + _CERT_TOL]), scratch)
     rank = np.arange(1, m + 1)
-    ok &= np.all(above[:, :m] == rank, axis=1) & np.all(above[:, m:] == rank - 1, axis=1)
-    return top, ok
+    for side in (0, 1):  # the top on diag, then the negated bottom on -diag
+        top = edges[:, side]
+        above = _sturm_above(diag, off, np.hstack([top - _CERT_TOL, top + _CERT_TOL]), scratch)
+        ok &= np.all(above[:, :m] == rank, axis=1) & np.all(above[:, m:] == rank - 1, axis=1)
+        np.negative(diag, out=diag)
+    return edges, ok
 
 
 def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
-    """Draw scaled GUE edge samples; replica r is reproducible from (seed, r) alone.
+    """Draw scaled GUE edge samples; replica r is reproducible from (seed, r // 2) alone.
 
-    Each chunk draws its replicas, certifies them, redoes its own fallbacks
-    and writes its own rows of the result, so the points are bit-identical
-    for any worker count.  dsterf is bound here, before the chunks start.
+    ceil(replicas / 2) matrices give two replicas each, top then negated
+    bottom; an odd count's last matrix is certified on both edges all the
+    same, so its top is the one any longer sample has.  Each chunk draws its
+    matrices, certifies them, redoes its own fallbacks and writes its own
+    rows of the result, so the points are bit-identical for any worker
+    count.  dsterf is bound here, before the chunks start.
     """
     _dsterf_handle()
     n = config.matrix_size
@@ -264,9 +290,10 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     scale = n ** (1.0 / 6.0)
     center = 2.0 * math.sqrt(n)
     window = _window(n, m)
+    matrices = (replicas + 1) // 2
     out = np.empty((replicas, m))
-    failed = np.zeros(replicas, dtype=bool)
-    blocks = math.ceil(replicas / _DRAW_BLOCK)
+    failed = np.zeros(matrices, dtype=bool)
+    blocks = math.ceil(matrices / _DRAW_BLOCK)
     workers = min(_usable_cores(), blocks)
     # a multiple of the worker count of equal chunks of whole blocks, so every worker runs as many chunks
     chunks = _equal_chunks(blocks, workers, _CHUNK // _DRAW_BLOCK)
@@ -274,20 +301,21 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
     buffer_sets = [(np.empty((chunk, n)), np.empty((chunk, n - 1)), np.empty((chunk, n))) for _ in range(workers)]
 
     def run_chunk(block_range: range, diag_buf, off_buf, scratch) -> None:
-        rows = range(block_range.start * _DRAW_BLOCK, min(block_range.stop * _DRAW_BLOCK, replicas))
+        rows = range(block_range.start * _DRAW_BLOCK, min(block_range.stop * _DRAW_BLOCK, matrices))
         diag, off = diag_buf[: len(rows)], off_buf[: len(rows)]
         _draw(config.seed, block_range.start, diag, off)
         if window < n:
-            top, ok = _certified_top(diag, off, window, m, scratch)
+            edges, ok = _certified_edges(diag, off, window, m, scratch)
             failed[rows.start : rows.stop] = ~ok
         else:
-            top, ok = np.empty((len(rows), m)), np.zeros(len(rows), dtype=bool)
+            edges, ok = np.empty((len(rows), 2, m)), np.zeros(len(rows), dtype=bool)
         for i in np.flatnonzero(~ok):
             vals, info = _dsterf(diag[i], off[i])
             if info != 0:
-                raise np.linalg.LinAlgError(f"dsterf did not converge on replica {rows[i]} (info = {info})")
-            top[i] = vals[n - m :][::-1]
-        out[rows.start : rows.stop] = scale * (top - center)
+                raise np.linalg.LinAlgError(f"dsterf did not converge on matrix {rows[i]} (info = {info})")
+            _edges(vals, m, edges[i])
+        first, stop = 2 * rows.start, min(2 * rows.stop, replicas)
+        out[first:stop] = scale * (edges.reshape(-1, m)[: stop - first] - center)
 
     _run_chunks(run_chunk, chunks, buffer_sets)
     return AirySampleSet(config, out, window, int(np.count_nonzero(failed)))
@@ -311,7 +339,21 @@ def _hk(k: int, T: float, sample: AirySampleSet) -> np.ndarray:
 
 
 def _mean(vals: np.ndarray) -> MCEstimate:
-    return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals))
+    """Mean over replicas, with the standard error over matrices: rows 2j and 2j + 1 are one unit.
+
+    The error is that of the units' summed residuals (an odd count's last row
+    is a unit of its own), so it holds whatever the correlation of a matrix's
+    two edges and is the row formula's in expectation when they are
+    independent.  A single matrix falls back to the spread of its two rows.
+    """
+    resid = vals - vals.mean()
+    units = resid[::2].copy()
+    units[: len(vals) // 2] += resid[1::2]
+    if len(units) < 2:
+        units = resid
+    count = len(units)
+    stderr = math.sqrt(count / (count - 1) * float((units**2).sum())) / len(vals)
+    return MCEstimate(float(vals.mean()), stderr, len(vals))
 
 
 def series_moment_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:

@@ -11,7 +11,7 @@ the calling process.
 ``simulate_polymer`` asks for a multiple of 6, the least common multiple of
 1, 2 and 3 workers, because its chunks' streams are seeded by their first
 paths and so must not depend on the worker count; ``sample_airy_points``,
-whose blocks of replicas are seeded by index, asks for a multiple of the cores.
+whose blocks of matrices are seeded by index, asks for a multiple of the cores.
 
 ``_run_chunks`` runs them on one thread pool for the whole process, made on
 the first call that needs more than one worker and replaced by a larger one

@@ -17,7 +17,9 @@ emitted report holds finite numbers only.
 ``moment gaussian-mc`` and ``xcheck`` only; elsewhere it is a usage error.
 JSON output is byte-stable for identical arguments and seed, except for the
 timestamp, which is isolated under ``metadata`` and excluded from stability
-guarantees.
+guarantees.  ``sample`` reports also keep there, as ``warnings``, the
+warnings their functional raised (the truncation warning of ``series`` and
+``hk``) instead of printing them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 from . import __version__
 from . import airy, airy_sampler, polymer, she_moments
@@ -93,8 +96,12 @@ def emit_report(payload: dict, fmt: str, out_path: str | None) -> None:
         fh.write(text)
 
 
-def _payload(request: dict, estimates: list, seed: int, gaps: list, passed: bool) -> dict:
-    """The report every command emits; refuses an estimate whose value or err is not finite."""
+def _payload(request: dict, estimates: list, seed: int, gaps: list, passed: bool, caught: list | None = None) -> dict:
+    """The report every command emits; refuses an estimate whose value or err is not finite.
+
+    ``caught``, the messages of the warnings a route recorded, goes under
+    ``metadata`` as ``warnings``; a route that records none leaves it out.
+    """
     for e in estimates:
         if not (math.isfinite(e.value) and math.isfinite(e.err)):
             raise FloatingPointError(f"{e.method} estimate is not finite (value={e.value}, err={e.err})")
@@ -107,7 +114,7 @@ def _payload(request: dict, estimates: list, seed: int, gaps: list, passed: bool
         "pass": passed,
         "seed": seed,
         "version": __version__,
-        "metadata": {"timestamp": time.time()},
+        "metadata": {"timestamp": time.time(), **({} if caught is None else {"warnings": caught})},
     }
 
 
@@ -157,21 +164,26 @@ def run_airy(args) -> tuple[dict, list]:
     return {"x": args.x, "y": args.y}, [she_moments.MomentEstimate(val, 0.0, f"kernel_{args.form}", {})]
 
 
-def run_sample(args) -> tuple[dict, list]:
+def run_sample(args) -> tuple[dict, list, list]:
+    """The sampler's estimate, and the warnings its functional raised (the truncation warning of hk and series)."""
     cfg = airy_sampler.EnsembleConfig(args.matrix_size, args.top_points, args.replicas, subseed(args.seed, "sample"))
     sam = airy_sampler.sample_airy_points(cfg)
     provenance = {"window": sam.window, "full_matrix_fallbacks": sam.full_matrix_fallbacks}
     if args.method == "airy":
         top = sam.points[:, 0]
+        mc = airy_sampler._mean(top)
         est = she_moments.MomentEstimate(
-            float(top.mean()),
-            float(top.std(ddof=1) / math.sqrt(len(top))),
+            mc.value,
+            mc.stderr,
             "sample_airy",
             {"var_a1": float(top.var(ddof=1)), "replicas": cfg.replicas, **provenance},
         )
-        return {"matrix_size": cfg.matrix_size, "top_points": cfg.top_points}, [est]
+        return {"matrix_size": cfg.matrix_size, "top_points": cfg.top_points}, [est], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # kept for the report's metadata, not printed
+        functional = airy_sampler.series_moment_mc if args.method == "series" else airy_sampler.hk_mc
+        mc = functional(args.k, args.t, sam)
     if args.method == "series":
-        mc = airy_sampler.series_moment_mc(args.k, args.t, sam)
         meta = {
             "replicas": mc.replicas,
             # weight calibration: i.i.d. Exp(1) weights reproduce the moment
@@ -184,10 +196,9 @@ def run_sample(args) -> tuple[dict, list]:
             "estimator": "rao_blackwell",  # the mean of k! h_k(e^{C a}) = E[S^k | points]
         }
     else:
-        mc = airy_sampler.hk_mc(args.k, args.t, sam)
         meta = {"replicas": mc.replicas}
     est = she_moments.MomentEstimate(mc.value, mc.stderr, f"{args.method}_mc", {**meta, **provenance})
-    return {"k": args.k, "T": args.t}, [est]
+    return {"k": args.k, "T": args.t}, [est], [str(w.message) for w in caught]
 
 
 def run_polymer(args) -> tuple[dict, list]:
@@ -316,8 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "xcheck":
             payload, code = run_xcheck(args)
         else:
-            request, estimates = args.run(args)
-            payload, code = _payload(request, estimates, getattr(args, "seed", 0), [], True), 0
+            request, estimates, *caught = args.run(args)  # run_sample adds the warnings it recorded
+            payload, code = _payload(request, estimates, getattr(args, "seed", 0), [], True, *caught), 0
         emit_report(payload, args.format, args.output)
         return code
     except UsageError as exc:

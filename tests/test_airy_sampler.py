@@ -24,29 +24,32 @@ from shemom.airy_sampler import (
 from shemom.combinatorics import h_complete
 
 
-def draws(seed, replicas, n):
-    """The tridiagonals (diag, off) of replicas 0 .. replicas - 1, as the sampler draws them."""
-    diag, off = np.empty((replicas, n)), np.empty((replicas, n - 1))
+def draws(seed, matrices, n):
+    """The tridiagonals (diag, off) of matrices 0 .. matrices - 1, as the sampler draws them."""
+    diag, off = np.empty((matrices, n)), np.empty((matrices, n - 1))
     airy_sampler._draw(seed, 0, diag, off)
     return diag, off
 
 
 def full_matrix_points(cfg, select=False):
-    """Reference: every replica's top points from the full n x n tridiagonal, one LAPACK call each.
+    """Reference: every replica's points from the full n x n tridiagonal, one LAPACK call per matrix.
 
+    Replica r is edge r % 2 of matrix r // 2: its top m, or its bottom m negated.
     By f2py's lapack.dsterf, the sampler's full-matrix path, or with select=True by
-    eigvalsh_tridiagonal's bisection for the top m alone, which is independent of it.
+    eigvalsh_tridiagonal's bisection for the m at each edge alone, which is independent of it.
     """
     n, m = cfg.matrix_size, cfg.top_points
     out = np.empty((cfg.replicas, m))
-    for r, (diag, off) in enumerate(zip(*draws(cfg.seed, cfg.replicas, n))):
+    for j, (diag, off) in enumerate(zip(*draws(cfg.seed, (cfg.replicas + 1) // 2, n))):
         if select:
-            top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - m, n - 1))
+            top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - m, n - 1))[::-1]
+            bottom = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))
         else:
             vals, info = lapack.dsterf(diag, off)
             assert info == 0
-            top = vals[n - m :]
-        out[r] = n ** (1.0 / 6.0) * (top[::-1] - 2.0 * math.sqrt(n))
+            top, bottom = vals[n - m :][::-1], vals[:m]
+        for r, edge in zip(range(2 * j, min(2 * j + 2, cfg.replicas)), (top, -bottom)):
+            out[r] = n ** (1.0 / 6.0) * (edge - 2.0 * math.sqrt(n))
     return out
 
 
@@ -93,19 +96,28 @@ class TestSampling:
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_replica_extension_consistent(self, monkeypatch):
-        # replica r depends only on (seed, r), not on the total count, the chunk it falls in or the
-        # worker count: a short last block is a prefix of a full one
+        # replica r depends only on (seed, r // 2), not on the total count, the chunk it falls in or the
+        # worker count: a short last block is a prefix of a full one, and an odd count drops the last bottom
         block = airy_sampler._DRAW_BLOCK
         counts = (1, block - 1, block + 1, 37)
         diag, off = draws(3, 100, 100)
         for count in counts:
             np.testing.assert_array_equal(np.hstack(draws(3, count, 100)), np.hstack([diag, off])[:count])
-        big = sample_airy_points(EnsembleConfig(100, 4, 100, seed=3)).points
+        big = sample_airy_points(EnsembleConfig(100, 4, 200, seed=3)).points
         for workers in (1, 2, 3):
             monkeypatch.setattr(airy_sampler, "_usable_cores", lambda w=workers: w)
-            for count in (2, *counts[1:]):  # a sample needs 2 replicas
+            for count in (2, 3, 2 * block - 1, 2 * block, 2 * block + 1, 75, 2 * 37):  # a sample needs 2 replicas
                 points = sample_airy_points(EnsembleConfig(100, 4, count, seed=3)).points
                 np.testing.assert_array_equal(points, big[:count])
+
+    def test_odd_count_drops_the_last_bottom(self):
+        # 2j + 1 replicas: j + 1 matrices, the last giving its top alone
+        odd = sample_airy_points(EnsembleConfig(200, 8, 7, seed=4))
+        even = sample_airy_points(EnsembleConfig(200, 8, 8, seed=4))
+        np.testing.assert_array_equal(odd.points, even.points[:7])
+        ref = full_matrix_points(EnsembleConfig(200, 8, 8, seed=4), select=True)
+        assert np.abs(odd.points[-1] - ref[6]).max() <= airy_sampler._CERT_TOL * 200 ** (1 / 6)
+        assert not np.allclose(even.points[-1], ref[6], atol=0.1)  # the dropped bottom is another sample
 
     def test_streams_apart_from_polymer(self):
         # one seed gives the sampler's block b and the polymer's chunk at path b different streams
@@ -117,7 +129,7 @@ class TestSampling:
             assert not np.any(off[0] == np.sqrt(gamma.standard_gamma(np.arange(49, 0, -1.0))))
 
     def test_chunk_split_invariant(self, monkeypatch):
-        cfg = EnsembleConfig(100, 4, 3 * airy_sampler._DRAW_BLOCK + 5, seed=3)
+        cfg = EnsembleConfig(100, 4, 6 * airy_sampler._DRAW_BLOCK + 5, seed=3)  # 78 matrices, 4 blocks
         whole = sample_airy_points(cfg)
         monkeypatch.setattr(airy_sampler, "_CHUNK", airy_sampler._DRAW_BLOCK)  # a chunk of one block
         np.testing.assert_array_equal(sample_airy_points(cfg).points, whole.points)
@@ -133,7 +145,8 @@ class TestSampling:
     def test_independent_of_worker_count(self, monkeypatch, n, m, window):
         if window is not None:
             monkeypatch.setattr(airy_sampler, "_window", window)
-        cfg = EnsembleConfig(n, m, 2 * airy_sampler._CHUNK + 5, seed=7)  # not a multiple of the block or of any chunk
+        # 259 matrices, the last giving its top alone: not a multiple of the block or of any chunk
+        cfg = EnsembleConfig(n, m, 4 * airy_sampler._CHUNK + 5, seed=7)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more workers than cores, switching often: shared buffers would show
@@ -146,7 +159,7 @@ class TestSampling:
         for run in runs[1:]:
             assert np.array_equal(runs[0].points, run.points)
             assert runs[0].full_matrix_fallbacks == run.full_matrix_fallbacks
-        assert runs[0].full_matrix_fallbacks == (cfg.replicas if window is not None else 0)
+        assert runs[0].full_matrix_fallbacks == ((cfg.replicas + 1) // 2 if window is not None else 0)  # per matrix
 
     def test_top_point_tracy_widom(self, sample):
         top = sample.points[:, 0]
@@ -158,9 +171,20 @@ class TestSampling:
 class TestCertificate:
     @pytest.mark.parametrize(
         "n,m,seed,replicas",
-        [(100, 4, 3, 40), (300, 16, 1, 40), (400, 24, 2, 30), (800, 24, 5, 20), (800, 1, 6, 20), (100, 24, 4, 10)],
+        [
+            (100, 4, 3, 40),
+            (300, 16, 1, 40),
+            (400, 24, 2, 30),
+            (800, 24, 5, 20),
+            (800, 1, 6, 20),
+            (100, 24, 4, 10),
+            (300, 16, 1, 41),
+            (800, 1, 6, 21),
+            (100, 24, 4, 11),
+        ],
     )
     def test_matches_full_matrix(self, n, m, seed, replicas):
+        # both edges of every matrix, an odd count's last top included
         cfg = EnsembleConfig(n, m, replicas, seed)
         sam = sample_airy_points(cfg)
         ref = full_matrix_points(cfg)
@@ -184,7 +208,8 @@ class TestCertificate:
         assert abs(airy_sampler._window(n, 24) / linear - 1.0) < 1e-3
 
     def test_short_margin_shows_as_fallbacks(self, monkeypatch):
-        # the fallback count detects a block too short for its n: two scaled rows short, about 7% of replicas fall back
+        # the fallback count detects a block too short for its n: two scaled rows short, about 7% of top edges
+        # fall back, so about 14% of the 100 matrices, which fail on either edge
         cfg = EnsembleConfig(400, 24, 200, seed=3)
         assert sample_airy_points(cfg).full_matrix_fallbacks <= 1
         monkeypatch.setattr(airy_sampler, "_WINDOW_MARGIN", 7.0)
@@ -196,7 +221,7 @@ class TestCertificate:
         cfg = EnsembleConfig(300, 8, 30, seed=9)
         sam = sample_airy_points(cfg)
         assert sam.window == 12
-        assert sam.full_matrix_fallbacks == cfg.replicas
+        assert sam.full_matrix_fallbacks == cfg.replicas // 2
         np.testing.assert_array_equal(sam.points, full_matrix_points(cfg))
         assert np.abs(sam.points - full_matrix_points(cfg, select=True)).max() <= airy_sampler._CERT_TOL * 300 ** (1 / 6)
 
@@ -210,17 +235,23 @@ class TestCertificate:
         np.testing.assert_array_equal(airy_sampler._sturm_above(diag, off, shifts, np.empty_like(diag)), expected)
 
     @staticmethod
-    def sampler_chunk(n, seed, replicas=64, m=24):
-        """A chunk as sample_airy_points certifies it: the draws and the shifts lambda_j -/+ delta of each block."""
+    def sampler_chunk(n, seed, matrices=64, m=24, bottom=False):
+        """A chunk as sample_airy_points certifies it: the draws and the shifts lambda_j -/+ delta of each block.
+
+        With bottom=True the diagonal is negated and the shifts are the negated bottom m, as the bottom's
+        count sees them.
+        """
         window = airy_sampler._window(n, m)
-        diag, off = draws(seed, replicas, n)
+        diag, off = draws(seed, matrices, n)
+        if bottom:
+            diag = -diag
         top = np.array([airy_sampler._dsterf(d[:window], e[: window - 1])[0][-m:][::-1] for d, e in zip(diag, off)])
         return diag, off, np.hstack([top - airy_sampler._CERT_TOL, top + airy_sampler._CERT_TOL])
 
     @pytest.mark.parametrize("n", [400, 800])
-    @pytest.mark.parametrize("case", ["sampler", "perturbed", "lower_edge"])
+    @pytest.mark.parametrize("case", ["sampler", "bottom", "perturbed", "lower_edge"])
     def test_early_stop_matches_full_pass(self, n, case):
-        diag, off, shifts = self.sampler_chunk(n, seed=n + 1)
+        diag, off, shifts = self.sampler_chunk(n, seed=n + 1, bottom=case == "bottom")
         if case == "perturbed":
             # shifts off the eigenvalues by N(0, 0.3^2): some certificates fail
             shifts = shifts + np.random.default_rng(n).normal(0.0, 0.3, size=shifts.shape)
@@ -246,6 +277,80 @@ class TestCertificate:
         np.testing.assert_array_equal(counts, sturm_above_full(diag, off, shifts))
         eigs = [eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)]
         np.testing.assert_array_equal(counts, [[np.count_nonzero(ev > x) for x in row] for ev, row in zip(eigs, shifts)])
+
+
+class TestTwoEdges:
+    def test_certificate_restores_the_diagonal(self):
+        # the bottom's count runs on diag negated in place; negation is exact, so diag comes back bit for bit
+        diag, off = draws(5, 30, 400)
+        before = diag.copy()
+        window = airy_sampler._window(400, 24)
+        edges, ok = airy_sampler._certified_edges(diag, off, window, 24, np.empty_like(diag))
+        assert np.array_equal(diag, before)
+        assert ok.all()
+        assert np.all(np.diff(edges, axis=2) < 0)
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_either_edge_failing_redoes_both(self, monkeypatch, edge):
+        # one matrix whose count fails on one edge alone is redone on the full matrix, both edges
+        sturm, calls = airy_sampler._sturm_above, []
+
+        def spoiled(diag, off, shifts, scratch):
+            counts = sturm(diag, off, shifts, scratch)
+            if len(calls) == edge:
+                counts[1, 0] += 1  # matrix 1's count at its first shift
+            calls.append(edge)
+            return counts
+
+        monkeypatch.setattr(airy_sampler, "_sturm_above", spoiled)
+        cfg = EnsembleConfig(400, 8, 10, seed=2)  # 5 matrices: one block, one chunk, two counts
+        sam = sample_airy_points(cfg)
+        assert len(calls) == 2 and sam.full_matrix_fallbacks == 1
+        ref = full_matrix_points(cfg)
+        np.testing.assert_array_equal(sam.points[2:4], ref[2:4])
+        assert not np.array_equal(sam.points[:2], ref[:2])  # the others are the block's, within delta
+        assert np.abs(sam.points - ref).max() <= airy_sampler._CERT_TOL * 400 ** (1 / 6)
+
+    def test_bottom_has_the_law_of_the_top(self):
+        # T has the law of -S T S: the negated bottom's top point has the top's law, and the two edges of a
+        # matrix are asymptotically independent
+        sam = sample_airy_points(EnsembleConfig(400, 4, 2000, seed=11))
+        top, bottom = sam.points[0::2, 0], sam.points[1::2, 0]
+        matrices = len(top)
+        se = math.hypot(top.std(ddof=1), bottom.std(ddof=1)) / math.sqrt(matrices)
+        assert abs(top.mean() - bottom.mean()) <= 3.0 * se
+        assert abs(np.corrcoef(top, bottom)[0, 1]) <= 3.0 / math.sqrt(matrices)
+
+
+class TestMatrixUnits:
+    def test_correlated_rows(self):
+        # a matrix's two rows equal: the bar of its 4 units, larger than the row formula's by about sqrt(2)
+        units = np.array([1.0, 2.0, 4.0, 7.0])
+        est = airy_sampler._mean(np.repeat(units, 2))
+        assert est.value == units.mean() and est.replicas == 8
+        assert est.stderr == pytest.approx(units.std(ddof=1) / 2.0, rel=1e-14)
+
+    def test_anti_correlated_rows(self):
+        # every matrix's rows sum to 4: the mean has no spread, though the rows do
+        vals = np.array([1.0, 3.0, 0.0, 4.0, 2.5, 1.5])
+        est = airy_sampler._mean(vals)
+        assert (est.value, est.stderr) == (2.0, 0.0)
+
+    def test_odd_count(self):
+        # the last row is a unit of its own
+        vals = np.array([1.0, 1.0, 3.0, 3.0, 5.0])
+        mean = 13.0 / 5.0
+        units = np.array([2.0 * (1.0 - mean), 2.0 * (3.0 - mean), 5.0 - mean])
+        expected = math.sqrt(3.0 / 2.0 * (units**2).sum()) / 5.0
+        assert airy_sampler._mean(vals).stderr == pytest.approx(expected, rel=1e-14)
+
+    def test_single_matrix_is_the_row_formula(self):
+        assert airy_sampler._mean(np.array([1.0, 3.0])).stderr == pytest.approx(1.0, rel=1e-14)
+
+    def test_independent_rows_give_the_row_formula(self):
+        vals = np.random.default_rng(3).normal(size=4000)
+        row = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert airy_sampler._mean(vals).stderr == pytest.approx(row, rel=0.05)
 
 
 class TestDsterfBinding:

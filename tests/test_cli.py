@@ -399,6 +399,35 @@ class TestSubcommands:
         assert meta["window"] == airy_sampler._window(100, 8) < 100
         assert meta["full_matrix_fallbacks"] == 0
 
+    def test_sample_airy_bar_counts_matrices(self, capsys):
+        # the top point's bar is the sampler's one: a matrix's two edges are one unit, the odd last top its own
+        argv = ["sample", "airy", "--matrix-size", "200", "--top-points", "4", "--replicas", "41", "--seed", "2"]
+        _, payload = run_json(capsys, argv)
+        est = payload["estimates"][0]
+        sam = airy_sampler.sample_airy_points(airy_sampler.EnsembleConfig(200, 4, 41, subseed(2, "sample")))
+        mc = airy_sampler._mean(sam.points[:, 0])
+        assert (est["value"], est["err"]) == (mc.value, mc.stderr)
+        assert est["meta"]["var_a1"] == float(sam.points[:, 0].var(ddof=1))
+        assert payload["metadata"]["warnings"] == []
+
+    @pytest.mark.parametrize("method", ["series", "hk"])
+    def test_sample_truncation_warning_in_metadata(self, method):
+        # the setup of test_warns_when_cut_matters: the warning goes to the report, not to stderr, and the
+        # report minus metadata is the functional's own estimate
+        argv = ["sample", method, "--k", "2", "--t", "1", "--matrix-size", "100", "--top-points", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_quiet([*argv, "--replicas", "20", "--seed", "0"])
+        assert code == 0 and err == "" and caught == []
+        payload = json.loads(out)
+        notes = payload["metadata"]["warnings"]
+        assert len(notes) == 1 and notes[0].startswith("truncation at 2 points may bias the estimate")
+        sam = airy_sampler.sample_airy_points(airy_sampler.EnsembleConfig(100, 2, 20, subseed(0, "sample")))
+        functional = airy_sampler.series_moment_mc if method == "series" else airy_sampler.hk_mc
+        with pytest.warns(RuntimeWarning, match="truncation"):
+            mc = functional(2, 1.0, sam)
+        assert (payload["estimates"][0]["value"], payload["estimates"][0]["err"]) == (mc.value, mc.stderr)
+
     def test_polymer_contour(self, capsys):
         import math
 
