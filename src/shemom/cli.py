@@ -13,8 +13,9 @@ that is not positive beyond its error bar, or a failed internal consistency or
 accuracy check (any RuntimeError).  Nothing is written on exit 1, so every
 emitted report holds finite numbers only.
 
-``--samples``, the sample count of the gaussian_mc route, is an option of
-``moment gaussian-mc`` and ``xcheck`` only; elsewhere it is a usage error.
+``moment`` has a subcommand per route of ``she_moments.ROUTES``.  ``--samples``,
+the sample count of the stochastic routes, is an option of their ``moment``
+subcommands and of ``xcheck`` only; elsewhere it is a usage error.
 JSON output is byte-stable for identical arguments and seed, except for the
 timestamp, which is isolated under ``metadata`` and excluded from stability
 guarantees.  ``sample`` reports also keep there, as ``warnings``, the
@@ -124,7 +125,7 @@ def run_xcheck(args) -> tuple[dict, int]:
         raise UsageError("tol must be positive and finite")
     routes = she_moments.ROUTES
     # a k beyond every route goes to the widest one, whose guard refuses it by name
-    methods = [m for m, k_max in routes.items() if req.k <= k_max] or [max(routes, key=routes.get)]
+    methods = [m for m, r in routes.items() if req.k <= r.k_max] or [max(routes, key=lambda m: routes[m].k_max)]
     estimates = [she_moments.moment(req, m, subseed(args.seed, m), args.samples) for m in methods]
     gaps = []
     # a single route is reported but cannot pass: nothing was compared
@@ -134,7 +135,7 @@ def run_xcheck(args) -> tuple[dict, int]:
             a, b = estimates[i], estimates[j]
             denom = max(abs(a.value), abs(b.value), 1e-300)
             rel_gap = abs(a.value - b.value) / denom
-            if "gaussian_mc" in (a.method, b.method):
+            if routes[methods[i]].stochastic or routes[methods[j]].stochastic:
                 tol = 3.0 * math.hypot(a.err, b.err) / denom
             else:
                 tol = args.tol or (1e-6 if req.k <= 2 else 1e-3)
@@ -240,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     moment = sub.add_parser("moment", help="heat-equation moment E[Z(T,X)^k]")
     moment.set_defaults(run=run_moment)
     msub = moment.add_subparsers(dest="method", required=True)
-    for name in ("contour", "partition", "gaussian-mc"):
-        sp = msub.add_parser(name)
+    for name, route in she_moments.ROUTES.items():
+        sp = msub.add_parser(name.replace("_", "-"))
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--t", type=float, required=True)
         sp.add_argument("--x", type=float, default=0.0)
-        if name == "gaussian-mc":
+        if route.stochastic:
             sp.add_argument("--samples", type=int, default=100_000)
         common(sp)
 

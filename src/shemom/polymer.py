@@ -24,9 +24,8 @@ sampler.  The two streams give
 each pair of fine steps (2j, 2j+1) a sum S_j and a difference D_j, and the
 steps take (S_j +- D_j)/sqrt(2): an orthogonal map, so the increments stay
 i.i.d. N(0, 1) in law.  A fine run draws one normal per (step, lower level,
-pair of paths), as one stream would; a run with an even ``coarsen`` needs
-only the sums, sqrt(2) times their total over a coarse step, and draws half
-as many.
+pair of paths), as one stream would; a run with ``coarsen`` = 2 needs only
+the sums, sqrt(2) times each one a coarse increment, and draws half as many.
 
 Integer moments admit nested contour integrals over circles around the origin
 with radii separated by more than one; under the scaling t = sqrt(NT) + X and
@@ -152,11 +151,11 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
 
     A block of b steps keeps its +- multipliers in (2, b + 1, levels - 1,
     pairs) slots, the + paths then the - paths, after the lower levels at
-    the block's start; step i writes its lower levels over its own multipliers.  Up to
-    ``coarsen`` = 2 a block draws as many rows as it has - multipliers, so
-    the draws land in the - half of the slots and the multipliers are
-    written over them.  After the steps, one product gives every step's c,
-    and the moments advance a block at a time: M_1 and, for j >= 2, the
+    the block's start; step i writes its lower levels over its own
+    multipliers.  A block draws as many rows as it has - multipliers, so the
+    draws land in the - half of the slots and the multipliers are written
+    over them.  After the steps, one product gives every step's c, and the
+    moments advance a block at a time: M_1 and, for j >= 2, the
     scaled sums u_j = M_j e^{-a_j k}, k the step's offset in its segment,
     take one add per step (the highest moment one reduction over the block,
     which numpy adds in the same order), and each P_j is one product over
@@ -173,25 +172,22 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     rows of the result, so values and errors are bit-identical for any
     worker count.  The caller allocates one buffer per worker, and the
     buffers of all workers together take at most about ``_BUFFER_DOUBLES``
-    doubles (at least one block's worth each: one coarse step for an even
-    ``coarsen``, two for an odd one), besides the factor tables of
-    ``_moment_tables``, (K^2 + K + 6)/2 rows of at most ``_SEGMENT`` + 1
+    doubles (at least one step pair's worth each), besides the factor tables
+    of ``_moment_tables``, (K^2 + K + 6)/2 rows of at most ``_SEGMENT`` + 1
     doubles.
 
-    ``coarsen`` > 1 runs steps/coarsen steps on the same paths: each coarse
-    increment is the sum of the coarsen fine increments of its pair and
-    level, so the coarse-minus-fine gap is the time-step error alone.  An
-    even ``coarsen`` covers whole step pairs, whose increments sum to
-    sqrt(2) S_j sqrt(t/steps), so it draws only from the sum stream, half
-    the normals of the fine run; an odd one builds the fine increments from
-    S and D and sums them in groups, drawing all of them.
+    ``coarsen`` = 2 runs steps/2 steps on the same paths: each coarse
+    increment is the sum of its step pair's two fine increments,
+    sqrt(2) S_j sqrt(t/steps), so the coarse-minus-fine gap is the time-step
+    error alone, and the run draws only from the sum stream, half the
+    normals of the fine run.  A ``coarsen`` other than 1 or 2 is refused.
     """
     _check_integer("max_moment", max_moment)
     if max_moment < 1:
         raise ValueError("max_moment must be >= 1")
     _check_integer("coarsen", coarsen)
-    if coarsen < 1 or config.steps % coarsen:
-        raise ValueError("coarsen must be a positive integer that divides steps")
+    if coarsen not in (1, 2) or config.steps % coarsen:
+        raise ValueError("coarsen must be 1 or 2 and divide steps")
     n, t, paths = config.levels, config.time, config.replicas
     lower = n - 1  # the drawn levels
     fine = config.steps
@@ -210,20 +206,14 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     chunks = _equal_chunks(pairs, 6, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
     chunk = len(chunks[0])
     workers = min(_usable_cores(), len(chunks))
-    odd = coarsen % 2
-    unit = 1 + odd  # coarse steps per block unit: whole step pairs and whole coarse steps
-    draw_rows = coarsen if odd else coarsen // 2  # per coarse step: S and D, or S alone for an even coarsen
-    # up to coarsen = 2 a block's draws are as many rows as its - multipliers, and are written over by them
-    spill = coarsen > 2
-    # per coarse step and pair: per lower level the +- multipliers and any draws and fine increments that do
-    # not fit in them; c, the moment sums and, from k = 3, a Horner term, each for the + and the - path
-    per_step = (2 + spill * (draw_rows + odd * coarsen)) * lower + 2 * (1 + max_moment + (max_moment > 2))
+    # per coarse step and pair: per lower level the +- multipliers, which the draws are written into; c, the
+    # moment sums and, from k = 3, a Horner term, each for the + and the - path
+    per_step = 2 * lower + 2 * (1 + max_moment + (max_moment > 2))
     # the chunks in flight share one budget: each worker's buffers take 1/workers of it
+    unit = 2 // coarsen  # coarse steps per step pair: a block holds whole step pairs
     block = min(coarse_steps, unit * max(1, _BUFFER_DOUBLES // workers // (per_step * chunk) // unit))
     shapes = (
         (2, block + 1, lower),  # the lower levels before the block, then each step's +- multipliers and levels
-        (spill * block * draw_rows, lower),  # the draws, D before S so that one multiply scales both
-        (spill * odd * block * coarsen, lower),  # the fine increments
         (2, lower),  # the drifted lower levels
         (block, 2),  # c of each step
         (max_moment, block + 1, 2),  # M_1 and the scaled sums of M_j, j >= 2, before each step and after the last
@@ -240,41 +230,28 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
         for shape, size in zip(shapes, sizes):
             views.append(buf[start : start + size][: math.prod(shape) * c].reshape(*shape, c))
             start += size
-        slots, draw_buf, inc_buf, drifted, cs, sums, term, (c_f, out, out_term) = views
+        slots, drifted, cs, sums, term, (c_f, out, out_term) = views
 
-        def multipliers(mult, span: int, b: int) -> None:
-            """exp(g - h/2) and exp(-g - h/2), g a coarse step's increment, for the block's b coarse steps."""
-            both = span // 2  # step pairs; the last block of an odd step count ends on a lone step
-            plus = mult[0]
-            count = (1 + odd) * both + span % 2
-            draws = draw_buf[:count] if spill else mult[1]
-            d, s = draws[: odd * both], draws[odd * both :]
-            sum_rng.standard_normal(out=s)
-            if odd:
-                diff_rng.standard_normal(out=d)
-                inc = inc_buf[:span] if spill else plus
-                # the fine increments less their h/2, which a coarse step's sum turns into its own h/2
-                shift = h / coarsen / 2.0
-                draws[: 2 * both] *= pair_scale
-                s[:both] -= shift
-                np.add(s[:both], d, out=inc[0 : 2 * both : 2])
-                np.subtract(s[:both], d, out=inc[1 : 2 * both : 2])
-                if span % 2:  # the lone last step takes S only
-                    np.multiply(s[both], step_scale, out=inc[-1])
-                    inc[-1] -= shift
-                if spill:
-                    group = inc.reshape(b, coarsen, lower, c)
-                    np.add(group[:, 0], group[:, 1], out=plus)
-                    for j in range(2, coarsen):
-                        plus += group[:, j]
-            else:
-                group = s.reshape(b, coarsen // 2, lower, c)
-                g = group[:, 0]
-                for j in range(1, coarsen // 2):
-                    g += group[:, j]
-                np.multiply(g, 2.0 * pair_scale, out=plus)
+        def multipliers(mult) -> None:
+            """exp(g - h/2) and exp(-g - h/2), g a coarse step's increment, for the block's coarse steps."""
+            plus, draws = mult  # the draws land in the - multipliers
+            if coarsen == 2:  # a step pair's two increments sum to sqrt(2) S sqrt(t/steps)
+                sum_rng.standard_normal(out=draws)
+                np.multiply(draws, 2.0 * pair_scale, out=plus)
                 plus -= h / 2.0
-            np.subtract(-h, plus, out=mult[1])
+            else:
+                both = len(draws) // 2  # step pairs; the last block of an odd step count ends on a lone step
+                d, s = draws[:both], draws[both:]  # D before S, so that one multiply scales both
+                sum_rng.standard_normal(out=s)
+                diff_rng.standard_normal(out=d)
+                draws[: 2 * both] *= pair_scale
+                s[:both] -= h / 2.0  # the fine increments less their h/2
+                np.add(s[:both], d, out=plus[0 : 2 * both : 2])
+                np.subtract(s[:both], d, out=plus[1 : 2 * both : 2])
+                if len(draws) % 2:  # the lone last step takes S only
+                    np.multiply(s[both], step_scale, out=plus[-1])
+                    plus[-1] -= h / 2.0
+            np.subtract(-h, plus, out=draws)
             np.exp(mult, out=mult)
 
         slots[:, 0] = 0.0
@@ -282,11 +259,9 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
         sums[:, 0] = float(lower == 0)  # M_j(0) = Zt_N(0)^j = 1{N = 1}
         flow = half_lower
         done = 0  # coarse steps before the block
-        left = fine
-        while left:
-            span = min(left, block * coarsen)  # fine steps
-            b = span // coarsen
-            multipliers(slots[:, 1 : b + 1], span, b)
+        while done < coarse_steps:
+            b = min(coarse_steps - done, block)
+            multipliers(slots[:, 1 : b + 1])
             for i in range(b):  # step i's levels overwrite its multipliers
                 src = slots[:, i]
                 if lower > 1:  # level 1 takes no drift, so below N = 3 the lower flow is the identity
@@ -301,7 +276,6 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
             _advance_moments(sums[:, : b + 1], cs[:b], term, done, segment, weights, coefs, scales)
             sums[:, 0] = sums[:, b]
             done += b
-            left -= span
         _row_product(half_row, slots[:, 0], c_f)
         moments = sums[:, 0]
         for j in range(2, max_moment + 1):
@@ -487,12 +461,21 @@ def polymer_second_moment_exact(levels: int, t: float) -> float:
         * sum(tq**j / math.factorial(j) * coeff(n - 1 - j, n - i) for j in range(n))
         for i in range(n)
     )
-    # e^t to 60 digits: the e^t * shifted piece cancels against the rest to
-    # many leading digits for larger N, so float(e^t) is not precise enough
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        et = Fraction(decimal.Decimal(t).exp())
-    return float(first + origin + et * shifted)
+    # e^t * shifted cancels against the rest down to the result, which is at
+    # least first (Jensen: E[Zt^2] >= E[Zt]^2), so an e^t with 25 digits beyond
+    # the log10(e^t |shifted| / first) that cancel is enough; 60 digits are
+    # tried first and kept when 25 digits of the sum survive them, as at large
+    # t, where that bound is loose and would ask for t / ln 10 digits
+    ratio = abs(shifted) / first if first else Fraction(0)  # first = 0 at t = 0, where nothing cancels
+    lost = t / math.log(10) + math.log10(ratio.numerator) - math.log10(ratio.denominator) if ratio else 0.0
+    for prec in sorted({60, max(60, 25 + math.ceil(lost))}):
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            et = Fraction(decimal.Decimal(t).exp())  # within 10^(1 - prec) relative
+        value = first + origin + et * shifted
+        if abs(value) * 10 ** (prec - 26) >= et * abs(shifted):
+            break
+    return float(value)
 
 
 def scaling_constant(levels: int, T: float, X: float = 0.0) -> float:

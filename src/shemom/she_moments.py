@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .quadrature import check_nested, contour_cross, default_halfwidth, pairwise
 
 __all__ = [
     "ROUTES",
+    "Route",
     "moment",
     "MomentRequest",
     "MomentEstimate",
@@ -44,10 +45,6 @@ __all__ = [
     "moment_gaussian_mc",
     "erfc_reduction_oracle",
 ]
-
-
-# the largest k of each moment route, in the order xcheck reports them
-ROUTES = {"contour": 4, "partition": 8, "gaussian_mc": 6}
 
 
 class InconsistencyError(RuntimeError):
@@ -75,6 +72,24 @@ class MomentEstimate:
     err: float
     method: str
     meta: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Route:
+    """One moment route; ``run(req, seed, samples)`` looks its function up by name, so a rebound one runs."""
+
+    k_max: int  # the largest k
+    stochastic: bool  # draws: takes seed and samples, and xcheck compares it within 3 combined bars
+    shifted: bool  # runs at X = 0 and is shifted to X by reduce_to_origin
+    run: Callable[[MomentRequest, int, int | None], MomentEstimate]
+
+
+# every moment route, in the order xcheck reports them
+ROUTES = {
+    "contour": Route(4, False, False, lambda req, seed, samples: moment_contour(req)),
+    "partition": Route(8, False, True, lambda req, seed, samples: moment_partition(req.k, req.T)),
+    "gaussian_mc": Route(6, True, True, lambda req, seed, samples: moment_gaussian_mc(req.k, req.T, samples, seed)),
+}
 
 
 def heat_kernel(T: float, X: float = 0.0) -> float:
@@ -137,8 +152,8 @@ def moment_contour(
     it has no correct digit).
     """
     k, T, X = req.k, req.T, req.X
-    if k > ROUTES["contour"]:
-        raise ValueError(f"moment_contour supports k <= {ROUTES['contour']}")
+    if k > ROUTES["contour"].k_max:
+        raise ValueError(f"moment_contour supports k <= {ROUTES['contour'].k_max}")
     if anchors is None:
         anchors = tuple(a - X / T for a in default_anchors(k))
     check_nested(anchors, k, "anchors")
@@ -192,8 +207,8 @@ def moment_partition(
     They stay for perfbench's readers of the old signature until ROADMAP
     item 2 deletes them with those reads.
     """
-    if k > ROUTES["partition"]:
-        raise ValueError(f"moment_partition supports k <= {ROUTES['partition']}")
+    if k > ROUTES["partition"].k_max:
+        raise ValueError(f"moment_partition supports k <= {ROUTES['partition'].k_max}")
     enclosure = _fischer_enclosure(gh_order)
 
     def R(c):
@@ -245,8 +260,8 @@ def moment_gaussian_mc(k: int, T: float, samples: int = 100_000, seed: int = 0) 
     E[Z^k] = k! e^{-kT/24} * sum_{lambda |- k} (1/prod m_i!) R(C lambda_1, ..., C lambda_l),
     with C = (T/2)^{1/3} and each R evaluated by Monte Carlo.
     """
-    if k > ROUTES["gaussian_mc"]:
-        raise ValueError(f"moment_gaussian_mc supports k <= {ROUTES['gaussian_mc']}")
+    if k > ROUTES["gaussian_mc"].k_max:
+        raise ValueError(f"moment_gaussian_mc supports k <= {ROUTES['gaussian_mc'].k_max}")
     if samples < 1_000:
         raise ValueError("need at least 1000 samples")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
@@ -260,27 +275,25 @@ def moment_gaussian_mc(k: int, T: float, samples: int = 100_000, seed: int = 0) 
 
 
 def moment(req: MomentRequest, method: str, seed: int, samples: int | None) -> MomentEstimate:
-    """E[Z(T,X)^k] by the route ``method`` of ROUTES; ``seed`` and ``samples`` reach gaussian_mc only.
+    """E[Z(T,X)^k] by the route ``method`` of ROUTES; ``seed`` and ``samples`` reach the stochastic routes only.
 
     The partition route takes no seed, as it draws no random number; see
     moment_partition for where its enclosure of the partitions of length
     >= 5 is rigorous.
 
-    The residue-sum routes run at X = 0 and are shifted to req.X by
+    A shifted route runs at X = 0 and is shifted to req.X by
     reduce_to_origin's factor, recorded as meta["shift_factor"].  A factor
     that underflows to 0 would report 0 +- 0, so it raises FloatingPointError.
     """
-    if method == "contour":
-        return moment_contour(req)
+    route = ROUTES.get(method)
+    if route is None:
+        raise ValueError(f"unknown moment route {method!r}")
+    if not route.shifted:
+        return route.run(req, seed, samples)
     factor, origin = reduce_to_origin(req)
     if factor == 0.0:
         raise FloatingPointError(f"shift factor exp(-kX^2/2T) underflows to 0 at T={req.T}, X={req.X}")
-    if method == "partition":
-        est = moment_partition(origin.k, origin.T)
-    elif method == "gaussian_mc":
-        est = moment_gaussian_mc(origin.k, origin.T, samples=samples, seed=seed)
-    else:
-        raise ValueError(f"unknown moment route {method!r}")
+    est = route.run(origin, seed, samples)
     est.value *= factor
     est.err *= factor
     est.meta["shift_factor"] = factor

@@ -597,17 +597,19 @@ class TestReportContract:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        method=st.sampled_from(["partition", "contour", "gaussian-mc"]),
+        method=st.sampled_from(list(she_moments.ROUTES)),
         k=st.integers(1, 8),
         t=st.floats(1e-3, 1e4),
         x=st.floats(-50.0, 50.0),
     )
     def test_any_request_exits_cleanly(self, method, k, t, x):
-        samples = ["--samples", "2000"] if method == "gaussian-mc" else []
-        code, out, err = run_quiet(["moment", method, "--k", str(k), "--t", repr(t), "--x", repr(x), *samples])
+        route = she_moments.ROUTES[method]
+        samples = ["--samples", "2000"] if route.stochastic else []
+        argv = ["moment", method.replace("_", "-"), "--k", str(k), "--t", repr(t), "--x", repr(x), *samples]
+        code, out, err = run_quiet(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
-        if k > she_moments.ROUTES[method.replace("-", "_")]:
+        if k > route.k_max:
             assert code == 1  # the route's k guard, or an earlier refusal: a configuration error either way
         if code == 0:
             for e in strict_json(out)["estimates"]:
@@ -635,6 +637,52 @@ class TestReportContract:
                 assert math.isfinite(e["value"]) and math.isfinite(e["err"])
         else:
             assert code == 1 and out == "" and "error:" in err
+
+
+class TestRouteRecord:
+    """A moment route registered by one ROUTES record alone: xcheck compares it, and ``moment`` runs it."""
+
+    @pytest.fixture(params=[False, True], ids=["exact", "stochastic"])
+    def stand_in(self, request, monkeypatch):
+        def run(req, seed, samples):
+            value = she_moments.heat_kernel(req.T, req.X)  # E[Z(T,X)] itself, so every k = 1 gap passes
+            return she_moments.MomentEstimate(value, 1e-3 * value, "stand_in", {"seed": seed, "samples": samples})
+
+        route = she_moments.Route(k_max=8, stochastic=request.param, shifted=False, run=run)
+        monkeypatch.setitem(she_moments.ROUTES, "stand_in", route)
+        return route
+
+    def test_compared_by_xcheck(self, capsys, stand_in):
+        code, payload = run_json(capsys, ["xcheck", "--k", "1", "--t", "1", "--samples", "5000"])
+        assert code == 0
+        assert [e["method"] for e in payload["estimates"]] == ["contour", "partition", "gaussian_mc", "stand_in"]
+        gaps = {g["a"]: g for g in payload["gaps"] if g["b"] == "stand_in"}
+        assert set(gaps) == {"contour", "partition", "gaussian_mc"}
+        estimates = {e["method"]: e for e in payload["estimates"]}
+        b = estimates["stand_in"]
+        for name, gap in gaps.items():
+            a = estimates[name]
+            if stand_in.stochastic or name == "gaussian_mc":
+                # the 3-bar Monte Carlo tolerance
+                assert gap["tol"] == 3.0 * math.hypot(a["err"], b["err"]) / max(a["value"], b["value"])
+            else:
+                assert gap["tol"] == 1e-6
+
+    def test_offered_by_moment(self, monkeypatch, stand_in):
+        from shemom import cli
+
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # the cached parser predates the record
+        argv = ["moment", "stand-in", "--k", "2", "--t", "1", "--seed", "4"]
+        code, out, err = run_quiet([*argv, "--samples", "2000"])
+        if stand_in.stochastic:
+            assert code == 0, err
+            (estimate,) = strict_json(out)["estimates"]
+            assert estimate["method"] == "stand_in"
+            assert estimate["meta"] == {"seed": subseed(4, "stand_in"), "samples": 2000}
+        else:
+            assert code == 1 and "--samples" in err  # only a stochastic route takes a sample count
+            code, out, _ = run_quiet(argv)
+            assert code == 0 and strict_json(out)["estimates"][0]["meta"]["samples"] is None
 
 
 class TestStartup:

@@ -89,6 +89,30 @@ class TestContourMoments:
         exact = polymer_second_moment_exact(levels, t)
         assert got == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("levels,t", [(24, 1.0), (28, 1.0), (32, 1.0), (40, 6.0), (64, math.sqrt(128.0))])
+    def test_k2_closed_form_at_large_levels(self, levels, t):
+        # the closed form cancels to many digits here (a 60-digit e^t once gave -3.9e-3 at (24, 1) and
+        # negative values at (28, 1)); the reference is the Taylor series of the second-moment hierarchy
+        # m_ij' = m_{i-1,j} + m_{i,j-1} + delta_ij m_ii, whose terms are all positive, so no digit cancels
+        d = np.zeros((levels + 1, levels + 1))
+        d[1, 1] = 1.0  # m(0) = e_1 e_1^T
+        total = d[levels, levels]
+        idx = np.arange(1, levels + 1)
+        p = 0
+        while p <= 2 * levels or d[levels, levels] > 1e-18 * total:
+            nxt = np.zeros_like(d)
+            nxt[1:, 1:] = d[:-1, 1:] + d[1:, :-1]
+            nxt[idx, idx] += d[idx, idx]
+            p += 1
+            d = nxt * (t / p)
+            total += d[levels, levels]
+        assert total > 0
+        assert polymer_second_moment_exact(levels, t) == pytest.approx(total, rel=1e-13, abs=0)
+
+    def test_k2_closed_form_at_time_zero(self):
+        # E[Zt(0, N)^2] = 1{N = 1}; E[Zt]^2, the bound that sizes the precision, is then 0
+        assert [polymer_second_moment_exact(n, 0.0) for n in (1, 2, 3)] == [1.0, 0.0, 0.0]
+
     def test_k2_n1_is_exponential(self):
         # Zt(t, 1) = e^{B_t - t/2}, so E[Zt^2] = e^t
         assert polymer_second_moment_exact(1, 1.3) == pytest.approx(math.exp(1.3), rel=1e-12)
@@ -122,7 +146,7 @@ class TestSimulation:
 
         monkeypatch.setattr(polymer, "_stream_pair", lambda *a: [NoDraws(), NoDraws()])
         t = 1.3
-        for steps, coarsens in ((10, (1, 2, 5)), (500, (1, 2, 5)), (501, (1, 3))):
+        for steps, coarsens in ((10, (1, 2)), (500, (1, 2)), (501, (1,))):
             for coarsen in coarsens:
                 cfg = PolymerConfig(levels=1, time=t, steps=steps, replicas=20_001, seed=2)
                 sim = simulate_polymer(cfg, max_moment=4, coarsen=coarsen)
@@ -215,17 +239,14 @@ class TestSimulation:
         # at N = 2 the lower level is exact at any step, so a coarse run on the fine run's own
         # increments differs from it by the top level's time-step error alone: under a tenth of
         # the standard error here (0.004-0.07), where a run on other paths differs by about one
-        for steps, coarsens in ((100, (2, 4, 5)), (505, (5,))):
-            # at 505 steps the step pairs straddle the coarse steps and the last step stands alone
-            cfg = PolymerConfig(levels=2, time=1.0, steps=steps, replicas=2_000, seed=9)
-            fine = simulate_polymer(cfg, max_moment=2)
-            for coarsen in coarsens:
-                coarse = simulate_polymer(cfg, max_moment=2, coarsen=coarsen)
-                assert np.all(np.abs(coarse.values - fine.values) <= 0.1 * fine.stderrs), coarsen
+        cfg = PolymerConfig(levels=2, time=1.0, steps=100, replicas=2_000, seed=9)
+        fine = simulate_polymer(cfg, max_moment=2)
+        coarse = simulate_polymer(cfg, max_moment=2, coarsen=2)
+        assert np.all(np.abs(coarse.values - fine.values) <= 0.1 * fine.stderrs)
 
-    @pytest.mark.parametrize("steps,coarsen,share", [(100, 2, 0.5), (100, 4, 0.5), (100, 5, 1.0), (505, 5, 1.0)])
+    @pytest.mark.parametrize("steps,coarsen,share", [(100, 2, 0.5)])
     def test_coarse_draw_count(self, monkeypatch, steps, coarsen, share):
-        # an even coarsen needs only the sum stream: half the fine run's normals
+        # coarsen = 2 needs only the sum stream: half the fine run's normals
         drawn = {}
 
         class Counted:
@@ -253,7 +274,7 @@ class TestSimulation:
     def test_coarsen_must_divide(self):
         # a non-positive coarsen once returned [1, 1] +- [0, 0] (or raised ZeroDivisionError)
         cfg = PolymerConfig(levels=3, time=1.0, steps=100, replicas=10, seed=0)
-        for coarsen in (3, 0, -1, -100, 2.0, True):
+        for coarsen in (3, 4, 5, 0, -1, -100, 2.0, True):
             with pytest.raises(ValueError, match="coarsen"):
                 simulate_polymer(cfg, coarsen=coarsen)
 
@@ -323,9 +344,7 @@ class TestSimulation:
             (1, 501, 20_050, 1),  # six chunks (5 x 1_671 + 1_670 pairs)
             (3, 641, 5_600, 1),  # six chunks (4 x 467 + 2 x 466 pairs)
             (2, 500, 20_010, 2),  # six chunks (3 x 1_668 + 3 x 1_667 pairs)
-            (2, 500, 20_010, 5),
             (2, 500, 20_011, 1),  # odd: the last path's mirror is dropped
-            (2, 505, 20_010, 5),  # pairs straddle the coarse steps, and the last step stands alone
             (2, 505, 20_010, 1),
         ],
     )
