@@ -35,11 +35,9 @@ moments of the stochastic heat equation with delta initial data.
 
 from __future__ import annotations
 
-import decimal
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -72,10 +70,9 @@ class PolymerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("levels", "steps", "replicas"):
+        _check_levels(self.levels)
+        for name in ("steps", "replicas"):
             _check_integer(name, getattr(self, name))
-        if not 1 <= self.levels <= MAX_LEVELS:
-            raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
         if not (math.isfinite(self.time) and self.time > 0):
             raise ValueError("time must be positive and finite")
         if self.steps < 10:
@@ -88,6 +85,12 @@ def _check_integer(name: str, value) -> None:
     # a float or a bool would otherwise pass the range checks and fail later inside numpy, or blame another field
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_levels(levels) -> None:
+    _check_integer("levels", levels)
+    if not 1 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
 
 
 @dataclass(frozen=True)
@@ -417,9 +420,8 @@ def polymer_moment_contour(
     is pole-free on the chosen circles.
     """
     if not 1 <= k <= 3:
-        raise ValueError("contour moments support k <= 3")
-    if not 1 <= levels <= MAX_LEVELS:
-        raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
+        raise ValueError("moment order k must be >= 1" if k < 1 else "contour moments support k <= 3")
+    _check_levels(levels)
     if not (math.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
     if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
@@ -438,56 +440,51 @@ def polymer_moment_contour(
 
 
 def polymer_second_moment_exact(levels: int, t: float) -> float:
-    """Closed form of E[Zt(t, N)^2] from the two residues of the nested contour.
+    """E[Zt(t, N)^2] by the Taylor series of the second-moment hierarchy, whose terms are all >= 0.
 
-    The z_1 integral picks up the pole at z_1 = z_2 + 1 and the order-N pole at
-    the origin; both reduce to finite sums over coefficients of (1+z)^(-M).
+    Ito on the hierarchy gives m_ij = E[Zt_i Zt_j] the system m_ij' =
+    m_{i-1,j} + m_{i,j-1} + delta_ij m_ij, m_0j = m_i0 = 0, m(0) = e_1 e_1^T (the
+    semi-discrete delta Bose gas at k = 2; Borodin & Corwin 2014, section 5),
+    whose generator is >= 0: no term t^p/p! A^p m(0) cancels.  Term p reaches
+    (N, N) by 2(N - 1) shifts and p - 2(N - 1) loops, a loop scaling it by at
+    most t/loops as in Poisson(t), so the sum stops t + 12 sqrt(t + 1) + 40
+    loops on, where that Poisson tail is far below rounding.  m_11 = e^t takes
+    the same products, so the value is math.exp(t) times the ratio of the sums
+    of m_NN and m_11, and N = 1 gives exp(t).  Raises OverflowError where the
+    value exceeds a double (past t = 709.78, as math.exp does: it is larger).
     """
+    _check_levels(levels)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be non-negative and finite")
     n = levels
-    # the alternating binomial sums cancel heavily for larger N, so evaluate
-    # them in exact rational arithmetic (the float t is itself a rational)
-    tq = Fraction(t)
-    first = (tq ** (n - 1) / math.factorial(n - 1)) ** 2
-
-    def coeff(m: int, order: int) -> int:
-        # [z^m] (1+z)^(-order)
-        return (-1) ** m * math.comb(order + m - 1, m)
-
-    shifted = sum(
-        (2 * tq) ** j / math.factorial(j) * coeff(n - 1 - j, n) for j in range(n)
-    )
-    origin = -sum(
-        (tq**i / math.factorial(i))
-        * sum(tq**j / math.factorial(j) * coeff(n - 1 - j, n - i) for j in range(n))
-        for i in range(n)
-    )
-    # e^t * shifted cancels against the rest down to the result, which is at
-    # least first (Jensen: E[Zt^2] >= E[Zt]^2), so an e^t with 25 digits beyond
-    # the log10(e^t |shifted| / first) that cancel is enough; 60 digits are
-    # tried first and kept when 25 digits of the sum survive them, as at large
-    # t, where that bound is loose and would ask for t / ln 10 digits
-    ratio = abs(shifted) / first if first else Fraction(0)  # first = 0 at t = 0, where nothing cancels
-    lost = t / math.log(10) + math.log10(ratio.numerator) - math.log10(ratio.denominator) if ratio else 0.0
-    for prec in sorted({60, max(60, 25 + math.ceil(lost))}):
-        with decimal.localcontext() as ctx:
-            ctx.prec = prec
-            et = Fraction(decimal.Decimal(t).exp())  # within 10^(1 - prec) relative
-        value = first + origin + et * shifted
-        if abs(value) * 10 ** (prec - 26) >= et * abs(shifted):
-            break
-    return float(value)
+    e_t = math.exp(t)  # raises OverflowError past t = 709.78, before a loop of t terms
+    terms = np.zeros((2, n + 1, n + 1))  # m of terms p - 1 and p, in turn; row and column 0 stay 0
+    terms[0, 1, 1] = 1.0
+    diagonals = [m.reshape(-1)[n + 2 :: n + 2] for m in terms]  # m_ii, i >= 1
+    total, norm = float(n == 1), 1.0  # the sums of m_NN and m_11
+    with np.errstate(over="ignore"):  # an overflowed total is refused below
+        for p in range(1, 2 * (n - 1) + math.ceil(t + 12.0 * math.sqrt(t + 1.0) + 40.0) + 1):
+            cur, nxt = terms[(p - 1) % 2], terms[p % 2]
+            cur *= t / p  # before the sums, so no entry exceeds a term of the series
+            np.add(cur[:-1, 1:], cur[1:, :-1], out=nxt[1:, 1:])
+            diagonals[p % 2] += diagonals[(p - 1) % 2]
+            total += nxt.item(n, n)
+            norm += nxt.item(1, 1)
+    value = e_t * (total / norm)
+    if not math.isfinite(value):
+        raise OverflowError(f"E[Zt^2] overflows a double at levels={levels}, t={t}")
+    return value
 
 
 def scaling_constant(levels: int, T: float, X: float = 0.0) -> float:
-    """log C(N, T, X), the normalization linking polymer and heat-equation moments."""
+    """log C(N, T, X), which links the polymer's moments at t = sqrt(NT) + X > 0 to the heat equation's."""
+    _check_levels(levels)
     n = levels
-    if n < 1:
-        raise ValueError("levels must be >= 1")
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be positive and finite")
-    if not math.isfinite(X):
-        raise ValueError("X must be finite")
     t = math.sqrt(n * T) + X
+    if not (math.isfinite(X) and t > 0):
+        raise ValueError(f"X must be finite and exceed -sqrt(N T) = {-math.sqrt(n * T):g} at N = {n}, got X = {X:g}")
     return n + t / 2.0 + X * math.sqrt(n / T) + 0.5 * n * math.log(T / n)
 
 
@@ -514,7 +511,7 @@ def intermediate_disorder_limit(
         raise ValueError("levels must be strictly increasing with at least two entries")
     raw = []
     for n in levels:
-        log_c = scaling_constant(n, T, X)  # refuses a bad T or X by name, before t = sqrt(NT) + X
+        log_c = scaling_constant(n, T, X)  # refuses a bad T, and an X with t <= 0 (first at the smallest N), by name
         t = math.sqrt(n * T) + X
         mom = polymer_moment_contour(k, n, t)
         log_ratio = math.log(mom) + k * t / 2.0 - k * log_c

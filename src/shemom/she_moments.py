@@ -156,6 +156,8 @@ def moment_contour(
         raise ValueError(f"moment_contour supports k <= {ROUTES['contour'].k_max}")
     if anchors is None:
         anchors = tuple(a - X / T for a in default_anchors(k))
+        if not all(a - b > 1.0 for a, b in zip(anchors, anchors[1:])):  # the shift rounds their gaps away
+            raise ValueError(f"X/T = {X / T:g} is too large for the contour route's anchors at the saddle -X/T")
     check_nested(anchors, k, "anchors")
     if nodes is None:
         nodes = {1: 800, 2: 512, 3: 256, 4: 96}[k]
@@ -175,7 +177,7 @@ def moment_contour(
 
 def reduce_to_origin(req: MomentRequest) -> tuple[float, MomentRequest]:
     """Spatial-stationarity shift: E[Z(T,X)^k] = exp(-k X^2 / 2T) * E[Z(T,0)^k]."""
-    factor = math.exp(-req.k * req.X**2 / (2.0 * req.T))
+    factor = math.exp(-req.k * (req.X * req.X) / (2.0 * req.T))  # X**2 raises on overflow; X * X gives inf, and 0
     return factor, MomentRequest(req.k, req.T, 0.0)
 
 

@@ -4,10 +4,13 @@ partition_count checks combinatorics.enumerate_partitions, h_truncated and
 truncated_generating_check check combinatorics.h_complete in exact arithmetic,
 the Okounkov pair checks the identity behind airy.laplace_R,
 laplace_R_two_part checks laplace_R itself at n = 2, spawned_normals
-draws airy.laplace_R_mc's normals serially, and sturm_above_full is the
-Sturm count of airy_sampler._sturm_above without its early stop.
+draws airy.laplace_R_mc's normals serially, sturm_above_full is the
+Sturm count of airy_sampler._sturm_above without its early stop, and
+second_moment_closed_form, the residue closed form in exact rationals,
+checks the series of polymer.polymer_second_moment_exact.
 """
 
+import decimal
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -132,3 +135,44 @@ def sturm_above_full(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> n
             q = diag[:, i, None] - shifts - off[:, i - 1, None] ** 2 / q
             below += q < 0
     return n - below
+
+
+def second_moment_closed_form(levels: int, t: float) -> float:
+    """Closed form of E[Zt(t, N)^2] from the two residues of the nested contour.
+
+    The z_1 integral picks up the pole at z_1 = z_2 + 1 and the order-N pole at
+    the origin; both reduce to finite sums over coefficients of (1+z)^(-M).
+    """
+    n = levels
+    # the alternating binomial sums cancel heavily for larger N, so evaluate
+    # them in exact rational arithmetic (the float t is itself a rational)
+    tq = Fraction(t)
+    first = (tq ** (n - 1) / math.factorial(n - 1)) ** 2
+
+    def coeff(m: int, order: int) -> int:
+        # [z^m] (1+z)^(-order)
+        return (-1) ** m * math.comb(order + m - 1, m)
+
+    shifted = sum(
+        (2 * tq) ** j / math.factorial(j) * coeff(n - 1 - j, n) for j in range(n)
+    )
+    origin = -sum(
+        (tq**i / math.factorial(i))
+        * sum(tq**j / math.factorial(j) * coeff(n - 1 - j, n - i) for j in range(n))
+        for i in range(n)
+    )
+    # e^t * shifted cancels against the rest down to the result, which is at
+    # least first (Jensen: E[Zt^2] >= E[Zt]^2), so an e^t with 25 digits beyond
+    # the log10(e^t |shifted| / first) that cancel is enough; 60 digits are
+    # tried first and kept when 25 digits of the sum survive them, as at large
+    # t, where that bound is loose and would ask for t / ln 10 digits
+    ratio = abs(shifted) / first if first else Fraction(0)  # first = 0 at t = 0, where nothing cancels
+    lost = t / math.log(10) + math.log10(ratio.numerator) - math.log10(ratio.denominator) if ratio else 0.0
+    for prec in sorted({60, max(60, 25 + math.ceil(lost))}):
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            et = Fraction(decimal.Decimal(t).exp())  # within 10^(1 - prec) relative
+        value = first + origin + et * shifted
+        if abs(value) * 10 ** (prec - 26) >= et * abs(shifted):
+            break
+    return float(value)

@@ -131,6 +131,9 @@ class TestExitCodes:
         [
             ["moment", "partition", "--k", "2", "--t", "1", "--x", "30"],
             ["xcheck", "--k", "5", "--t", "1", "--x", "30", "--samples", "2000"],
+            # X**2 overflowed here, and the refusal was "(34, 'Numerical result out of range')"
+            ["moment", "partition", "--k", "2", "--t", "1", "--x", "1e200"],
+            ["moment", "gaussian-mc", "--k", "2", "--t", "1", "--x", "1e200"],
         ],
     )
     def test_underflowed_shift_factor_refused(self, argv):
@@ -138,7 +141,25 @@ class TestExitCodes:
         code, out, err = run_quiet(argv)
         assert code == 1
         assert out == ""
-        assert "numeric failure" in err and "underflows" in err and "T=1.0, X=30.0" in err
+        x = float(argv[argv.index("--x") + 1])
+        assert "numeric failure" in err and "underflows" in err and f"T=1.0, X={x}" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # each once named what the user did not give: "contour moments support k <= 3", "t must be positive
+            # and finite" (the internal t = sqrt(NT) + X) and "need 2 anchors decreasing by more than 1"
+            ("polymer limit --k 0 --t 1", "error: moment order k must be >= 1"),
+            ("polymer limit --k 1 --t 1 --x -100", "error: X must be finite and exceed -sqrt(N T) = -2.82843 at N = 8"),
+            ("moment contour --k 2 --t 1 --x 1e200", "error: X/T = 1e+200 is too large for the contour route"),
+            ("xcheck --k 2 --t 1 --x 1e200", "error: X/T = 1e+200 is too large for the contour route"),
+        ],
+    )
+    def test_refusal_names_the_input_given(self, argv, message):
+        code, out, err = run_quiet(argv.split())
+        assert code == 1
+        assert out == ""
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, parts",

@@ -7,7 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import second_moment_closed_form
 from shemom import polymer
 from shemom.polymer import (
     MAX_LEVELS,
@@ -42,6 +45,7 @@ class TestConfig:
         [
             (lambda: PolymerConfig(levels=1, time=1.0, replicas=1), "at least 2 replicas"),
             (lambda: simulate_polymer(PolymerConfig(levels=1, time=1.0), max_moment=0), "max_moment must be >= 1"),
+            (lambda: polymer_moment_contour(0, 3, 1.0), "moment order k must be >= 1"),
             (lambda: polymer_moment_contour(2, 0, 1.0), "levels must be in"),
             (lambda: polymer_moment_contour(2, MAX_LEVELS + 1, 1.0), "levels must be in"),
             # these once returned 0.0: the trapezoid sum over no nodes
@@ -49,7 +53,7 @@ class TestConfig:
             (lambda: polymer_moment_contour(2, 3, 1.0, nodes=-4), "nodes must be a positive integer"),
             (lambda: polymer_moment_contour(2, 3, 1.0, nodes=64.0), "nodes must be a positive integer"),
         ],
-        ids=["replicas=1", "max_moment=0", "contour levels=0", "contour levels=65", "nodes=0", "nodes=-4", "nodes=64.0"],
+        ids=["replicas=1", "max_moment=0", "contour k=0", "contour levels=0", "contour levels=65", "nodes=0", "nodes=-4", "nodes=64.0"],
     )
     def test_guards_refuse_by_name(self, call, message):
         with pytest.raises(ValueError, match=message):
@@ -91,31 +95,62 @@ class TestContourMoments:
 
     @pytest.mark.parametrize("levels,t", [(24, 1.0), (28, 1.0), (32, 1.0), (40, 6.0), (64, math.sqrt(128.0))])
     def test_k2_closed_form_at_large_levels(self, levels, t):
-        # the closed form cancels to many digits here (a 60-digit e^t once gave -3.9e-3 at (24, 1) and
-        # negative values at (28, 1)); the reference is the Taylor series of the second-moment hierarchy
-        # m_ij' = m_{i-1,j} + m_{i,j-1} + delta_ij m_ii, whose terms are all positive, so no digit cancels
-        d = np.zeros((levels + 1, levels + 1))
-        d[1, 1] = 1.0  # m(0) = e_1 e_1^T
-        total = d[levels, levels]
-        idx = np.arange(1, levels + 1)
-        p = 0
-        while p <= 2 * levels or d[levels, levels] > 1e-18 * total:
-            nxt = np.zeros_like(d)
-            nxt[1:, 1:] = d[:-1, 1:] + d[1:, :-1]
-            nxt[idx, idx] += d[idx, idx]
-            p += 1
-            d = nxt * (t / p)
-            total += d[levels, levels]
-        assert total > 0
-        assert polymer_second_moment_exact(levels, t) == pytest.approx(total, rel=1e-13, abs=0)
+        # the closed form cancels to many digits here (a 60-digit e^t once gave -3.9e-3 at (24, 1) and negative
+        # values at (28, 1)); the oracle sizes its precision by the cancellation, the series has none to size
+        assert polymer_second_moment_exact(levels, t) == pytest.approx(second_moment_closed_form(levels, t), rel=1e-14)
 
     def test_k2_closed_form_at_time_zero(self):
-        # E[Zt(0, N)^2] = 1{N = 1}; E[Zt]^2, the bound that sizes the precision, is then 0
+        # E[Zt(0, N)^2] = 1{N = 1}
         assert [polymer_second_moment_exact(n, 0.0) for n in (1, 2, 3)] == [1.0, 0.0, 0.0]
 
     def test_k2_n1_is_exponential(self):
         # Zt(t, 1) = e^{B_t - t/2}, so E[Zt^2] = e^t
         assert polymer_second_moment_exact(1, 1.3) == pytest.approx(math.exp(1.3), rel=1e-12)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 5, 8, 16, 32, 48, 64])
+    def test_k2_series_matches_closed_form(self, levels):
+        # the closed form in exact rationals against the float64 series, over the whole range of a double;
+        # each overflows exactly where the other does
+        for t in (1e-3, 0.3, 3.0, 10.0, 30.0, 100.0, 300.0, 500.0, 650.0, 700.0, 710.0):
+            try:
+                want = second_moment_closed_form(levels, t)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    polymer_second_moment_exact(levels, t)
+                continue
+            assert polymer_second_moment_exact(levels, t) == pytest.approx(want, rel=1e-14, abs=0), t
+
+    def test_k2_series_overflows_at_once_at_huge_t(self):
+        # e^t overflows first, so the series does not run its t + 12 sqrt(t + 1) + 40 terms
+        with pytest.raises(OverflowError):
+            polymer_second_moment_exact(2, 1e300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(levels=st.integers(1, MAX_LEVELS), t=st.floats(0.0, 50.0))
+    def test_k2_series_above_jensen_bound(self, levels, t):
+        # E[Zt^2] >= E[Zt]^2 = (t^{N-1}/(N-1)!)^2, the series' term with no loop, so equality only up to rounding
+        bound = (t ** (levels - 1) / math.factorial(levels - 1)) ** 2
+        assume(bound == 0.0 or bound > 1e-250)  # the terms before a subnormal result are subnormal themselves
+        assert polymer_second_moment_exact(levels, t) >= bound * (1.0 - 1e-14)
+        assert polymer_second_moment_exact(1, t) == pytest.approx(math.exp(t), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "levels,t,message",
+        [
+            (0, 1.0, "levels must be in [1, 64]"),
+            (65, 1.0, "levels must be in [1, 64]"),
+            (2.5, 1.0, "levels must be an integer, got 2.5"),
+            (True, 1.0, "levels must be an integer, got True"),
+            (3, -1.0, "t must be non-negative and finite"),
+            (3, math.nan, "t must be non-negative and finite"),
+            (3, math.inf, "t must be non-negative and finite"),
+        ],
+    )
+    def test_k2_series_refuses_bad_input_by_name(self, levels, t, message):
+        # (0, 1) raised "factorial() not defined for negative values", (65, 1) and (3, -1) returned values,
+        # (2.5, 1) raised a TypeError and (3, nan) "cannot convert NaN to integer ratio"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            polymer_second_moment_exact(levels, t)
 
     def test_k3_node_refinement(self):
         a = polymer_moment_contour(3, 5, 2.0, nodes=192)
@@ -469,6 +504,8 @@ class TestScalingConstant:
     def test_guards(self):
         with pytest.raises(ValueError):
             scaling_constant(0, 1.0)
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            scaling_constant(2.5, 1.0)
         with pytest.raises(ValueError):
             scaling_constant(1, -1.0)
         for T in (math.inf, math.nan):
@@ -509,6 +546,13 @@ class TestDisorderLimit:
     def test_x_must_be_finite(self, X):
         with pytest.raises(ValueError, match="X must be finite"):
             intermediate_disorder_limit(2, 1.0, X)
+
+    @pytest.mark.parametrize("X", [-100.0, -math.sqrt(8.0)])
+    def test_x_at_or_below_minus_sqrt_nt_refused(self, X):
+        # t = sqrt(NT) + X <= 0 at the smallest N was refused as "t must be positive and finite", a t not given
+        message = f"X must be finite and exceed -sqrt(N T) = -2.82843 at N = 8, got X = {X:g}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            intermediate_disorder_limit(1, 1.0, X)
 
     def test_levels_must_increase(self):
         with pytest.raises(ValueError):
