@@ -23,7 +23,7 @@ matrix's j-th eigenvalue within delta = 1e-11 of lambda_j (unscaled) and
 leaves no eigenvalue the block missed.  The count stops at the row past which
 Gershgorin's bound proves every pivot negative (_sturm_above), about 40% and
 53% of the rows at N = 800 and 400.  A matrix that fails either count is redone
-by dsterf on the full matrix, both edges, as is every matrix when n_eff >= N.
+by dsterf on the full matrix, both edges (n_eff = N certifies the matrix itself).
 
 Block b of _DRAW_BLOCK matrices fills its diagonals and off-diagonals, row by
 row, from two SFC64 streams spawned from SeedSequence((seed, b, 1)), and the
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import edge_scale
-from .chunks import _equal_chunks, _run_chunks, _stream_pair, _usable_cores
+from .chunks import _equal_chunks, _paired_mean, _run_chunks, _stream_pair, _usable_cores
 from .combinatorics import h_complete
 
 __all__ = [
@@ -304,11 +304,8 @@ def sample_airy_points(config: EnsembleConfig) -> AirySampleSet:
         rows = range(block_range.start * _DRAW_BLOCK, min(block_range.stop * _DRAW_BLOCK, matrices))
         diag, off = diag_buf[: len(rows)], off_buf[: len(rows)]
         _draw(config.seed, block_range.start, diag, off)
-        if window < n:
-            edges, ok = _certified_edges(diag, off, window, m, scratch)
-            failed[rows.start : rows.stop] = ~ok
-        else:
-            edges, ok = np.empty((len(rows), 2, m)), np.zeros(len(rows), dtype=bool)
+        edges, ok = _certified_edges(diag, off, window, m, scratch)
+        failed[rows.start : rows.stop] = ~ok
         for i in np.flatnonzero(~ok):
             vals, info = _dsterf(diag[i], off[i])
             if info != 0:
@@ -339,21 +336,9 @@ def _hk(k: int, T: float, sample: AirySampleSet) -> np.ndarray:
 
 
 def _mean(vals: np.ndarray) -> MCEstimate:
-    """Mean over replicas, with the standard error over matrices: rows 2j and 2j + 1 are one unit.
-
-    The error is that of the units' summed residuals (an odd count's last row
-    is a unit of its own), so it holds whatever the correlation of a matrix's
-    two edges and is the row formula's in expectation when they are
-    independent.  A single matrix falls back to the spread of its two rows.
-    """
-    resid = vals - vals.mean()
-    units = resid[::2].copy()
-    units[: len(vals) // 2] += resid[1::2]
-    if len(units) < 2:
-        units = resid
-    count = len(units)
-    stderr = math.sqrt(count / (count - 1) * float((units**2).sum())) / len(vals)
-    return MCEstimate(float(vals.mean()), stderr, len(vals))
+    """Mean over replicas, with chunks._paired_mean's standard error over matrices: rows 2j and 2j + 1 are one unit."""
+    mean, stderr = _paired_mean(vals[::2], vals[1::2])
+    return MCEstimate(float(mean), float(stderr), len(vals))
 
 
 def series_moment_mc(k: int, T: float, sample: AirySampleSet) -> MCEstimate:

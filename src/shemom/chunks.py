@@ -14,10 +14,14 @@ paths and so must not depend on the worker count; ``sample_airy_points``,
 whose blocks of matrices are seeded by index, asks for a multiple of the cores.
 
 ``_run_chunks`` runs them on one thread pool for the whole process, made on
-the first call that needs more than one worker and replaced by a larger one
-only when a call asks for more workers than it has; a forked child drops its
-parent's pool and makes its own.  A chunk must not call ``_run_chunks``:
-it would wait for workers that are all busy with the chunks of its caller.
+the first call and replaced by a larger one only when a call asks for more
+workers than it has; a forked child drops its parent's pool and makes its
+own.  A chunk must not call ``_run_chunks``: it would wait for workers that
+are all busy with the chunks of its caller.
+
+``_paired_mean`` is the one estimator of both routes' results: each
+independent unit is two correlated rows, a matrix's two edges or an
+antithetic pair of polymer paths.
 """
 
 from __future__ import annotations
@@ -88,16 +92,12 @@ def _run_chunks(run_chunk, chunks, buffer_sets: list) -> None:
     The caller allocates the buffer sets: buffers allocated in the workers
     would stay in their malloc arenas after the call.  Each worker holds one
     set and takes the chunks in order, the next one free, until none is
-    left.  With one set the chunks run inline, in order.  Each worker runs in
+    left, so one set runs them in order on one worker.  Each worker runs in
     a copy of the caller's context, so its chunks see the caller's
     np.errstate.  The first chunk to raise ends the call with its exception,
     and so does an interrupt of the caller; either way no chunk starts after
     it and the call returns once the running chunks are done.
     """
-    if len(buffer_sets) == 1:
-        for chunk in chunks:
-            run_chunk(chunk, *buffer_sets[0])
-        return
     todo = iter(chunks)
     todo_lock = threading.Lock()
     stop = threading.Event()
@@ -126,3 +126,26 @@ def _run_chunks(run_chunk, chunks, buffer_sets: list) -> None:
         for future in futures:
             future.cancel()
         wait(futures)
+
+
+def _paired_mean(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the rows of first and second, and its standard error over units: row i of each is unit i.
+
+    ``second`` may be one row shorter: an odd count's last row is a unit of
+    its own.  The mean is taken about first[0], so rows that all agree give
+    it back exactly, with an error of exactly 0.  The error is that of the
+    units' summed residuals, so it holds whatever the correlation within a
+    unit, and is the row formula's in expectation when the rows are
+    independent.  A single unit falls back to the spread of its rows, which
+    overstates the error.
+    """
+    count = len(first) + len(second)
+    anchor = first[0]
+    mean = anchor + ((first - anchor).sum(axis=0) + (second - anchor).sum(axis=0)) / count
+    units = first - mean
+    if len(first) > 1:
+        units[: len(second)] += second - mean
+    else:
+        units = np.concatenate([units, second - mean])
+    n = len(units)
+    return mean, np.sqrt(n / (n - 1) * (units**2).sum(axis=0)) / count

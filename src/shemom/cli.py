@@ -19,8 +19,8 @@ subcommands and of ``xcheck`` only; elsewhere it is a usage error.
 JSON output is byte-stable for identical arguments and seed, except for the
 timestamp, which is isolated under ``metadata`` and excluded from stability
 guarantees.  ``sample`` reports also keep there, as ``warnings``, the
-warnings their functional raised (the truncation warning of ``series`` and
-``hk``) instead of printing them.
+warnings their functional raised (the truncation warning of ``hk``) instead
+of printing them.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def run_airy(args) -> tuple[dict, list]:
 
 
 def run_sample(args) -> tuple[dict, list, list]:
-    """The sampler's estimate, and the warnings its functional raised (the truncation warning of hk and series)."""
+    """The sampler's estimate, and the warnings its functional raised (the truncation warning of hk)."""
     cfg = airy_sampler.EnsembleConfig(args.matrix_size, args.top_points, args.replicas, subseed(args.seed, "sample"))
     sam = airy_sampler.sample_airy_points(cfg)
     provenance = {"window": sam.window, "full_matrix_fallbacks": sam.full_matrix_fallbacks}
@@ -182,23 +182,8 @@ def run_sample(args) -> tuple[dict, list, list]:
         return {"matrix_size": cfg.matrix_size, "top_points": cfg.top_points}, [est], []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # kept for the report's metadata, not printed
-        functional = airy_sampler.series_moment_mc if args.method == "series" else airy_sampler.hk_mc
-        mc = functional(args.k, args.t, sam)
-    if args.method == "series":
-        meta = {
-            "replicas": mc.replicas,
-            # weight calibration: i.i.d. Exp(1) weights reproduce the moment
-            # identities exactly; the printed constant (mean-2 weights) would
-            # overshoot by 2^k
-            "weight_convention": "exponential(1)",
-            "weight_mean": 1.0,
-            "printed_weight_mean": 2.0,
-            "printed_scale_deviation": 2.0 ** args.k,
-            "estimator": "rao_blackwell",  # the mean of k! h_k(e^{C a}) = E[S^k | points]
-        }
-    else:
-        meta = {"replicas": mc.replicas}
-    est = she_moments.MomentEstimate(mc.value, mc.stderr, f"{args.method}_mc", {**meta, **provenance})
+        mc = airy_sampler.hk_mc(args.k, args.t, sam)
+    est = she_moments.MomentEstimate(mc.value, mc.stderr, "hk_mc", {"replicas": mc.replicas, **provenance})
     return {"k": args.k, "T": args.t}, [est], [str(w.message) for w in caught]
 
 
@@ -269,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="Airy point process Monte Carlo")
     sample.set_defaults(run=run_sample)
     ssub = sample.add_subparsers(dest="method", required=True)
-    for name in ("airy", "series", "hk"):
+    for name in ("airy", "hk"):
         sp = ssub.add_parser(name)
         if name != "airy":
             sp.add_argument("--k", type=int, required=True)

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chunks import _equal_chunks, _run_chunks, _stream_pair, _usable_cores
-from .quadrature import check_nested, contour_cross, pairwise_tensor_sum
+from .chunks import _equal_chunks, _paired_mean, _run_chunks, _stream_pair, _usable_cores
+from .quadrature import contour_cross, pairwise_tensor_sum
 
 __all__ = [
     "PolymerConfig",
@@ -130,11 +130,9 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     Each column of normals drives an antithetic pair of paths, one with
     increments +dB and one with -dB.  Every level, and so every M_j, is
     nondecreasing in every increment, so the two paths of a pair are
-    negatively correlated and a path costs half a draw.  The mean is over
-    paths, taken about the first path's values; the standard error is over
-    the independent units, the pairs (an odd count's last path, whose mirror
-    is discarded, is a unit of its own; a single pair falls back to the
-    spread of its two paths, which overstates the error).
+    negatively correlated and a path costs half a draw.  The mean and its
+    standard error are ``chunks._paired_mean``'s, a pair being one unit (an
+    odd count's last path, whose mirror is discarded, is a unit of its own).
 
     Pairs run in equal chunks, six of them or a multiple of six, each within
     the buffer budget below, so one, two or three workers are evenly loaded.
@@ -287,17 +285,7 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
             vals[:, rows.start : rows.stop, k - 1] = _shifted_moment(k, moments, c_f, out, out_term)
 
     _run_chunks(run_chunk, chunks, buffer_sets)
-    plus, minus = vals[0], vals[1, : paths - pairs]
-    first = plus[0]  # sums of residuals about one path: exact zeros where every path agrees, as at N = 1
-    means = first + ((plus - first).sum(axis=0) + (minus - first).sum(axis=0)) / paths
-    units = plus - means  # each unit's summed residual
-    if pairs > 1:
-        units[: len(minus)] += minus - means
-    else:
-        units = np.concatenate([units, minus - means])
-    count = len(units)
-    errs = np.sqrt(count / (count - 1) * (units**2).sum(axis=0)) / paths
-    return PolymerMoments(means, errs, config)
+    return PolymerMoments(*_paired_mean(vals[0], vals[1, : paths - pairs]), config)
 
 
 def _moment_tables(max_moment: int, h: float, steps: int):
@@ -406,18 +394,14 @@ def _default_radii(k: int, levels: int, t: float) -> np.ndarray:
     return base + 1.4 * np.arange(k - 1, -1, -1)
 
 
-def polymer_moment_contour(
-    k: int,
-    levels: int,
-    t: float,
-    nodes: int = 256,
-    radii: np.ndarray | None = None,
-) -> float:
+def polymer_moment_contour(k: int, levels: int, t: float, nodes: int = 256) -> float:
     """E[Zt(t, N)^k] by nested circle contours.
 
     Trapezoid quadrature in the angle is spectrally accurate for the analytic
     periodic integrand; the pairwise factor prod_{A<B} (z_A - z_B)/(z_A - z_B - 1)
-    is pole-free on the chosen circles.
+    is pole-free on the circles of _default_radii, 1.4 apart.  Raises
+    FloatingPointError when the weights e^{tz} overflow and the sum is not
+    finite (large t).
     """
     if not 1 <= k <= 3:
         raise ValueError("moment order k must be >= 1" if k < 1 else "contour moments support k <= 3")
@@ -426,14 +410,14 @@ def polymer_moment_contour(
         raise ValueError("t must be positive and finite")
     if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
         raise ValueError(f"nodes must be a positive integer, got {nodes!r}")
-    if radii is None:
-        radii = _default_radii(k, levels, t)
-    radii = check_nested(radii, k, "radii")
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    rings = [r * np.exp(1j * theta) for r in radii]
-    # dz/(2 pi i) = z dtheta/(2 pi) on a circle, absorbed into per-axis weights
-    wts = [np.exp(t * z) * z ** (1 - levels) / nodes for z in rings]
-    val = complex(pairwise_tensor_sum(wts, contour_cross(rings)))
+    rings = [r * np.exp(1j * theta) for r in _default_radii(k, levels, t)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow is refused below
+        # dz/(2 pi i) = z dtheta/(2 pi) on a circle, absorbed into per-axis weights
+        wts = [np.exp(t * z) * z ** (1 - levels) / nodes for z in rings]
+        val = complex(pairwise_tensor_sum(wts, contour_cross(rings)))
+    if not np.isfinite(val):
+        raise FloatingPointError(f"polymer contour overflowed at t={t:g}, levels={levels}")
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise RuntimeError(f"contour moment has spurious imaginary part {val.imag:.3e}")
     return float(val.real)

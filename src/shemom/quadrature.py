@@ -44,14 +44,14 @@ def gauss_legendre_panels(a: float, b: float, panel_width: float, order: int) ->
     return nodes, weights
 
 
-def check_nested(positions, k: int, name: str) -> np.ndarray:
-    """Check for k contour positions, each exceeding the next by more than 1; return them as floats.
+def check_nested(anchors, k: int) -> np.ndarray:
+    """Check for k contour anchors, each exceeding the next by more than 1; return them as floats.
 
     On such contours the pair factor of the nested-contour integrand has no pole.
     """
-    p = np.asarray(positions, dtype=float)
+    p = np.asarray(anchors, dtype=float)
     if p.shape != (k,) or not np.all(p[:-1] - p[1:] > 1.0):
-        raise ValueError(f"need {k} {name} decreasing by more than 1, got {np.atleast_1d(p).tolist()}")
+        raise ValueError(f"need {k} anchors decreasing by more than 1, got {np.atleast_1d(p).tolist()}")
     return p
 
 

@@ -109,7 +109,7 @@ def default_anchors(k: int, gap: float = 1.5) -> tuple[float, ...]:
 _ERR_FLOOR_REL = 1e-11  # roundoff floor on reported quadrature errors
 
 
-def _contour_tensor_value(T, X, anchors, n, Y) -> tuple[complex, float]:
+def _contour_tensor_value(T, X, anchors, n, Y, given: str) -> tuple[complex, float]:
     """(2 pi)^-k tensor trapezoid of the nested-contour integrand, n+1 nodes per axis.
 
     Also returns prod_a sum_j |ws[a][j]| / (2 pi)^k, the scale of the summed
@@ -117,7 +117,7 @@ def _contour_tensor_value(T, X, anchors, n, Y) -> tuple[complex, float]:
     the integrand turns with phase e^{i (T alpha + X) y}; a step h with
     h * max |T alpha + X| >= pi aliases it, and the sum has no correct digit.
     Raises FloatingPointError then, and when the weights overflow (large T on
-    far anchors).
+    far anchors); ``given`` names the input that placed the anchors.
     """
     y = np.linspace(-Y, Y, n + 1)
     h = y[1] - y[0]
@@ -132,7 +132,7 @@ def _contour_tensor_value(T, X, anchors, n, Y) -> tuple[complex, float]:
         value = complex(pairwise_tensor_sum(ws, contour_cross(zs))) / (2.0 * math.pi) ** len(zs)
         scale = math.prod(float(np.sum(np.abs(wa))) for wa in ws) / (2.0 * math.pi) ** len(zs)
     if not (np.isfinite(value) and math.isfinite(scale)):
-        raise FloatingPointError(f"contour route overflowed at T={T} with anchors {tuple(anchors)}")
+        raise FloatingPointError(f"contour route overflowed at T={T} with {given}")
     return value, scale
 
 
@@ -154,16 +154,17 @@ def moment_contour(
     k, T, X = req.k, req.T, req.X
     if k > ROUTES["contour"].k_max:
         raise ValueError(f"moment_contour supports k <= {ROUTES['contour'].k_max}")
+    given = f"anchors {tuple(anchors)}" if anchors is not None else f"X={X} (anchors on the saddle -X/T = {-X / T:g})"
     if anchors is None:
         anchors = tuple(a - X / T for a in default_anchors(k))
         if not all(a - b > 1.0 for a, b in zip(anchors, anchors[1:])):  # the shift rounds their gaps away
             raise ValueError(f"X/T = {X / T:g} is too large for the contour route's anchors at the saddle -X/T")
-    check_nested(anchors, k, "anchors")
+    check_nested(anchors, k)
     if nodes is None:
         nodes = {1: 800, 2: 512, 3: 256, 4: 96}[k]
     Y = default_halfwidth(T, tol=1e-13)
-    v_full, scale = _contour_tensor_value(T, X, anchors, nodes, Y)
-    v_half, _ = _contour_tensor_value(T, X, anchors, nodes // 2, Y)
+    v_full, scale = _contour_tensor_value(T, X, anchors, nodes, Y, given)
+    v_half, _ = _contour_tensor_value(T, X, anchors, nodes // 2, Y, given)
     err = abs(v_full - v_half) + _ERR_FLOOR_REL * abs(v_full) + np.finfo(float).eps * scale
     value, imag = v_full.real, abs(v_full.imag)
     if imag > 10.0 * err:

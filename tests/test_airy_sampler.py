@@ -139,7 +139,7 @@ class TestSampling:
         [
             (200, 8, None),  # certified blocks of 108 rows
             (300, 8, lambda n, m: m + 4),  # every block fails the certificate and is redone
-            (100, 24, None),  # n_eff >= n: every replica on the full matrix
+            (100, 24, None),  # n_eff >= n: the block is the full matrix, certified all the same
         ],
     )
     def test_independent_of_worker_count(self, monkeypatch, n, m, window):

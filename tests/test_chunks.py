@@ -1,6 +1,7 @@
 """The chunk rule and the chunk runner shared by the polymer, GUE edge and residue-sum Monte Carlo routes."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -105,6 +106,39 @@ class TestRunChunks:
             assert set_a != set_b or out_a < in_b or out_b < in_a  # one set, never two chunks in flight
         assert len({thread for _, thread, *_ in spans}) <= 3
 
+
+class TestPairedMean:
+    """The one estimator of the polymer's antithetic pairs and the GUE edge's two edges per matrix."""
+
+    def test_identical_rows_are_exact(self):
+        # the polymer at N = 1: every path reports the same moments, so the mean is the row and the error 0
+        row = np.array([1.0, math.e, math.exp(3.0)])
+        for count in (2, 3, 7):
+            mean, err = chunks._paired_mean(np.tile(row, (count, 1)), np.tile(row, (count - 1, 1)))
+            assert np.array_equal(mean, row)
+            assert np.array_equal(err, np.zeros(3))
+
+    def test_second_one_row_short(self):
+        # rows (1, 1), (3, 3) and a lone 5: three units of summed residuals
+        mean, err = chunks._paired_mean(np.array([1.0, 3.0, 5.0]), np.array([1.0, 3.0]))
+        units = np.array([2.0 * (1.0 - 2.6), 2.0 * (3.0 - 2.6), 5.0 - 2.6])
+        assert mean == pytest.approx(2.6, rel=1e-15)
+        assert err == pytest.approx(math.sqrt(3.0 / 2.0 * (units**2).sum()) / 5.0, rel=1e-14)
+
+    def test_single_unit_is_the_spread_of_its_rows(self):
+        mean, err = chunks._paired_mean(np.array([1.0]), np.array([3.0]))
+        assert (mean, err) == (2.0, 1.0)
+        mean, err = chunks._paired_mean(np.array([[1.0, 4.0]]), np.array([[3.0, 4.0]]))
+        assert np.array_equal(mean, [2.0, 4.0]) and np.array_equal(err, [1.0, 0.0])
+
+    @pytest.mark.parametrize("units,seconds", [(1, 1), (2, 1), (9, 8), (300, 300)])
+    def test_columns_are_independent(self, units, seconds):
+        rng = np.random.default_rng(units)
+        first, second = rng.lognormal(size=(units, 4)), rng.lognormal(size=(seconds, 4))
+        mean, err = chunks._paired_mean(first, second)
+        for j in range(4):
+            m, e = chunks._paired_mean(first[:, j], second[:, j])
+            assert mean[j] == pytest.approx(m, rel=1e-14) and err[j] == pytest.approx(e, rel=1e-14)
 
 
 def run_child(script: str) -> str:

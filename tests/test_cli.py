@@ -153,10 +153,18 @@ class TestExitCodes:
             ("polymer limit --k 1 --t 1 --x -100", "error: X must be finite and exceed -sqrt(N T) = -2.82843 at N = 8"),
             ("moment contour --k 2 --t 1 --x 1e200", "error: X/T = 1e+200 is too large for the contour route"),
             ("xcheck --k 2 --t 1 --x 1e200", "error: X/T = 1e+200 is too large for the contour route"),
+            # "with anchors (-1e+200,)", anchors the user did not give
+            ("moment contour --k 1 --t 1 --x 1e200", "overflowed at T=1.0 with X=1e+200 (anchors on the saddle -X/T"),
+            ("xcheck --k 1 --t 1 --x 1e200", "overflowed at T=1.0 with X=1e+200 (anchors on the saddle -X/T"),
+            # three numpy RuntimeWarnings, then "polymer_limit estimate is not finite (value=nan, err=nan)"
+            ("polymer limit --k 2 --t 1 --x 1000", "numeric failure: polymer contour overflowed at t=1002.83, levels=8"),
+            ("polymer contour --k 2 --levels 8 --time 1000", "numeric failure: polymer contour overflowed at t=1000, levels=8"),
         ],
     )
     def test_refusal_names_the_input_given(self, argv, message):
-        code, out, err = run_quiet(argv.split())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning on the way to the refusal fails the test
+            code, out, err = run_quiet(argv.split())
         assert code == 1
         assert out == ""
         assert message in err and "Traceback" not in err
@@ -404,21 +412,20 @@ class TestSubcommands:
         _, payload = run_json(capsys, ["airy", "fredholm", "--u", "1.0", "--t", "2.0"])
         assert 0.0 < payload["estimates"][0]["value"] < 1.0
 
-    def test_sample_series(self, capsys):
-        _, payload = run_json(
-            capsys,
-            [
-                "sample", "series", "--k", "1", "--t", "1",
-                "--matrix-size", "100", "--top-points", "8", "--replicas", "50",
-            ],
-        )
-        meta = payload["estimates"][0]["meta"]
-        assert meta["weight_convention"] == "exponential(1)"
-        assert meta["printed_weight_mean"] == 2.0
-        assert meta["estimator"] == "rao_blackwell"
+    def test_sample_series_is_gone(self):
+        # k! times `sample hk` on the same points: the library keeps series_moment_mc, the CLI has no subcommand
+        code, out, err = run_quiet(["sample", "series", "--k", "1", "--t", "1", "--matrix-size", "100"])
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'series'" in err
+
+    def test_sample_hk_meta(self, capsys):
+        argv = ["sample", "hk", "--k", "1", "--t", "1", "--matrix-size", "100", "--top-points", "8", "--replicas", "50"]
+        _, payload = run_json(capsys, argv)
         # the leading block's rows, and the replicas redone on the full matrix
-        assert meta["window"] == airy_sampler._window(100, 8) < 100
-        assert meta["full_matrix_fallbacks"] == 0
+        assert payload["estimates"][0]["meta"] == {
+            "replicas": 50, "window": airy_sampler._window(100, 8), "full_matrix_fallbacks": 0
+        }
+        assert airy_sampler._window(100, 8) < 100
 
     def test_sample_airy_bar_counts_matrices(self, capsys):
         # the top point's bar is the sampler's one: a matrix's two edges are one unit, the odd last top its own
@@ -431,7 +438,7 @@ class TestSubcommands:
         assert est["meta"]["var_a1"] == float(sam.points[:, 0].var(ddof=1))
         assert payload["metadata"]["warnings"] == []
 
-    @pytest.mark.parametrize("method", ["series", "hk"])
+    @pytest.mark.parametrize("method", ["hk"])
     def test_sample_truncation_warning_in_metadata(self, method):
         # the setup of test_warns_when_cut_matters: the warning goes to the report, not to stderr, and the
         # report minus metadata is the functional's own estimate
@@ -444,9 +451,8 @@ class TestSubcommands:
         notes = payload["metadata"]["warnings"]
         assert len(notes) == 1 and notes[0].startswith("truncation at 2 points may bias the estimate")
         sam = airy_sampler.sample_airy_points(airy_sampler.EnsembleConfig(100, 2, 20, subseed(0, "sample")))
-        functional = airy_sampler.series_moment_mc if method == "series" else airy_sampler.hk_mc
         with pytest.warns(RuntimeWarning, match="truncation"):
-            mc = functional(2, 1.0, sam)
+            mc = airy_sampler.hk_mc(2, 1.0, sam)
         assert (payload["estimates"][0]["value"], payload["estimates"][0]["err"]) == (mc.value, mc.stderr)
 
     def test_polymer_contour(self, capsys):
@@ -492,7 +498,6 @@ class TestReportContract:
                 ("airy kernel --x 0 --y 0", {"x", "y"}, ["kernel_divided_difference"]),
                 ("sample airy --matrix-size 60 --top-points 4 --replicas 20", {"matrix_size", "top_points"},
                  ["sample_airy"]),
-                ("sample series --k 1 --t 1 --matrix-size 100 --replicas 20", {"k", "T"}, ["series_mc"]),
                 ("sample hk --k 1 --t 1 --matrix-size 100 --replicas 20", {"k", "T"}, ["hk_mc"]),
                 ("polymer simulate --levels 2 --time 1 --steps 50 --replicas 100", {"levels", "t", "steps"},
                  ["polymer_mc_k1", "polymer_mc_k2"]),
@@ -539,7 +544,7 @@ class TestReportContract:
         assert out == ""
         assert "error:" in err and "contour" in err
 
-    @pytest.mark.parametrize("method", ["series", "hk"])
+    @pytest.mark.parametrize("method", ["hk"])
     @pytest.mark.parametrize("t", ["-1", "0", "inf", "nan"])
     def test_sample_time_must_be_positive(self, method, t):
         argv = ["sample", method, "--k", "1", "--t", t, "--matrix-size", "60", "--top-points", "4", "--replicas", "20"]
@@ -551,7 +556,11 @@ class TestReportContract:
         assert "T must be positive" in err
         assert caught == []
 
-    @pytest.mark.parametrize("method", [["airy"], ["series", "--k", "1", "--t", "1"], ["hk", "--k", "1", "--t", "1"]])
+    # the ids are the case names from when `sample series` sat between these two cases
+    @pytest.mark.parametrize(
+        "method",
+        [pytest.param(["airy"], id="method0"), pytest.param(["hk", "--k", "1", "--t", "1"], id="method2")],
+    )
     def test_sample_single_replica_refused(self, method):
         # one replica has no error bar (std with ddof = 1); refused before sampling, without a warning
         argv = ["sample", *method, "--matrix-size", "60", "--top-points", "4", "--replicas", "1"]

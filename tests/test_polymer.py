@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ class TestConfig:
             (lambda: PolymerConfig(levels=1, time=1.0, replicas=1), "at least 2 replicas"),
             (lambda: simulate_polymer(PolymerConfig(levels=1, time=1.0), max_moment=0), "max_moment must be >= 1"),
             (lambda: polymer_moment_contour(0, 3, 1.0), "moment order k must be >= 1"),
+            (lambda: polymer_moment_contour(4, 2, 1.0), "contour moments support k <= 3"),
             (lambda: polymer_moment_contour(2, 0, 1.0), "levels must be in"),
             (lambda: polymer_moment_contour(2, MAX_LEVELS + 1, 1.0), "levels must be in"),
             # these once returned 0.0: the trapezoid sum over no nodes
@@ -53,7 +55,10 @@ class TestConfig:
             (lambda: polymer_moment_contour(2, 3, 1.0, nodes=-4), "nodes must be a positive integer"),
             (lambda: polymer_moment_contour(2, 3, 1.0, nodes=64.0), "nodes must be a positive integer"),
         ],
-        ids=["replicas=1", "max_moment=0", "contour k=0", "contour levels=0", "contour levels=65", "nodes=0", "nodes=-4", "nodes=64.0"],
+        ids=[
+            "replicas=1", "max_moment=0", "contour k=0", "contour k=4", "contour levels=0", "contour levels=65",
+            "nodes=0", "nodes=-4", "nodes=64.0",
+        ],
     )
     def test_guards_refuse_by_name(self, call, message):
         with pytest.raises(ValueError, match=message):
@@ -157,13 +162,13 @@ class TestContourMoments:
         b = polymer_moment_contour(3, 5, 2.0, nodes=320)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_radius_guards(self):
-        with pytest.raises(ValueError):
-            polymer_moment_contour(2, 2, 1.0, radii=np.array([2.0, 1.5]))
-        with pytest.raises(ValueError):
-            polymer_moment_contour(2, 2, 1.0, radii=np.array([4.0, 2.5, 1.0]))
-        with pytest.raises(ValueError):
-            polymer_moment_contour(4, 2, 1.0)
+    @pytest.mark.parametrize("t", [1000.0, 1e300])
+    def test_overflow_refused_by_name(self, t):
+        # e^{tz} overflows on the circles; the sum was once nan, after three numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=re.escape(f"polymer contour overflowed at t={t:g}, levels=8")):
+                polymer_moment_contour(2, 8, t)
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
     def test_time_guard(self, t):
