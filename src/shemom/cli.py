@@ -14,8 +14,9 @@ accuracy check (any RuntimeError).  Nothing is written on exit 1, so every
 emitted report holds finite numbers only.
 
 ``moment`` has a subcommand per route of ``she_moments.ROUTES``.  ``--samples``,
-the sample count of the stochastic routes, is an option of their ``moment``
-subcommands and of ``xcheck`` only; elsewhere it is a usage error.
+the precision of the stochastic routes (the error of that many draws per
+sampled term), is an option of their ``moment`` subcommands and of ``xcheck``
+only; elsewhere it is a usage error.
 JSON output is byte-stable for identical arguments and seed, except for the
 timestamp, which is isolated under ``metadata`` and excluded from stability
 guarantees.  ``sample`` reports also keep there, as ``warnings``, the

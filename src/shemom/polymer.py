@@ -388,7 +388,10 @@ def _drift_flow(levels: int, h: float) -> np.ndarray:
 
 def _default_radii(k: int, levels: int, t: float) -> np.ndarray:
     # decreasing radii with gaps > 1 so the z_A contour encloses z_B + 1 for A < B;
-    # centered near the saddle radius (N-1)/t of e^{tz} z^{-N} to avoid cancellation
+    # centered near the saddle radius (N-1)/t of e^{tz} z^{-N} to avoid cancellation;
+    # k = 1 has no pair factor, so for N >= 2 its one circle sits on the saddle itself
+    if k == 1 and levels > 1:
+        return np.array([(levels - 1) / t])
     saddle = max((levels - 1) / t, 0.4)
     base = max(0.4, saddle - 0.7 * (k - 1))
     return base + 1.4 * np.arange(k - 1, -1, -1)

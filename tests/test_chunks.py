@@ -199,3 +199,21 @@ class TestPoolLifetime:
         )
         first, child, status = run_child(SETUP + CALL + fork).splitlines()
         assert (child, status) == (first, "0")
+
+
+class TestCoreIndependence:
+    """A fresh process on one worker and on two gives the same estimate, bit for bit."""
+
+    def test_gaussian_mc(self):
+        # the pilot sets each term's draws, so the allocation must not depend on the workers either
+        call = textwrap.dedent(
+            """
+            from shemom.she_moments import moment_gaussian_mc
+
+            est = moment_gaussian_mc(5, 0.5, 20_000, 3)
+            print(repr((est.value, est.err, est.meta["draws"])))
+            """
+        )
+        one_core = run_child(SETUP.replace("lambda: 2", "lambda: 1") + call)
+        assert run_child(SETUP + call) == one_core
+        assert "(4, 1)" in one_core

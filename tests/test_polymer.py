@@ -92,6 +92,14 @@ class TestContourMoments:
         truth = t ** (levels - 1) / math.factorial(levels - 1)
         assert polymer_moment_contour(1, levels, t) == pytest.approx(truth, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [80.0, 100.0, 300.0])
+    @pytest.mark.parametrize("levels", [2, 8, 64])
+    def test_k1_exact_at_large_time(self, levels, t):
+        # the circle sits on the saddle (N - 1)/t; a radius floored at 0.4 cancelled at (8, 100) to an
+        # imaginary part of -1.8e4 against a value of 2.0e10
+        truth = math.exp((levels - 1) * math.log(t) - math.lgamma(levels))
+        assert polymer_moment_contour(1, levels, t) == pytest.approx(truth, rel=1e-12)
+
     @pytest.mark.parametrize("levels,t", [(1, 1.0), (2, 1.5), (5, 2.0), (12, 3.0), (25, 5.0)])
     def test_k2_vs_closed_form(self, levels, t):
         got = polymer_moment_contour(2, levels, t)

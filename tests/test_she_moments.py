@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+from shemom import she_moments
 from shemom.airy import AiryConfig, _fischer_enclosure, edge_scale, laplace_R, laplace_R_mc, moment_from_airy
 from shemom.combinatorics import enumerate_partitions, multiplicity_factor
 from shemom.she_moments import (
@@ -332,11 +333,42 @@ class TestGaussianMC:
     def test_reproducible(self):
         a = moment_gaussian_mc(2, 1.0, samples=5_000, seed=9)
         b = moment_gaussian_mc(2, 1.0, samples=5_000, seed=9)
-        assert a.value == b.value
+        assert (a.value, a.err, a.meta) == (b.value, b.err, b.meta)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             moment_gaussian_mc(2, 1.0, samples=10)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_error_bar_is_calibrated(self, k):
+        # the allocation is drawn from a pilot that the estimate does not reuse, so the mean keeps no bias
+        # and the error bar its coverage
+        truth = moment_partition(k, 0.5)
+        z = []
+        for seed in range(150):
+            est = moment_gaussian_mc(k, 0.5, samples=5_000, seed=seed)
+            z.append((est.value - truth.value) / math.hypot(est.err, truth.err))
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+        assert abs(np.mean(z)) < 0.25
+
+    def test_k2_draws_the_samples(self):
+        # one sampled term, so all of the precision goes to it
+        est = moment_gaussian_mc(2, 1.0, samples=5_000, seed=9)
+        assert (est.meta["pilot"], est.meta["draws"]) == (she_moments._PILOT, {"(1, 1)": 5_000})
+
+    @pytest.mark.parametrize("k,T", [(3, 0.5), (6, 0.5), (6, 2.0)])
+    def test_draws_follow_the_spread(self, k, T):
+        samples = 20_000
+        draws = moment_gaussian_mc(k, T, samples=samples, seed=4).meta["draws"]
+        sampled = [str(lam.parts) for lam in enumerate_partitions(k) if lam.length > 1]
+        assert list(draws) == sampled
+        assert min(draws.values()) >= she_moments._FLOOR
+        # Cauchy-Schwarz: Neyman allocation never needs more than S a term, floors aside
+        assert sum(draws.values()) <= len(sampled) * (samples + she_moments._FLOOR)
+        # the (k - 1, 1) term carries most of the variance
+        assert draws[str((k - 1, 1))] == max(draws.values())
+        if T == 2.0:
+            assert draws[str((k - 1, 1))] >= samples
 
 
 class TestEstimateContract:
