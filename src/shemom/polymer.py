@@ -15,9 +15,11 @@ longer step to measure the time-step error.  It draws the lower levels
 1..N-1 only: no level feeds the top level, whose noise is integrated out
 exactly (conditional Monte Carlo; Glasserman 2004), so each path
 carries the top level's conditional moments instead of one draw of it, and
-at N = 1 the moments are exact.  Its pairs run in six equal
-chunks (or a multiple of six) on the usable cores, and its results are the
-same for any core count.  Each chunk draws from two SFC64 generators, whose
+at N = 1 the moments are exact.  The recurrence runs once per distinct
+column of draws: once per pair of paths, and at N = 1, where nothing is
+drawn, once for all of them.  Its columns run in six equal chunks (or a
+multiple of six) on the usable cores, and its results are the same for any
+core count.  Each chunk draws from two SFC64 generators, whose
 normals cost about a fifth less than those of numpy's default PCG64, as
 do the chunks of the residue-sum Monte Carlo and the blocks of the GUE edge
 sampler.  The two streams give
@@ -125,7 +127,9 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     and the last half drift's c_f gives path k the value
     sum_r C(k, r) c_f^{k-r} M_r.  With no lower level (N = 1) c = 0: no
     normal is drawn, every path reports e^{k(k-1)t/2}, and the standard
-    error is exactly 0.
+    error is exactly 0.  A conditional moment past a double (at N = 1, past
+    k(k-1)t/2 = 709.78) is refused by an ``OverflowError`` that names k,
+    levels and t, with no numpy warning before it.
 
     Each column of normals drives an antithetic pair of paths, one with
     increments +dB and one with -dB.  Every level, and so every M_j, is
@@ -134,8 +138,13 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     standard error are ``chunks._paired_mean``'s, a pair being one unit (an
     odd count's last path, whose mirror is discarded, is a unit of its own).
 
-    Pairs run in equal chunks, six of them or a multiple of six, each within
-    the buffer budget below, so one, two or three workers are evenly loaded.
+    The recurrence runs on the distinct columns of draws: a column holds
+    the levels - 1 normals of each step and drives one pair of paths.  Each
+    pair draws its own column, but with no lower level every column is the
+    same empty one, so N = 1 runs a single column as one chunk and gives
+    its values to every pair before the mean.  The columns run in equal
+    chunks, six of them or a multiple of six, each within the buffer budget
+    below, so one, two or three workers are evenly loaded.
     Each chunk has its own two SFC64 generators, the sum stream and the
     difference stream, spawned from the seed sequence (seed, first path), so
     the chunk rule must not, and does not, read the worker count.  Each pair
@@ -165,8 +174,8 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     tables stay small for any step count; at its end u_j is scaled back to
     M_j.  Segments start at fixed steps and every sum runs step by step, so
     neither the block length nor the worker count changes a bit of the
-    result.  With no lower level the same steps run on empty levels, c is
-    0, and the sums only grow by e^{a_j} a step.
+    result.  With no lower level the same steps run on the one empty
+    column, c is 0, and the sums only grow by e^{a_j} a step.
 
     The chunks run at the same time on a thread pool, one worker per usable
     core (``taskset`` limits them) up to the chunk count; each writes its own
@@ -200,11 +209,12 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
     # the lower levels' own flow, and the top row's lower part, which gives c
     full_lower, half_lower = full[:lower, :lower].copy(), half[:lower, :lower].copy()
     full_row, half_row = full[lower, :lower].copy(), half[lower, :lower].copy()
-    segment, scales, weights, coefs = _moment_tables(max_moment, h, coarse_steps)
     pairs = (paths + 1) // 2
-    vals = np.empty((2, pairs, max_moment))  # E[top level^k | lower levels] of the + and the - paths
+    # the distinct columns of draws, each driving a + and a - path: with no drawn level, one empty column
+    columns = pairs if lower else 1
+    vals = np.empty((2, columns, max_moment))  # E[top level^k | lower levels] of the + and the - paths
     # 6 = lcm(1, 2, 3): one, two or three workers get equal shares
-    chunks = _equal_chunks(pairs, 6, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
+    chunks = _equal_chunks(columns, 6, _BUFFER_DOUBLES // max(1, fine // 50) // (2 * n) + 1)
     chunk = len(chunks[0])
     workers = min(_usable_cores(), len(chunks))
     # per coarse step and pair: per lower level the +- multipliers, which the draws are written into; c, the
@@ -284,7 +294,14 @@ def simulate_polymer(config: PolymerConfig, max_moment: int = 3, coarsen: int = 
         for k in range(1, max_moment + 1):
             vals[:, rows.start : rows.stop, k - 1] = _shifted_moment(k, moments, c_f, out, out_term)
 
-    _run_chunks(run_chunk, chunks, buffer_sets)
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment past a double is refused below, by name
+        segment, scales, weights, coefs = _moment_tables(max_moment, h, coarse_steps)
+        _run_chunks(run_chunk, chunks, buffer_sets)
+    finite = np.isfinite(vals).all(axis=(0, 1))
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise OverflowError(f"E[Zt^{k}] overflows a double at levels={n}, t={t}")
+    vals = np.broadcast_to(vals, (2, pairs, max_moment))  # a row per pair: at N = 1 every pair's is the one column's
     return PolymerMoments(*_paired_mean(vals[0], vals[1, : paths - pairs]), config)
 
 

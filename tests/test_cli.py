@@ -159,6 +159,8 @@ class TestExitCodes:
             # three numpy RuntimeWarnings, then "polymer_limit estimate is not finite (value=nan, err=nan)"
             ("polymer limit --k 2 --t 1 --x 1000", "numeric failure: polymer contour overflowed at t=1002.83, levels=8"),
             ("polymer contour --k 2 --levels 8 --time 1000", "numeric failure: polymer contour overflowed at t=1000, levels=8"),
+            # two numpy RuntimeWarnings, then "polymer_mc_k2 estimate is not finite (value=nan, err=nan)"
+            ("polymer simulate --levels 1 --time 712", "numeric failure: E[Zt^2] overflows a double at levels=1, t=712.0"),
         ],
     )
     def test_refusal_names_the_input_given(self, argv, message):

@@ -194,13 +194,90 @@ class TestSimulation:
 
         monkeypatch.setattr(polymer, "_stream_pair", lambda *a: [NoDraws(), NoDraws()])
         t = 1.3
+        exact = [math.exp(k * (k - 1) * t / 2.0) for k in range(1, 5)]
         for steps, coarsens in ((10, (1, 2)), (500, (1, 2)), (501, (1,))):
             for coarsen in coarsens:
-                cfg = PolymerConfig(levels=1, time=t, steps=steps, replicas=20_001, seed=2)
-                sim = simulate_polymer(cfg, max_moment=4, coarsen=coarsen)
-                exact = [math.exp(k * (k - 1) * t / 2.0) for k in range(1, 5)]
-                np.testing.assert_allclose(sim.values, exact, rtol=1e-12, atol=0)
-                assert np.array_equal(sim.stderrs, np.zeros(4))
+                # one column serves every pair, so the replica count, odd or even, moves no bit
+                runs = [
+                    simulate_polymer(PolymerConfig(1, t, steps, replicas, seed=2), max_moment=4, coarsen=coarsen)
+                    for replicas in (2, 3, 20_001, 30_000)
+                ]
+                np.testing.assert_allclose(runs[0].values, exact, rtol=1e-12, atol=0)
+                for sim in runs:
+                    assert np.array_equal(sim.values, runs[0].values)
+                    assert np.array_equal(sim.stderrs, np.zeros(4))
+
+    def test_one_column_without_a_lower_level(self, monkeypatch):
+        # N = 1 draws nothing, so all its pairs share one empty column: one chunk of one column; from
+        # N = 2 each pair draws its own column and the chunks cover them all
+        seen = []
+        run_chunks = polymer._run_chunks
+
+        def recorded(run_chunk, chunks, buffer_sets):
+            seen.append(chunks)
+            run_chunks(run_chunk, chunks, buffer_sets)
+
+        monkeypatch.setattr(polymer, "_run_chunks", recorded)
+        for levels in (1, 2):
+            simulate_polymer(PolymerConfig(levels, 1.0, 500, replicas=30_001, seed=1), max_moment=2)
+        assert seen[0] == [range(0, 1)]
+        assert [i for chunk in seen[1] for i in chunk] == list(range(15_001)) and len(seen[1]) == 6
+
+    # float.hex of values and stderrs at t = 1.3, seed 19, before N = 1 ran on one column; the rule that
+    # leaves one column there must not move a bit where each pair draws its own
+    @pytest.mark.parametrize(
+        "levels,steps,replicas,values,stderrs",
+        [
+            (
+                2, 20, 7,
+                ["0x1.ed079a2aa7b9ap-1", "0x1.ceb797c7c3e7dp+0", "0x1.dc32b0371ee5cp+2"],
+                ["0x1.97152f671a572p-4", "0x1.0f91eeb62b8cep-2", "0x1.6b66bde2e9ad2p+0"],
+            ),
+            (
+                2, 501, 2_000,
+                ["0x1.4dbb1b684effcp+0", "0x1.260094752434ep+2", "0x1.cfaa39883a81dp+5"],
+                ["0x1.46cf9ab56abc7p-6", "0x1.1e8855835b660p-1", "0x1.b6be95d7df0d0p+4"],
+            ),
+            (
+                3, 20, 7,
+                ["0x1.422f1e964187ep-1", "0x1.4a51570514253p-1", "0x1.1dd4f5591dfadp+0"],
+                ["0x1.8bc602a0668dbp-4", "0x1.882db73521a1dp-3", "0x1.f9d3366cb67c9p-2"],
+            ),
+            (
+                3, 501, 2_000,
+                ["0x1.aeedaf82854e0p-1", "0x1.825398b4ba6b1p+0", "0x1.9e9fe606037ffp+2"],
+                ["0x1.512f181eb01cep-7", "0x1.6b89d1d513f03p-4", "0x1.170b0dadcbdc1p+0"],
+            ),
+        ],
+    )
+    def test_pinned_where_pairs_draw(self, levels, steps, replicas, values, stderrs):
+        # max_moment = 2 gives the first two of max_moment = 3's, bit for bit
+        for max_moment in (2, 3):
+            sim = simulate_polymer(PolymerConfig(levels, 1.3, steps, replicas, seed=19), max_moment=max_moment)
+            assert [float(v).hex() for v in sim.values] == values[:max_moment]
+            assert [float(e).hex() for e in sim.stderrs] == stderrs[:max_moment]
+
+    @pytest.mark.parametrize(
+        "levels,time,steps,replicas",
+        [(1, 712.0, 2_000, 4_000), (1, 1_500.0, 2_000, 4_000), (2, 800.0, 50, 20), (1, 2_000.0, 10, 4)],
+    )
+    def test_overflow_refused_by_name(self, levels, time, steps, replicas):
+        # inf - inf in the mean once gave "polymer_mc_k2 estimate is not finite (value=nan, err=nan)" after
+        # numpy's overflow and invalid-value warnings; at t = 2000 with 10 steps the factor table e^{a_4} overflows
+        cfg = PolymerConfig(levels, time, steps, replicas, seed=0)
+        message = f"E[Zt^2] overflows a double at levels={levels}, t={time}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(message)):
+                simulate_polymer(cfg, max_moment=4)
+
+    def test_largest_moment_that_fits_is_reported(self):
+        # e^{709} fits in a double: N = 1 reports it exactly as before, with err 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = simulate_polymer(PolymerConfig(1, 709.0, 2_000, 4_000, seed=0), max_moment=2)
+        assert sim.values.tolist() == [1.0, 8.218407461554525e307]
+        assert sim.stderrs.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_top_level_moments_are_conditional(self, levels):
